@@ -84,7 +84,9 @@ from .nn import (
     build_network,
     cross_entropy,
     forward,
+    forward_trace,
     l2_distance,
     parameter_digest,
     sgd_step,
+    vjp,
 )

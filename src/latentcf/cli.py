@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -493,7 +494,10 @@ def cmd_augment(args):
     return 3 if partial else 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: it costs about fifty
+    parses, and parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="latentcf",
         description="Counterfactual explanations via search in an attribute-informed latent space.",
@@ -501,13 +505,12 @@ def build_parser():
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, helptext):
+    def add(name, helptext):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", help="INI file with a [%s] section" % name)
-        p.set_defaults(func=func)
         return p
 
-    p = add("gen-data", cmd_gen_data, "synthesize an attributed dataset")
+    p = add("gen-data", "synthesize an attributed dataset")
     p.add_argument("--out")
     p.add_argument("--generator", choices=("blobs", "glyphs"))
     p.add_argument("--features", type=int)
@@ -526,7 +529,7 @@ def build_parser():
     p.add_argument("--train-frac", type=float)
     p.add_argument("--dev-frac", type=float)
 
-    p = add("train", cmd_train, "train classifier, discriminator, and autoencoder")
+    p = add("train", "train classifier, discriminator, and autoencoder")
     p.add_argument("--data")
     p.add_argument("--out-dir")
     p.add_argument("--epochs", type=int)
@@ -551,7 +554,7 @@ def build_parser():
         p.add_argument("--desired", type=int)
         p.add_argument("--freeze-attributes", action=argparse.BooleanOptionalAction, default=None)
 
-    p = add("explain", cmd_explain, "search for a counterfactual of one instance")
+    p = add("explain", "search for a counterfactual of one instance")
     p.add_argument("--manifest")
     p.add_argument("--query-index", type=int)
     p.add_argument("--instance-file")
@@ -559,7 +562,7 @@ def build_parser():
     p.add_argument("--pgm")
     add_perturb(p)
 
-    p = add("bench", cmd_bench, "compare methods on a shared query set")
+    p = add("bench", "compare methods on a shared query set")
     p.add_argument("--manifest")
     p.add_argument("--queries", type=int)
     p.add_argument("--seed", type=int)
@@ -571,7 +574,7 @@ def build_parser():
     p.add_argument("--include-timing", action=argparse.BooleanOptionalAction, default=None)
     add_perturb(p)
 
-    p = add("sweep", cmd_sweep, "trace the distance-weight trade-off")
+    p = add("sweep", "trace the distance-weight trade-off")
     p.add_argument("--manifest")
     p.add_argument("--weights")
     p.add_argument("--queries", type=int)
@@ -580,7 +583,7 @@ def build_parser():
     p.add_argument("--out")
     add_perturb(p)
 
-    p = add("rank", cmd_rank, "rank attributes by how far a search moved them")
+    p = add("rank", "rank attributes by how far a search moved them")
     p.add_argument("--results")
     p.add_argument("--manifest")
     p.add_argument("--query-index", type=int)
@@ -592,7 +595,7 @@ def build_parser():
     p.add_argument("--out")
     add_perturb(p)
 
-    p = add("augment", cmd_augment, "append counterfactual rows to the train split")
+    p = add("augment", "append counterfactual rows to the train split")
     p.add_argument("--manifest")
     p.add_argument("--count", type=int)
     p.add_argument("--seed", type=int)
@@ -605,8 +608,12 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # The parser outlives this call, so the command is looked up by name
+    # here: a cmd_* function rebound since the parser was built (say, by a
+    # wrapper that times it) still takes effect.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 2

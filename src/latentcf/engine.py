@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InvariantViolation
 from .models import LatentPoint, encode
-from .nn import backward, cross_entropy, forward, l2_distance, parameter_digest
+from .nn import cross_entropy, forward, forward_trace, l2_distance, parameter_digest, vjp
 
 
 @dataclass
@@ -132,6 +132,39 @@ def step_size(initial, decay, n):
     return initial * decay**n
 
 
+def _evaluate(target, gen, point, origin, desired, distance_weight):
+    """The objective at a latent point, and a function for its gradients.
+
+    Decoder and classifier each run once, traced; the returned function
+    pulls the loss back through those traces to the code and the attribute
+    vector, with input-only VJPs, so a caller that stops here pays for no
+    backward sweep.
+    """
+    u = np.concatenate([point.code, point.attributes])
+    sample, dec_trace = forward_trace(gen.decoder, u)
+    probs, target_trace = forward_trace(target.network, sample)
+    onehot = np.zeros(target.network.output_dim)
+    onehot[desired] = 1.0
+    pred_term, g_probs = cross_entropy(probs, onehot)
+    code_dist, g_code_dist = l2_distance(point.code, origin.code)
+    attr_dist, g_attr_dist = l2_distance(point.attributes, origin.attributes)
+    dist_term = code_dist + attr_dist
+    loss = CounterfactualLoss(
+        pred_term + distance_weight * dist_term, pred_term, dist_term, probs, sample
+    )
+
+    def grads():
+        g_sample = vjp(target.network, target_trace, g_probs, with_params=False).input_grad
+        g_u = vjp(gen.decoder, dec_trace, g_sample, with_params=False).input_grad
+        k = gen.latent_dim
+        return (
+            g_u[:k] + distance_weight * g_code_dist,
+            g_u[k:] + distance_weight * g_attr_dist,
+        )
+
+    return loss, grads
+
+
 def counterfactual_loss(target, gen, point, origin, desired, distance_weight, with_grads=True):
     """Evaluate the search objective, optionally with gradients.
 
@@ -141,30 +174,10 @@ def counterfactual_loss(target, gen, point, origin, desired, distance_weight, wi
     scaled by distance_weight. Gradients chain through the classifier and
     the decoder back to the code and the attribute vector.
     """
-    u = np.concatenate([point.code, point.attributes])
-    sample = forward(gen.decoder, u)
-    probs = forward(target.network, sample)
-    onehot = np.zeros(target.network.output_dim)
-    onehot[desired] = 1.0
-    pred_term, g_probs = cross_entropy(probs, onehot)
-    code_dist, g_code_dist = l2_distance(point.code, origin.code)
-    attr_dist, g_attr_dist = l2_distance(point.attributes, origin.attributes)
-    dist_term = code_dist + attr_dist
-    total = pred_term + distance_weight * dist_term
-    if not with_grads:
-        return CounterfactualLoss(total, pred_term, dist_term, probs, sample)
-    g_sample = backward(target.network, sample, g_probs).input_grad
-    g_u = backward(gen.decoder, u, g_sample).input_grad
-    k = gen.latent_dim
-    return CounterfactualLoss(
-        total,
-        pred_term,
-        dist_term,
-        probs,
-        sample,
-        code_grad=g_u[:k] + distance_weight * g_code_dist,
-        attr_grad=g_u[k:] + distance_weight * g_attr_dist,
-    )
+    loss, grads = _evaluate(target, gen, point, origin, desired, distance_weight)
+    if with_grads:
+        loss.code_grad, loss.attr_grad = grads()
+    return loss
 
 
 def _require_desired(target, config):
@@ -192,7 +205,8 @@ def latent_descent(target, gen, x0, a0, config, query_index=-1, method="latent-d
 
     Each iteration evaluates the objective once; the evaluation doubles as
     the stopping check (decoded instance already classified as desired) and
-    as the gradient source for the update. Step sizes decay after every
+    as the gradient source for the update, whose backward sweep runs only
+    once the check has failed. Step sizes decay after every
     update, so iterate n moves by step * decay**n. The loss trace holds one
     entry per evaluation, so a search that flips immediately has a single
     entry and zero iterations.
@@ -206,17 +220,14 @@ def latent_descent(target, gen, x0, a0, config, query_index=-1, method="latent-d
     trace = []
     n = 0
     while True:
-        loss = counterfactual_loss(
-            target, gen, point, origin, desired, config.distance_weight
-        )
+        loss, grads = _evaluate(target, gen, point, origin, desired, config.distance_weight)
         trace.append((loss.total, loss.prediction_term, loss.distance_term))
         if int(np.argmax(loss.probabilities)) == desired or n >= config.max_iters:
             break
-        point.code -= step_size(config.code_step, config.step_decay, n) * loss.code_grad
+        code_grad, attr_grad = grads()
+        point.code -= step_size(config.code_step, config.step_decay, n) * code_grad
         if config.optimize_attributes:
-            point.attributes -= (
-                step_size(config.attr_step, config.step_decay, n) * loss.attr_grad
-            )
+            point.attributes -= step_size(config.attr_step, config.step_decay, n) * attr_grad
         n += 1
     elapsed = _micros_since(t0)
     _check_frozen(digest, target, gen, method)
@@ -311,7 +322,7 @@ def gradient_sign_attack(target, gen, x0, a0, epsilon, desired=None, clip=None, 
     x0 = np.asarray(x0, dtype=np.float64)
     digest = _frozen_digest(target, gen)
     t0 = time.perf_counter_ns()
-    probs = forward(target.network, x0)
+    probs, probs_trace = forward_trace(target.network, x0)
     if desired is None:
         if target.network.output_dim != 2:
             raise ConfigurationError("desired class is required beyond two classes")
@@ -319,7 +330,7 @@ def gradient_sign_attack(target, gen, x0, a0, epsilon, desired=None, clip=None, 
     onehot = np.zeros(target.network.output_dim)
     onehot[desired] = 1.0
     loss_before, g_probs = cross_entropy(probs, onehot)
-    g_x = backward(target.network, x0, g_probs).input_grad
+    g_x = vjp(target.network, probs_trace, g_probs, with_params=False).input_grad
     x_adv = x0 - epsilon * np.sign(g_x)
     if clip is not None:
         x_adv = np.clip(x_adv, clip[0], clip[1])
@@ -361,13 +372,13 @@ def input_space_descent(target, gen, x0, a0, config, query_index=-1):
     trace = []
     n = 0
     while True:
-        probs = forward(target.network, x)
+        probs, probs_trace = forward_trace(target.network, x)
         pred_term, g_probs = cross_entropy(probs, onehot)
         dist, g_dist = l2_distance(x, x0)
         trace.append((pred_term + config.distance_weight * dist, pred_term, dist))
         if int(np.argmax(probs)) == desired or n >= config.max_iters:
             break
-        g_x = backward(target.network, x, g_probs).input_grad
+        g_x = vjp(target.network, probs_trace, g_probs, with_params=False).input_grad
         x -= step_size(config.code_step, config.step_decay, n) * (
             g_x + config.distance_weight * g_dist
         )

@@ -26,13 +26,13 @@ from .errors import ConfigurationError, DimensionError, TrainingError, TrainingQ
 from .nn import (
     DenseNetwork,
     Layer,
-    _backward_from_trace,
-    _forward_trace,
     build_network,
     forward,
+    forward_trace,
     mean_binary_cross_entropy,
     mean_cross_entropy,
     sgd_step,
+    vjp,
 )
 
 
@@ -195,12 +195,11 @@ def train_target(dataset, config):
     for epoch in range(config.epochs):
         epoch_loss = 0.0
         for idx in _minibatches(len(x_train), config.batch_size, rng):
-            out, trace = _forward_trace(net, x_train[idx])
+            out, trace = forward_trace(net, x_train[idx])
             loss, grad = mean_cross_entropy(out, y_train[idx])
             if not np.isfinite(loss):
                 raise TrainingError(f"classifier loss diverged at epoch {epoch}")
-            param_grads, _ = _backward_from_trace(net, trace, grad)
-            sgd_step(net, _Tape(param_grads), config.learning_rate)
+            sgd_step(net, vjp(net, trace, grad, with_input=False), config.learning_rate)
             epoch_loss += loss * len(idx)
         history.append(epoch_loss / len(x_train))
     x_dev, _, y_dev = dataset.part("dev")
@@ -219,12 +218,6 @@ def train_target(dataset, config):
             TrainingQualityWarning,
         )
     return model
-
-
-class _Tape:
-    # sgd_step only reads param_grads; this avoids building an input grad.
-    def __init__(self, param_grads):
-        self.param_grads = param_grads
 
 
 def train_discriminator(dataset, config):
@@ -249,12 +242,11 @@ def train_discriminator(dataset, config):
     )
     for epoch in range(config.epochs):
         for idx in _minibatches(len(x_train), config.batch_size, rng):
-            out, trace = _forward_trace(net, x_train[idx])
+            out, trace = forward_trace(net, x_train[idx])
             loss, grad = mean_binary_cross_entropy(out, a_train[idx])
             if not np.isfinite(loss):
                 raise TrainingError(f"discriminator loss diverged at epoch {epoch}")
-            param_grads, _ = _backward_from_trace(net, trace, grad)
-            sgd_step(net, _Tape(param_grads), config.learning_rate)
+            sgd_step(net, vjp(net, trace, grad, with_input=False), config.learning_rate)
     x_dev, a_dev, _ = dataset.part("dev")
     preds = forward(net, x_dev) >= 0.5
     per_attr = [float(np.mean(preds[:, j] == (a_dev[:, j] == 1.0))) for j in range(dataset.n_attributes)]
@@ -310,23 +302,23 @@ def train_generative(dataset, discriminator, config):
         epoch_loss = 0.0
         for idx in _minibatches(len(x_train), config.batch_size, rng):
             xb, ab = x_train[idx], a_train[idx]
-            codes, enc_trace = _forward_trace(encoder, xb)
+            codes, enc_trace = forward_trace(encoder, xb)
             u = np.concatenate([codes, ab], axis=1)
-            xhat, dec_trace = _forward_trace(decoder, u)
+            xhat, dec_trace = forward_trace(decoder, u)
             recon, g_xhat = _recon_grad(xhat, xb)
             loss = recon
             if config.disc_weight > 0:
-                probs, disc_trace = _forward_trace(disc_net, xhat)
+                probs, disc_trace = forward_trace(disc_net, xhat)
                 bce, g_probs = mean_binary_cross_entropy(probs, ab)
                 loss += config.disc_weight * bce
-                _, g_disc_in = _backward_from_trace(disc_net, disc_trace, g_probs)
+                g_disc_in = vjp(disc_net, disc_trace, g_probs, with_params=False).input_grad
                 g_xhat = g_xhat + config.disc_weight * g_disc_in
             if not np.isfinite(loss):
                 raise TrainingError(f"autoencoder loss diverged at epoch {epoch}")
-            dec_grads, g_u = _backward_from_trace(decoder, dec_trace, g_xhat)
-            enc_grads, _ = _backward_from_trace(encoder, enc_trace, g_u[:, :k])
-            sgd_step(decoder, _Tape(dec_grads), config.learning_rate)
-            sgd_step(encoder, _Tape(enc_grads), config.learning_rate)
+            dec_tape = vjp(decoder, dec_trace, g_xhat)
+            enc_tape = vjp(encoder, enc_trace, dec_tape.input_grad[:, :k], with_input=False)
+            sgd_step(decoder, dec_tape, config.learning_rate)
+            sgd_step(encoder, enc_tape, config.learning_rate)
             epoch_loss += loss * len(idx)
         history.append(epoch_loss / len(x_train))
     codes = forward(encoder, x_train)

@@ -1,10 +1,11 @@
 """Minimal differentiable dense-network engine.
 
 Sequential stacks of fully-connected layers over float64 numpy arrays, with
-reverse-mode gradients taken with respect to both the parameters and the
-network input. No graph construction: a network is a plain list of layers
-and backward is a hand-rolled chain-rule sweep, which keeps every gradient
-auditable against finite differences.
+reverse-mode gradients taken with respect to the network input and,
+optionally, the parameters. No graph construction: a network is a plain
+list of layers, :func:`forward_trace` keeps each layer's activations, and
+:func:`vjp` is a hand-rolled chain-rule sweep over that trace, which keeps
+every gradient auditable against finite differences.
 
 Shapes follow the convention weights[out, in], bias[out]. Inputs may be a
 single vector [d] or a batch [n, d]; outputs mirror that choice. Parameter
@@ -47,8 +48,9 @@ class DenseNetwork:
     """An ordered stack of dense layers with chained dimensions.
 
     Softmax is only permitted on the final layer; every parameter is a
-    finite float64. Validation happens at construction and again after any
-    in-place parameter update via :func:`sgd_step`.
+    finite float64. Validation happens at construction; an in-place
+    update via :func:`sgd_step` changes only values, and re-checks that
+    they stay finite.
     """
 
     def __init__(self, layers):
@@ -78,7 +80,7 @@ class DenseNetwork:
                 )
             if layer.activation == "softmax" and i != len(self.layers) - 1:
                 raise ConfigurationError("softmax is only permitted as the final activation")
-            if not (np.all(np.isfinite(layer.weights)) and np.all(np.isfinite(layer.bias))):
+            if not (np.isfinite(layer.weights).all() and np.isfinite(layer.bias).all()):
                 raise NumericalError(f"layer {i}: non-finite parameter")
         for i in range(len(self.layers) - 1):
             if self.layers[i].out_dim != self.layers[i + 1].in_dim:
@@ -100,11 +102,24 @@ class GradientTape:
     """Gradients from one backward sweep.
 
     param_grads holds one (d_weights, d_bias) pair per layer, in layer
-    order; input_grad matches the shape of the input the sweep saw.
+    order; input_grad matches the shape of the input the sweep saw. Either
+    is None when the sweep skipped it.
     """
 
-    param_grads: list
+    param_grads: list | None
     input_grad: np.ndarray
+
+
+@dataclass
+class Trace:
+    """What one forward pass keeps for :func:`vjp`.
+
+    layers holds one (input, pre-activation, output) triple of batches per
+    layer; single records that the caller passed one vector, not a batch.
+    """
+
+    layers: list
+    single: bool
 
 
 def build_network(dims, activations, rng):
@@ -173,84 +188,102 @@ def _as_batch(x, expected_dim, what):
 
 
 def _check_finite(arr, what):
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericalError(f"non-finite values in {what}")
 
 
-def _forward_trace(net, batch):
-    """Run the stack, keeping (pre, post) activations per layer."""
-    trace = []
+def forward_trace(net, x):
+    """Evaluate the network on a vector [d] or batch [n, d], keeping a trace.
+
+    Returns (output, trace); the output mirrors the input's shape and is
+    checked finite. Pass the trace to :func:`vjp` to pull gradients back
+    through this evaluation without running the network again.
+    """
+    batch, single = _as_batch(x, net.input_dim, "input")
+    layers = []
     h = batch
     for layer in net.layers:
         pre = h @ layer.weights.T + layer.bias
         post = _apply_activation(layer.activation, pre)
-        trace.append((h, pre, post))
+        layers.append((h, pre, post))
         h = post
-    return h, trace
+    _check_finite(h, "forward output")
+    return (h[0] if single else h), Trace(layers, single)
 
 
 def forward(net, x):
     """Evaluate the network on a vector [d] or batch [n, d]."""
-    batch, single = _as_batch(x, net.input_dim, "input")
-    out, _ = _forward_trace(net, batch)
-    _check_finite(out, "forward output")
-    return out[0] if single else out
+    return forward_trace(net, x)[0]
 
 
-def _backward_from_trace(net, trace, out_grad_batch):
-    grad = out_grad_batch
-    param_grads = [None] * len(net.layers)
+def vjp(net, trace, out_grad, with_params=True, with_input=True):
+    """Reverse-mode sweep over a trace from ``forward_trace(net, x)``.
+
+    out_grad is the loss gradient at the network output and must match the
+    output shape for that input. Returns a GradientTape. Its input_grad
+    matches the input's shape and is checked finite; its param_grads are
+    summed over the batch. Either is None, and never built, when its flag
+    is off: a search needs no parameter gradients and training no input
+    gradient of its data; turning both off is a ConfigurationError.
+    Parameter gradients are checked where they are applied: :func:`sgd_step`
+    rejects an update that leaves any parameter non-finite.
+    """
+    if not (with_params or with_input):
+        raise ConfigurationError("vjp needs with_params or with_input")
+    out_grad = np.asarray(out_grad, dtype=np.float64)
+    grad = out_grad[None, :] if trace.single else out_grad
+    out_shape = trace.layers[-1][2].shape
+    if grad.shape != out_shape:
+        raise DimensionError(
+            f"output gradient has shape {out_grad.shape}, expected "
+            f"{out_shape[1:] if trace.single else out_shape}"
+        )
+    param_grads = [None] * len(net.layers) if with_params else None
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
-        h_in, pre, post = trace[i]
+        h_in, pre, post = trace.layers[i]
         d_pre = _activation_vjp(layer.activation, pre, post, grad)
-        d_weights = d_pre.T @ h_in
-        d_bias = d_pre.sum(axis=0)
-        param_grads[i] = (d_weights, d_bias)
+        if with_params:
+            param_grads[i] = (d_pre.T @ h_in, d_pre.sum(axis=0))
+        if i == 0 and not with_input:
+            return GradientTape(param_grads, None)
         grad = d_pre @ layer.weights
-    return param_grads, grad
+    _check_finite(grad, "input gradient")
+    return GradientTape(param_grads, grad[0] if trace.single else grad)
 
 
 def backward(net, x, out_grad):
-    """Reverse-mode sweep: gradients w.r.t. every parameter and the input.
+    """Gradients w.r.t. every parameter and the input, from (net, x).
 
-    out_grad is the loss gradient at the network output and must match the
-    output shape for this input. The forward values are recomputed here, so
-    callers only need the same (net, x) pair they evaluated.
+    Shorthand for ``vjp(net, forward_trace(net, x)[1], out_grad)`` for
+    callers that did not keep the trace of their own evaluation, except that
+    the parameter gradients it returns are checked finite too.
     """
-    batch, single = _as_batch(x, net.input_dim, "input")
-    out_grad = np.asarray(out_grad, dtype=np.float64)
-    grad_batch = out_grad[None, :] if single else out_grad
-    if grad_batch.shape != (batch.shape[0], net.output_dim):
-        raise DimensionError(
-            f"output gradient has shape {out_grad.shape}, expected "
-            f"{(batch.shape[0], net.output_dim) if not single else (net.output_dim,)}"
-        )
-    _, trace = _forward_trace(net, batch)
-    param_grads, input_grad = _backward_from_trace(net, trace, grad_batch)
-    for dw, db in param_grads:
-        _check_finite(dw, "parameter gradient")
-        _check_finite(db, "parameter gradient")
-    _check_finite(input_grad, "input gradient")
-    return GradientTape(param_grads, input_grad[0] if single else input_grad)
+    tape = vjp(net, forward_trace(net, x)[1], out_grad)
+    for d_weights, d_bias in tape.param_grads:
+        _check_finite(d_weights, "parameter gradient")
+        _check_finite(d_bias, "parameter gradient")
+    return tape
 
 
 def sgd_step(net, tape, lr):
     """Apply one plain gradient-descent update, in place.
 
-    lr == 0 is a permitted no-op; negative lr is rejected. Returns the
+    lr == 0 is a permitted no-op; negative lr is rejected. An update that
+    leaves a parameter non-finite raises NumericalError. Returns the
     updated network for call chaining.
     """
     if lr < 0:
         raise ConfigurationError(f"learning rate must be non-negative, got {lr}")
-    if len(tape.param_grads) != len(net.layers):
+    if tape.param_grads is None or len(tape.param_grads) != len(net.layers):
         raise DimensionError("gradient tape does not match network layer count")
     for layer, (d_weights, d_bias) in zip(net.layers, tape.param_grads):
         if d_weights.shape != layer.weights.shape or d_bias.shape != layer.bias.shape:
             raise DimensionError("gradient tape shapes do not match network parameters")
         layer.weights -= lr * d_weights
         layer.bias -= lr * d_bias
-    net.validate()
+        _check_finite(layer.weights, "updated weights")
+        _check_finite(layer.bias, "updated bias")
     return net
 
 

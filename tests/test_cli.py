@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from latentcf.cli import main
+from latentcf import cli
+from latentcf.cli import build_parser, main
 from latentcf.datasets import load_dataset
 from latentcf.engine import read_results_jsonl
 
@@ -351,3 +352,34 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["bogus"])
         assert exc.value.code == 2
+
+    def test_consecutive_calls_get_independent_namespaces(self, tmp_path, monkeypatch, capsys):
+        # main reuses one parser per process; no call may see another's flags.
+        parser = build_parser()
+        seen = []
+        real_parse = parser.parse_args
+
+        def recording_parse(argv):
+            seen.append(real_parse(argv))
+            return seen[-1]
+
+        monkeypatch.setattr(parser, "parse_args", recording_parse)
+        small = tmp_path / "small.lcfc"
+        assert main(["gen-data", "--out", str(small), "--samples", "150", "--features", "10",
+                     "--seed", "9", "--label-attributes", "0"]) == 0
+        assert main(["rank", "--results", str(tmp_path / "missing.jsonl"), "--seed", "4"]) == 1
+        # Commands are looked up per call, so rebinding one after the parser
+        # was built takes effect.
+        monkeypatch.setattr(cli, "cmd_rank", lambda args: 7)
+        assert main(["rank", "--seed", "5"]) == 7
+        plain = tmp_path / "plain.lcfc"
+        assert main(["gen-data", "--out", str(plain), "--samples", "120"]) == 0
+        first, second, _, third = seen
+        assert len({id(first), id(second), id(third)}) == 3
+        assert (first.command, second.command, third.command) == ("gen-data", "rank", "gen-data")
+        assert (first.samples, first.features, first.seed) == (150, 10, 9)
+        assert not hasattr(second, "samples") and second.seed == 4
+        assert (third.samples, third.features, third.seed, third.label_attributes) == (
+            120, None, None, None)
+        assert load_dataset(small).instances.shape == (150, 10)
+        assert load_dataset(plain).instances.shape == (120, 32)

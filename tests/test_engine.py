@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from latentcf import engine
 from latentcf.datasets import SynthSpec, generate
 from latentcf.engine import (
     PerturbConfig,
@@ -269,6 +270,42 @@ class TestLatentDescent:
         for total, pred, dist in res.loss_trace:
             assert_allclose(total, pred + 0.8 * dist, atol=1e-12)
         assert res.wall_time_micros >= 1
+
+
+class TestGradientWork:
+    @pytest.mark.parametrize(
+        "step, max_iters, flips", [(0.01, 50, True), (0.001, 5, False)],
+        ids=["flips", "out-of-budget"],
+    )
+    def test_one_trace_per_network_and_input_only_vjps(
+        self, target, gen, dataset, monkeypatch, step, max_iters, flips
+    ):
+        """Each evaluation traces decoder and target once; each step pulls
+        back through both traces without parameter gradients, and the final
+        evaluation pays no backward at all."""
+        traced, pulled = [], []
+        real_trace, real_vjp = engine.forward_trace, engine.vjp
+
+        def counting_trace(net, x):
+            traced.append(net)
+            return real_trace(net, x)
+
+        def counting_vjp(net, trace, out_grad, with_params=True):
+            pulled.append((net, with_params))
+            return real_vjp(net, trace, out_grad, with_params=with_params)
+
+        monkeypatch.setattr(engine, "forward_trace", counting_trace)
+        monkeypatch.setattr(engine, "vjp", counting_vjp)
+        x0, a0 = first_query(dataset, target)
+        cfg = PerturbConfig.text_defaults(
+            desired=1, code_step=step, attr_step=step, step_decay=1.0, max_iters=max_iters
+        )
+        res = latent_descent(target, gen, x0, a0, cfg)
+        assert res.flipped == flips
+        assert res.iterations >= 2
+        evals = len(res.loss_trace)
+        assert traced == [gen.decoder, target.network] * evals
+        assert pulled == [(target.network, False), (gen.decoder, False)] * res.iterations
 
 
 class TestRandomSearch:

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from latentcf.errors import ConfigurationError, DimensionError, NumericalError
 from latentcf.nn import (
+    ACTIVATIONS,
     DenseNetwork,
     GradientTape,
     Layer,
@@ -15,9 +16,11 @@ from latentcf.nn import (
     build_network,
     cross_entropy,
     forward,
+    forward_trace,
     l2_distance,
     parameter_digest,
     sgd_step,
+    vjp,
 )
 
 
@@ -184,6 +187,72 @@ class TestBackward:
         net = build_network([2, 2], ["identity"], np.random.default_rng(0))
         with pytest.raises(DimensionError):
             backward(net, np.zeros(2), np.zeros(3))
+
+    def test_nonfinite_parameter_gradient_rejected(self):
+        # Output and input gradient stay finite (1e200 * 1e-200); only
+        # d_weights = d_pre.T @ x overflows (1e200 * 1e200).
+        net = DenseNetwork([Layer(np.full((1, 2), 1e-200), np.zeros(1), "identity")])
+        x = np.full(2, 1e200)
+        tape = vjp(net, forward_trace(net, x)[1], np.array([1e200]), with_params=False)
+        assert np.isfinite(tape.input_grad).all()
+        with pytest.raises(NumericalError), np.errstate(over="ignore"):
+            backward(net, x, np.array([1e200]))
+
+
+class TestVjp:
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("shape", [(3,), (4, 3)], ids=["single", "batch"])
+    def test_matches_central_differences(self, activation, shape):
+        """Input and parameter gradients through a traced evaluation."""
+        rng = np.random.default_rng(ACTIVATIONS.index(activation) + 10 * len(shape))
+        hidden = "tanh" if activation == "softmax" else activation
+        net = build_network([3, 5, 3], [hidden, activation], rng)
+        # Keep relu pre-activations off the kink so differences stay smooth.
+        while True:
+            x = rng.standard_normal(shape)
+            out, trace = forward_trace(net, x)
+            if min(np.abs(pre).min() for _, pre, _ in trace.layers) > 1e-2:
+                break
+        probe = rng.standard_normal(out.shape)
+
+        def loss():
+            return float((probe * forward(net, x)).sum())
+
+        tape = vjp(net, trace, probe)
+        assert tape.input_grad.shape == x.shape
+        assert_close_to_fd(tape.input_grad, central_difference(loss, x))
+        for (d_w, d_b), layer in zip(tape.param_grads, net.layers):
+            assert_close_to_fd(d_w, central_difference(loss, layer.weights))
+            assert_close_to_fd(d_b, central_difference(loss, layer.bias))
+
+        input_only = vjp(net, trace, probe, with_params=False)
+        assert input_only.param_grads is None
+        assert np.array_equal(input_only.input_grad, tape.input_grad)
+        params_only = vjp(net, trace, probe, with_input=False)
+        assert params_only.input_grad is None
+        for (d_w, d_b), (p_w, p_b) in zip(tape.param_grads, params_only.param_grads):
+            assert np.array_equal(d_w, p_w) and np.array_equal(d_b, p_b)
+
+    def test_gradient_shape_mismatch_rejected(self):
+        net = build_network([2, 2], ["identity"], np.random.default_rng(0))
+        _, single = forward_trace(net, np.zeros(2))
+        _, batch = forward_trace(net, np.zeros((3, 2)))
+        with pytest.raises(DimensionError):
+            vjp(net, single, np.zeros((1, 2)))
+        with pytest.raises(DimensionError):
+            vjp(net, batch, np.zeros((2, 2)), with_params=False)
+
+    def test_sweep_with_nothing_to_build_rejected(self):
+        net = build_network([2, 2], ["identity"], np.random.default_rng(0))
+        _, trace = forward_trace(net, np.zeros(2))
+        with pytest.raises(ConfigurationError):
+            vjp(net, trace, np.ones(2), with_params=False, with_input=False)
+
+    def test_input_only_tape_cannot_update(self):
+        net = build_network([2, 2], ["identity"], np.random.default_rng(0))
+        _, trace = forward_trace(net, np.zeros(2))
+        with pytest.raises(DimensionError):
+            sgd_step(net, vjp(net, trace, np.ones(2), with_params=False), 0.1)
 
 
 class TestSgdStep:
