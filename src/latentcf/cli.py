@@ -176,12 +176,13 @@ def _query_instance(opts, dataset, disc):
     return x0, a0, -1
 
 
-def _desired_for(target, x0, cfg):
+def _desired_for(target, predicted, cfg):
+    """The requested class, or else the other of two classes than predicted."""
     if cfg.desired is not None:
         return cfg.desired
     if target.network.output_dim != 2:
         raise ConfigurationError("--desired is required beyond two classes")
-    return 1 - int(np.argmax(target.predict_proba(x0)))
+    return 1 - predicted
 
 
 def cmd_gen_data(args):
@@ -308,9 +309,10 @@ def cmd_explain(args):
     dataset, target, disc, gen, _ = _load_stack(manifest_path)
     x0, a0, qi = _query_instance(opts, dataset, disc)
     cfg = _perturb_from(opts)
-    cfg.desired = _desired_for(target, x0, cfg)
+    predicted = target.predict(x0)
+    cfg.desired = _desired_for(target, predicted, cfg)
     result = latent_descent(target, gen, x0, a0, cfg, query_index=qi)
-    print(f"prediction {int(np.argmax(target.predict_proba(x0)))} -> "
+    print(f"prediction {predicted} -> "
           f"desired {result.desired_class}: "
           f"{'flipped' if result.flipped else 'not flipped'} "
           f"after {result.iterations} iterations")
@@ -441,7 +443,7 @@ def cmd_rank(args):
             ranking = mean_attribute_ranking(results, names=names, exclude=exclude)
         else:
             x0, a0, qi = _query_instance(opts, dataset, disc)
-            cfg.desired = _desired_for(target, x0, cfg)
+            cfg.desired = _desired_for(target, target.predict(x0), cfg)
             result = latent_descent(target, gen, x0, a0, cfg, query_index=qi)
             ranking = attribute_interaction_ranking(result, names=names, exclude=exclude)
     print("attribute,score")

@@ -3,15 +3,24 @@
 Layout: 4-byte magic b"LCFC", little-endian uint16 format version, two
 reserved zero bytes, little-endian uint64 header length, UTF-8 JSON header,
 then the raw array payload. The header records a kind tag, caller metadata,
-and an array directory (name, shape, dtype, offset into the payload). Arrays
-are stored as contiguous little-endian bytes, so a write/read cycle is
-bit-exact and files are byte-identical for identical inputs: keys are sorted
-and nothing time- or host-dependent is ever written.
+and an array directory (name, shape, dtype, offset into the payload, byte
+count). Arrays are stored as contiguous little-endian bytes, so a write/read
+cycle is bit-exact and files are byte-identical for identical inputs: keys are
+sorted and nothing time- or host-dependent is ever written.
+
+Reading checks the whole directory before it allocates anything: every entry
+has a name, a known dtype, non-negative dimensions and offset, and a byte
+count equal to its shape's size; the arrays lie inside the file, do not
+overlap and have distinct names. Each array's bytes are then read once,
+straight from the file into a fresh array, so the arrays returned are
+writable, aligned, C-contiguous and share no memory with each other.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -24,6 +33,9 @@ FORMAT_VERSION = 1
 # On-disk dtype codes. Everything numeric is float64; split/attribute flags
 # ride as signed bytes.
 _DTYPES = {"<f8": np.dtype("<f8"), "|i1": np.dtype("|i1")}
+
+# Required fields of an array directory entry and their JSON types.
+_ENTRY_FIELDS = (("name", str), ("shape", list), ("dtype", str), ("offset", int), ("nbytes", int))
 
 
 def _dtype_code(arr):
@@ -76,46 +88,99 @@ def read_container(path, expected_kind=None):
 
     Truncated or malformed files raise FormatError with the byte offset of
     the first problem; a newer format version raises UnsupportedVersionError.
+    Every directory entry is checked before any array is allocated, and each
+    array's bytes are read once, straight into its own buffer.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 4 or blob[:4] != MAGIC:
-        raise FormatError("bad magic, not a container file", offset=0)
-    if len(blob) < 16:
-        raise FormatError("truncated before header length", offset=len(blob))
-    version = struct.unpack_from("<H", blob, 4)[0]
-    if version != FORMAT_VERSION:
-        raise UnsupportedVersionError(
-            f"format version {version} not supported (expected {FORMAT_VERSION})", offset=4
-        )
-    # Preamble layout: magic 0:4, version 4:6, reserved 6:8, header length 8:16.
-    header_len = struct.unpack_from("<Q", blob, 8)[0]
-    payload_start = 16 + header_len
-    if len(blob) < payload_start:
-        raise FormatError("truncated inside header", offset=len(blob))
-    try:
-        header = json.loads(blob[16:payload_start].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"unreadable header: {exc}", offset=16) from exc
-    for key in ("kind", "meta", "arrays"):
-        if key not in header:
-            raise FormatError(f"header missing {key!r} field", offset=16)
-    if expected_kind is not None and header["kind"] != expected_kind:
-        raise FormatError(
-            f"container holds {header['kind']!r}, expected {expected_kind!r}", offset=16
-        )
-    arrays = {}
-    for entry in header["arrays"]:
-        code = entry["dtype"]
+        size = os.fstat(fh.fileno()).st_size
+        preamble = fh.read(16)
+        if len(preamble) < 4 or preamble[:4] != MAGIC:
+            raise FormatError("bad magic, not a container file", offset=0)
+        if len(preamble) < 16:
+            raise FormatError("truncated before header length", offset=len(preamble))
+        version = struct.unpack_from("<H", preamble, 4)[0]
+        if version != FORMAT_VERSION:
+            raise UnsupportedVersionError(
+                f"format version {version} not supported (expected {FORMAT_VERSION})", offset=4
+            )
+        # Preamble layout: magic 0:4, version 4:6, reserved 6:8, header length 8:16.
+        header_len = struct.unpack_from("<Q", preamble, 8)[0]
+        payload_start = 16 + header_len
+        if size < payload_start:
+            raise FormatError("truncated inside header", offset=size)
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise FormatError(f"unreadable header: {exc}", offset=16) from exc
+        if not isinstance(header, dict):
+            raise FormatError("header is not a JSON object", offset=16)
+        for key in ("kind", "meta", "arrays"):
+            if key not in header:
+                raise FormatError(f"header missing {key!r} field", offset=16)
+        if expected_kind is not None and header["kind"] != expected_kind:
+            raise FormatError(
+                f"container holds {header['kind']!r}, expected {expected_kind!r}", offset=16
+            )
+        entries = _check_directory(header["arrays"], payload_start, size)
+        arrays = {}
+        for name, shape, dtype, offset, nbytes in entries:
+            try:
+                arr = np.empty(shape, dtype)
+            except ValueError as exc:
+                raise FormatError(f"array {name!r}: {exc}", offset=16) from exc
+            fh.seek(payload_start + offset)
+            if fh.readinto(arr) != nbytes:
+                raise FormatError(f"array {name!r} is truncated", offset=payload_start + offset)
+            arrays[name] = arr
+    return header["kind"], header["meta"], arrays
+
+
+def _check_directory(directory, payload_start, size):
+    """Validate the header's array directory for a file of size bytes.
+
+    Returns (name, shape, dtype, offset, nbytes) per entry. Each entry must
+    name a known dtype, a shape of non-negative dimensions whose byte size is
+    nbytes, and a non-negative offset; arrays lie inside the payload, do not
+    overlap and have distinct names.
+    """
+    if not isinstance(directory, list):
+        raise FormatError("header 'arrays' field is not a list", offset=16)
+    entries = []
+    names = set()
+    for entry in directory:
+        if not isinstance(entry, dict):
+            raise FormatError("array directory entry is not a JSON object", offset=16)
+        for key, kind in _ENTRY_FIELDS:
+            if key not in entry:
+                raise FormatError(f"array directory entry missing {key!r}", offset=16)
+            if type(entry[key]) is not kind:
+                raise FormatError(
+                    f"array directory field {key!r} is {type(entry[key]).__name__}, "
+                    f"expected {kind.__name__}",
+                    offset=16,
+                )
+        name, shape, code = entry["name"], entry["shape"], entry["dtype"]
+        offset, nbytes = entry["offset"], entry["nbytes"]
         if code not in _DTYPES:
             raise FormatError(f"unknown dtype code {code!r}", offset=16)
-        start = payload_start + entry["offset"]
-        end = start + entry["nbytes"]
-        if end > len(blob):
+        if any(type(d) is not int or d < 0 for d in shape):
+            raise FormatError(f"array {name!r} has a bad shape {shape!r}", offset=16)
+        if offset < 0:
+            raise FormatError(f"array {name!r} has a negative offset", offset=16)
+        if nbytes != math.prod(shape) * _DTYPES[code].itemsize:
             raise FormatError(
-                f"array {entry['name']!r} extends past end of file", offset=len(blob)
+                f"array {name!r}: nbytes {nbytes} does not match shape {shape} of {code}",
+                offset=16,
             )
-        arr = np.frombuffer(blob[start:end], dtype=_DTYPES[code]).reshape(entry["shape"])
-        # Copy so callers get writable arrays detached from the file blob.
-        arrays[entry["name"]] = arr.copy()
-    return header["kind"], header["meta"], arrays
+        if payload_start + offset + nbytes > size:
+            raise FormatError(f"array {name!r} extends past end of file", offset=size)
+        if name in names:
+            raise FormatError(f"array {name!r} listed twice", offset=16)
+        names.add(name)
+        entries.append((name, tuple(shape), _DTYPES[code], offset, nbytes))
+    # Empty arrays occupy no bytes, so only non-empty ones can overlap.
+    spans = sorted((e[3], e[3] + e[4], e[0]) for e in entries if e[4])
+    for (_, prev_end, prev), (start, _, name) in zip(spans, spans[1:]):
+        if start < prev_end:
+            raise FormatError(f"arrays {prev!r} and {name!r} overlap", offset=16)
+    return entries

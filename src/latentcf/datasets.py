@@ -142,13 +142,12 @@ class AttributedDataset:
             raise DimensionError("labels must be one-hot [n, C] with C >= 2")
         if self.split.shape != (n,):
             raise DimensionError("split must be [n]")
-        if not np.all(np.isin(np.unique(self.attributes), (0.0, 1.0))):
+        # Equality tests, not range tests: NaN and fractional values fail them.
+        if not _all_in(self.attributes, (0, 1)):
             raise ConfigurationError("attributes must be 0/1 valued")
-        if not np.all(np.isin(np.unique(self.labels), (0.0, 1.0))) or not np.all(
-            self.labels.sum(axis=1) == 1.0
-        ):
+        if not _all_in(self.labels, (0, 1)) or not (self.labels.sum(axis=1) == 1.0).all():
             raise ConfigurationError("labels must be one-hot rows")
-        if not np.all(np.isin(np.unique(self.split), (0, 1, 2))):
+        if not _all_in(self.split, (0, 1, 2)):
             raise ConfigurationError("split tags must be 0, 1, or 2")
 
     @property
@@ -174,6 +173,14 @@ class AttributedDataset:
     def part(self, part):
         idx = self.indices(part)
         return self.instances[idx], self.attributes[idx], self.labels[idx]
+
+
+def _all_in(values, allowed):
+    """Whether every element of values equals one of the allowed numbers."""
+    ok = values == allowed[0]
+    for v in allowed[1:]:
+        ok |= values == v
+    return bool(ok.all())
 
 
 def _label_indices(attrs, spec, rng):

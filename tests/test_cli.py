@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from latentcf import cli
+from latentcf import cli, models
 from latentcf.cli import build_parser, main
 from latentcf.datasets import load_dataset
 from latentcf.engine import read_results_jsonl
@@ -121,6 +121,27 @@ class TestExplain:
         results = read_results_jsonl(out)
         assert len(results) == 1
         assert results[0].query_index == 200
+
+    def test_target_runs_once_outside_the_search(self, workspace, capsys, monkeypatch):
+        calls = []
+        original = models.TargetModel.predict_proba
+
+        def counting(self, x):
+            calls.append(original(self, x))
+            return calls[-1]
+
+        monkeypatch.setattr(models.TargetModel, "predict_proba", counting)
+        rc = main(
+            [
+                "explain", "--manifest", str(workspace["manifest"]),
+                "--query-index", "200", "--max-iters", "60",
+            ]
+        )
+        assert rc == 0
+        assert len(calls) == 1
+        predicted = int(np.argmax(calls[0]))
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first.startswith(f"prediction {predicted} -> desired {1 - predicted}: ")
 
     def test_instance_file_without_attributes(self, workspace, tmp_path):
         ds = load_dataset(workspace["data"])

@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from latentcf.container import write_container
 from latentcf.datasets import (
+    AttributedDataset,
     SynthSpec,
     generate,
     glyph_strokes,
@@ -199,6 +200,47 @@ class TestGlyphs:
     def test_too_many_attributes_rejected(self):
         with pytest.raises(ConfigurationError):
             blob_spec(generator="glyphs", n_features=144, n_attributes=9).validate()
+
+
+def small_dataset(**overrides):
+    fields = dict(
+        instances=np.zeros((3, 2)),
+        attributes=np.array([[0.0, 1.0], [1.0, 1.0], [0.0, 0.0]]),
+        labels=np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]),
+        split=np.array([0, 1, 2], dtype=np.int8),
+    )
+    fields.update(overrides)
+    return AttributedDataset(**fields)
+
+
+class TestDatasetValidation:
+    def test_valid_dataset_passes(self):
+        small_dataset().validate()
+
+    def test_negative_zero_attribute_passes(self):
+        small_dataset(attributes=np.array([[-0.0, 1.0], [1.0, -0.0], [0.0, 0.0]])).validate()
+
+    @pytest.mark.parametrize("value", [0.5, np.nan])
+    def test_non_binary_attribute_rejected(self, value):
+        attrs = small_dataset().attributes.copy()
+        attrs[1, 0] = value
+        with pytest.raises(ConfigurationError):
+            small_dataset(attributes=attrs).validate()
+
+    @pytest.mark.parametrize("row", [[2.0, -1.0], [1.0, 1.0]])
+    def test_non_one_hot_label_rejected(self, row):
+        labels = small_dataset().labels.copy()
+        labels[2] = row
+        with pytest.raises(ConfigurationError):
+            small_dataset(labels=labels).validate()
+
+    @pytest.mark.parametrize(
+        "split", [np.array([0, 3, 2], dtype=np.int8), np.array([0, -1, 2], dtype=np.int8),
+                  np.array([0.0, 0.5, 2.0])],
+    )
+    def test_bad_split_tag_rejected(self, split):
+        with pytest.raises(ConfigurationError):
+            small_dataset(split=split).validate()
 
 
 class TestSaveLoad:
