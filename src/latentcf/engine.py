@@ -5,7 +5,8 @@ entropy pulling the decoded instance toward the desired class, plus a
 weighted distance term anchoring the point to its encoding of the original
 instance. Both the latent code and the attribute vector move, each with its
 own geometrically decaying step size, and the classifier plus the
-autoencoder stay frozen throughout (checked via parameter digests).
+autoencoder stay frozen throughout (checked against an exact parameter
+snapshot taken before each search).
 
 Three baselines share the result type so they can run under one benchmark
 harness: a random-direction walk with the same stopping rule, a one-shot
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InvariantViolation
 from .models import LatentPoint, encode
-from .nn import cross_entropy, forward, forward_trace, l2_distance, parameter_digest, vjp
+from .nn import cross_entropy, forward, forward_trace, l2_distance, vjp
 
 
 @dataclass
@@ -191,12 +192,35 @@ def _require_desired(target, config):
     return config.desired
 
 
-def _frozen_digest(target, gen):
-    return parameter_digest(target.network, gen.encoder, gen.decoder)
+def _frozen_snapshot(target, gen):
+    """An exact record of the target, encoder and decoder.
+
+    Per layer: the activation, the dtype and shape of the weights and the
+    bias, and a copy of their bytes, so any changed bit counts, a 0.0 to
+    -0.0 flip included. It sees every change ``nn.parameter_digest`` sees,
+    and copying plus comparing costs a fraction of hashing the same bytes.
+    Every search takes one before it starts and checks it after its last
+    model call, the encodes that fill in a baseline's latent fields included.
+    """
+    return [
+        [
+            (
+                layer.activation,
+                layer.weights.dtype,
+                layer.weights.shape,
+                layer.bias.dtype,
+                layer.bias.shape,
+                layer.weights.tobytes(),
+                layer.bias.tobytes(),
+            )
+            for layer in net.layers
+        ]
+        for net in (target.network, gen.encoder, gen.decoder)
+    ]
 
 
 def _check_frozen(before, target, gen, method):
-    if _frozen_digest(target, gen) != before:
+    if _frozen_snapshot(target, gen) != before:
         raise InvariantViolation(f"{method} modified frozen model parameters")
 
 
@@ -213,7 +237,7 @@ def latent_descent(target, gen, x0, a0, config, query_index=-1, method="latent-d
     """
     config.validate()
     desired = _require_desired(target, config)
-    digest = _frozen_digest(target, gen)
+    frozen = _frozen_snapshot(target, gen)
     t0 = time.perf_counter_ns()
     origin = encode(gen, x0, a0)
     point = origin.copy()
@@ -230,9 +254,8 @@ def latent_descent(target, gen, x0, a0, config, query_index=-1, method="latent-d
             point.attributes -= step_size(config.attr_step, config.step_decay, n) * attr_grad
         n += 1
     elapsed = _micros_since(t0)
-    _check_frozen(digest, target, gen, method)
     predicted = int(np.argmax(loss.probabilities))
-    return CounterfactualResult(
+    result = CounterfactualResult(
         sample=loss.sample,
         latent=point,
         origin=origin,
@@ -245,6 +268,8 @@ def latent_descent(target, gen, x0, a0, config, query_index=-1, method="latent-d
         method=method,
         query_index=query_index,
     )
+    _check_frozen(frozen, target, gen, method)
+    return result
 
 
 def latent_random_search(target, gen, x0, a0, config, rng=None, query_index=-1):
@@ -259,7 +284,7 @@ def latent_random_search(target, gen, x0, a0, config, rng=None, query_index=-1):
     desired = _require_desired(target, config)
     if rng is None:
         rng = np.random.default_rng()
-    digest = _frozen_digest(target, gen)
+    frozen = _frozen_snapshot(target, gen)
     t0 = time.perf_counter_ns()
     origin = encode(gen, x0, a0)
     point = origin.copy()
@@ -282,9 +307,8 @@ def latent_random_search(target, gen, x0, a0, config, rng=None, query_index=-1):
             ) * direction[k:]
         n += 1
     elapsed = _micros_since(t0)
-    _check_frozen(digest, target, gen, "latent-random")
     predicted = int(np.argmax(loss.probabilities))
-    return CounterfactualResult(
+    result = CounterfactualResult(
         sample=loss.sample,
         latent=point,
         origin=origin,
@@ -297,6 +321,8 @@ def latent_random_search(target, gen, x0, a0, config, rng=None, query_index=-1):
         method="latent-random",
         query_index=query_index,
     )
+    _check_frozen(frozen, target, gen, "latent-random")
+    return result
 
 
 def _unit_direction(rng, dim):
@@ -320,7 +346,7 @@ def gradient_sign_attack(target, gen, x0, a0, epsilon, desired=None, clip=None, 
     if epsilon < 0:
         raise ConfigurationError("epsilon must be non-negative")
     x0 = np.asarray(x0, dtype=np.float64)
-    digest = _frozen_digest(target, gen)
+    frozen = _frozen_snapshot(target, gen)
     t0 = time.perf_counter_ns()
     probs, probs_trace = forward_trace(target.network, x0)
     if desired is None:
@@ -337,9 +363,8 @@ def gradient_sign_attack(target, gen, x0, a0, epsilon, desired=None, clip=None, 
     probs_after = forward(target.network, x_adv)
     loss_after, _ = cross_entropy(probs_after, onehot)
     elapsed = _micros_since(t0)
-    _check_frozen(digest, target, gen, "gradient-sign")
     predicted = int(np.argmax(probs_after))
-    return CounterfactualResult(
+    result = CounterfactualResult(
         sample=x_adv,
         latent=encode(gen, x_adv, a0),
         origin=encode(gen, x0, a0),
@@ -352,6 +377,8 @@ def gradient_sign_attack(target, gen, x0, a0, epsilon, desired=None, clip=None, 
         method="gradient-sign",
         query_index=query_index,
     )
+    _check_frozen(frozen, target, gen, "gradient-sign")
+    return result
 
 
 def input_space_descent(target, gen, x0, a0, config, query_index=-1):
@@ -364,7 +391,7 @@ def input_space_descent(target, gen, x0, a0, config, query_index=-1):
     config.validate()
     desired = _require_desired(target, config)
     x0 = np.asarray(x0, dtype=np.float64)
-    digest = _frozen_digest(target, gen)
+    frozen = _frozen_snapshot(target, gen)
     t0 = time.perf_counter_ns()
     onehot = np.zeros(target.network.output_dim)
     onehot[desired] = 1.0
@@ -386,9 +413,8 @@ def input_space_descent(target, gen, x0, a0, config, query_index=-1):
             x = np.clip(x, config.clip[0], config.clip[1])
         n += 1
     elapsed = _micros_since(t0)
-    _check_frozen(digest, target, gen, "input-descent")
     predicted = int(np.argmax(probs))
-    return CounterfactualResult(
+    result = CounterfactualResult(
         sample=x,
         latent=encode(gen, x, a0),
         origin=encode(gen, x0, a0),
@@ -401,6 +427,8 @@ def input_space_descent(target, gen, x0, a0, config, query_index=-1):
         method="input-descent",
         query_index=query_index,
     )
+    _check_frozen(frozen, target, gen, "input-descent")
+    return result
 
 
 def attribute_preservation(disc, results, exclude=()):

@@ -22,7 +22,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .container import read_container, write_container
-from .errors import ConfigurationError, DimensionError, TrainingError, TrainingQualityWarning
+from .errors import (
+    ConfigurationError,
+    DimensionError,
+    FormatError,
+    TrainingError,
+    TrainingQualityWarning,
+)
 from .nn import (
     DenseNetwork,
     Layer,
@@ -449,6 +455,25 @@ def save_manifest(path, entries):
         fh.write("\n")
 
 
+# The manifest keys every command resolves to a file.
+_MANIFEST_PATHS = ("dataset", "target", "discriminator", "generative")
+
+
 def load_manifest(path):
+    """Read a manifest, raising FormatError unless its shape is usable.
+
+    The top level must be a JSON object, each of _MANIFEST_PATHS a string,
+    and ``train``, when present, an object.
+    """
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{path}: manifest must be a JSON object")
+    for key in _MANIFEST_PATHS:
+        if key not in manifest:
+            raise FormatError(f"{path}: manifest has no {key!r} path")
+        if not isinstance(manifest[key], str):
+            raise FormatError(f"{path}: manifest {key!r} must be a path string")
+    if not isinstance(manifest.get("train", {}), dict):
+        raise FormatError(f"{path}: manifest 'train' must be a JSON object")
+    return manifest

@@ -27,6 +27,11 @@ ACTIVATIONS = ("identity", "relu", "tanh", "sigmoid", "softmax")
 PROB_FLOOR = 1e-12
 
 
+def _clamp_probabilities(p):
+    # The same bits as np.clip, without the fixed cost of its wrapper.
+    return np.minimum(np.maximum(p, PROB_FLOOR), 1.0 - PROB_FLOOR)
+
+
 @dataclass
 class Layer:
     """One dense layer: x -> activation(weights @ x + bias)."""
@@ -148,11 +153,14 @@ def _apply_activation(name, pre):
     if name == "tanh":
         return np.tanh(pre)
     if name == "sigmoid":
-        out = np.empty_like(pre)
-        pos = pre >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-pre[pos]))
-        ex = np.exp(pre[~pos])
-        out[~pos] = ex / (1.0 + ex)
+        # e = exp(-|pre|) never overflows; the output is 1 / (1 + e) where
+        # pre >= 0 and e / (1 + e) elsewhere, worked in place on one array.
+        out = np.abs(pre)
+        np.negative(out, out=out)
+        np.exp(out, out=out)
+        den = out + 1.0
+        np.divide(out, den, out=out)
+        np.divide(1.0, den, out=out, where=pre >= 0)
         return out
     if name == "softmax":
         shifted = pre - pre.max(axis=1, keepdims=True)
@@ -302,7 +310,7 @@ def cross_entropy(predicted, target):
         raise DimensionError(
             f"predicted {predicted.shape} and target {target.shape} must be equal 1-D shapes"
         )
-    clamped = np.clip(predicted, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    clamped = _clamp_probabilities(predicted)
     value = float(-(target * np.log(clamped)).sum())
     grad = -target / clamped
     # The clamp makes the loss flat outside the open interval.
@@ -329,7 +337,7 @@ def l2_distance(u, v):
 
 def mean_cross_entropy(predicted, target):
     """Batched cross-entropy, averaged over rows. Internal training helper."""
-    clamped = np.clip(predicted, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    clamped = _clamp_probabilities(predicted)
     n = predicted.shape[0]
     value = float(-(target * np.log(clamped)).sum() / n)
     return value, -target / clamped / n
@@ -337,7 +345,7 @@ def mean_cross_entropy(predicted, target):
 
 def mean_binary_cross_entropy(predicted, target):
     """Per-attribute binary cross-entropy, summed over columns, averaged over rows."""
-    clamped = np.clip(predicted, PROB_FLOOR, 1.0 - PROB_FLOOR)
+    clamped = _clamp_probabilities(predicted)
     n = predicted.shape[0]
     value = float(-(target * np.log(clamped) + (1.0 - target) * np.log1p(-clamped)).sum() / n)
     grad = (-target / clamped + (1.0 - target) / (1.0 - clamped)) / n
@@ -347,7 +355,8 @@ def mean_binary_cross_entropy(predicted, target):
 def parameter_digest(*nets):
     """SHA-256 over layer shapes, activations, and raw parameter bytes.
 
-    Used to assert that frozen models stay untouched across engine calls.
+    A stable fingerprint of trained models, compared across searches,
+    saves, loads and reruns (acceptance criterion 9).
     """
     h = hashlib.sha256()
     for net in nets:

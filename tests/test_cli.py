@@ -226,6 +226,64 @@ class TestBench:
         assert "error:" in capsys.readouterr().err
 
 
+class TestManifestErrors:
+    """A malformed manifest ends in exit 1 and an error line, never a traceback."""
+
+    PATH_KEYS = ("dataset", "target", "discriminator", "generative")
+
+    def manifest_like(self, workspace):
+        """The workspace manifest with every path made absolute."""
+        manifest = json.loads(workspace["manifest"].read_text())
+        base = workspace["manifest"].parent
+        for key in self.PATH_KEYS:
+            manifest[key] = str((base / manifest[key]).resolve())
+        return manifest
+
+    def explain_with(self, tmp_path, capsys, content):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(content))
+        rc = main(["explain", "--manifest", str(path), "--query-index", "0"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        return err
+
+    def test_well_formed_manifest_passes(self, workspace, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(self.manifest_like(workspace)))
+        assert main(["explain", "--manifest", str(path), "--query-index", "0"]) == 0
+
+    @pytest.mark.parametrize("content", [[1, 2], "manifest", 5, None])
+    def test_top_level_not_an_object(self, tmp_path, capsys, content):
+        assert "JSON object" in self.explain_with(tmp_path, capsys, content)
+
+    @pytest.mark.parametrize("key", PATH_KEYS)
+    def test_path_key_missing(self, workspace, tmp_path, capsys, key):
+        manifest = self.manifest_like(workspace)
+        del manifest[key]
+        assert repr(key) in self.explain_with(tmp_path, capsys, manifest)
+
+    @pytest.mark.parametrize("value", [5, None, ["data.lcfc"], {"path": "data.lcfc"}, True])
+    @pytest.mark.parametrize("key", PATH_KEYS)
+    def test_path_key_not_a_string(self, workspace, tmp_path, capsys, key, value):
+        manifest = self.manifest_like(workspace)
+        manifest[key] = value
+        assert repr(key) in self.explain_with(tmp_path, capsys, manifest)
+
+    @pytest.mark.parametrize("value", [[30], "epochs=30", 30, None])
+    def test_train_not_an_object(self, workspace, tmp_path, capsys, value):
+        manifest = self.manifest_like(workspace)
+        manifest["train"] = value
+        assert "'train'" in self.explain_with(tmp_path, capsys, manifest)
+
+    def test_train_section_is_optional(self, workspace, tmp_path, capsys):
+        manifest = self.manifest_like(workspace)
+        del manifest["train"]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        assert main(["explain", "--manifest", str(path), "--query-index", "0"]) == 0
+
+
 class TestSweep:
     def test_curve_csv_and_json(self, workspace, tmp_path, capsys):
         out = tmp_path / "sweep.json"

@@ -516,15 +516,131 @@ class TestResultPersistence:
             write_pgm(tmp_path / "img.pgm", np.zeros(3))
 
 
-class TestFrozenGuard:
-    def test_mutated_target_detected(self, target, gen, dataset):
-        from latentcf.engine import _check_frozen, _frozen_digest
+def private_stack(target, gen):
+    """Copies of the shared target and autoencoder that a test may mutate."""
+    return (
+        dataclasses.replace(target, network=target.network.copy()),
+        dataclasses.replace(gen, encoder=gen.encoder.copy(), decoder=gen.decoder.copy()),
+    )
 
-        digest = _frozen_digest(target, gen)
-        w = target.network.layers[0].weights
-        w[0, 0] = np.nextafter(w[0, 0], np.inf)
-        try:
-            with pytest.raises(InvariantViolation):
-                _check_frozen(digest, target, gen, "probe")
-        finally:
-            w[0, 0] = np.nextafter(w[0, 0], -np.inf)
+
+FROZEN_NETS = {
+    "target": lambda t, g: t.network,
+    "encoder": lambda t, g: g.encoder,
+    "decoder": lambda t, g: g.decoder,
+}
+
+
+def nudge_weight(net):
+    w = net.layers[0].weights
+    w[0, 0] = np.nextafter(w[0, 0], np.inf)
+
+
+def nudge_bias(net):
+    b = net.layers[-1].bias
+    b[-1] = np.nextafter(b[-1], -np.inf)
+
+
+def flip_zero_sign(net):
+    net.layers[0].bias[0] = -0.0
+
+
+def change_activation(net):
+    layer = net.layers[0]
+    layer.activation = "relu" if layer.activation != "relu" else "tanh"
+
+
+def append_layer(net):
+    d = net.output_dim
+    net.layers.append(Layer(np.eye(d), np.zeros(d), "identity"))
+
+
+MUTATIONS = {
+    "weight-ulp": nudge_weight,
+    "bias-ulp": nudge_bias,
+    "zero-sign": flip_zero_sign,
+    "activation": change_activation,
+    "appended-layer": append_layer,
+}
+
+
+class TestFrozenGuard:
+    """The snapshot flags exactly what the parameter digest flags."""
+
+    def test_mutated_target_detected(self, target, gen):
+        t, g = private_stack(target, gen)
+        snapshot = engine._frozen_snapshot(t, g)
+        nudge_weight(t.network)
+        with pytest.raises(InvariantViolation):
+            engine._check_frozen(snapshot, t, g, "probe")
+
+    def test_unchanged_models_pass(self, target, gen):
+        engine._check_frozen(engine._frozen_snapshot(target, gen), target, gen, "probe")
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    @pytest.mark.parametrize("which", sorted(FROZEN_NETS))
+    def test_mutation_detected_like_the_digest(self, target, gen, which, mutation):
+        t, g = private_stack(target, gen)
+        net = FROZEN_NETS[which](t, g)
+        net.layers[0].bias[0] = 0.0  # a +0.0 for the zero-sign flip
+        snapshot = engine._frozen_snapshot(t, g)
+        digest = parameter_digest(t.network, g.encoder, g.decoder)
+        MUTATIONS[mutation](net)
+        assert parameter_digest(t.network, g.encoder, g.decoder) != digest
+        with pytest.raises(InvariantViolation, match="probe modified frozen model parameters"):
+            engine._check_frozen(snapshot, t, g, "probe")
+
+    def test_snapshot_holds_copies(self, target, gen):
+        t, g = private_stack(target, gen)
+        snapshot = engine._frozen_snapshot(t, g)
+        for net in (t.network, g.encoder, g.decoder):
+            for layer in net.layers:
+                kept = (layer.weights.copy(), layer.bias.copy())
+                layer.weights *= 2.0
+                layer.bias += 1.0
+                with pytest.raises(InvariantViolation):
+                    engine._check_frozen(snapshot, t, g, "probe")
+                layer.weights[...], layer.bias[...] = kept
+                engine._check_frozen(snapshot, t, g, "probe")
+
+
+SEARCHES = {
+    "latent-descent": lambda t, g, x0, a0: latent_descent(
+        t, g, x0, a0, PerturbConfig.text_defaults(desired=1)
+    ),
+    "latent-descent-frozen": lambda t, g, x0, a0: latent_descent(
+        t, g, x0, a0, PerturbConfig.text_defaults(desired=1, optimize_attributes=False),
+        method="latent-descent-frozen",
+    ),
+    "latent-random": lambda t, g, x0, a0: latent_random_search(
+        t, g, x0, a0, PerturbConfig.text_defaults(desired=1, max_iters=20),
+        rng=np.random.default_rng(0),
+    ),
+    "gradient-sign": lambda t, g, x0, a0: gradient_sign_attack(t, g, x0, a0, 0.5, desired=1),
+    "input-descent": lambda t, g, x0, a0: input_space_descent(
+        t, g, x0, a0, PerturbConfig.text_defaults(desired=1)
+    ),
+}
+
+
+class TestMidSearchMutation:
+    @pytest.mark.parametrize("which", sorted(FROZEN_NETS))
+    @pytest.mark.parametrize("method", sorted(SEARCHES))
+    def test_search_raises(self, monkeypatch, target, gen, dataset, method, which):
+        x0, a0 = first_query(dataset, target)
+        t, g = private_stack(target, gen)
+        net = FROZEN_NETS[which](t, g)
+
+        def nudging_encode(*args, **kwargs):
+            nudge_weight(net)
+            return encode(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "encode", nudging_encode)
+        with pytest.raises(InvariantViolation, match=f"{method} modified frozen model parameters"):
+            SEARCHES[method](t, g, x0, a0)
+
+    @pytest.mark.parametrize("method", sorted(SEARCHES))
+    def test_untouched_search_passes(self, target, gen, dataset, method):
+        x0, a0 = first_query(dataset, target)
+        t, g = private_stack(target, gen)
+        assert SEARCHES[method](t, g, x0, a0).method == method

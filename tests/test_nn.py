@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from latentcf.errors import ConfigurationError, DimensionError, NumericalError
 from latentcf.nn import (
     ACTIVATIONS,
+    PROB_FLOOR,
     DenseNetwork,
     GradientTape,
     Layer,
@@ -18,10 +19,13 @@ from latentcf.nn import (
     forward,
     forward_trace,
     l2_distance,
+    mean_binary_cross_entropy,
+    mean_cross_entropy,
     parameter_digest,
     sgd_step,
     vjp,
 )
+from latentcf.nn import _apply_activation
 
 
 def central_difference(f, x, h=1e-5):
@@ -255,6 +259,82 @@ class TestVjp:
             sgd_step(net, vjp(net, trace, np.ones(2), with_params=False), 0.1)
 
 
+def masked_sigmoid(pre):
+    """The sigmoid as it was written with boolean masks, for comparison."""
+    out = np.empty_like(pre)
+    pos = pre >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-pre[pos]))
+    ex = np.exp(pre[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def clip_clamp(p):
+    """The probability clamp as it was written with np.clip."""
+    return np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+TINY = np.finfo(np.float64).smallest_subnormal
+SIGMOID_EDGES = np.array(
+    [0.0, -0.0, TINY, -TINY, 1e-310, -1e-310, 2.2250738585072014e-308, -2.2250738585072014e-308,
+     36.7, -36.7, 709.78, -709.78, 745.0, -745.0, 800.0, -800.0, 1e308, -1e308, np.inf, -np.inf]
+)
+
+
+class TestSigmoid:
+    def sigmoid_grid(self):
+        rng = np.random.default_rng(11)
+        # Magnitudes from 1e-13 to 1e3, both signs, then the edge values.
+        grid = rng.standard_normal(20_000) * np.exp(rng.uniform(-30.0, 7.0, 20_000))
+        return np.concatenate([grid, SIGMOID_EDGES]).reshape(-1, 4)
+
+    def test_matches_masked_form_bitwise(self):
+        pre = self.sigmoid_grid()
+        assert same_bits(_apply_activation("sigmoid", pre), masked_sigmoid(pre))
+
+    def test_edge_values_bitwise(self):
+        pre = SIGMOID_EDGES[None, :]
+        out = _apply_activation("sigmoid", pre)
+        assert same_bits(out, masked_sigmoid(pre))
+        assert out[0, 0] == out[0, 1] == 0.5
+        assert out[0, -2] == 1.0 and out[0, -1] == 0.0
+
+    def test_fresh_output_and_untouched_input(self):
+        pre = self.sigmoid_grid()
+        kept = pre.copy()
+        out = _apply_activation("sigmoid", pre)
+        assert same_bits(pre, kept)
+        assert not np.shares_memory(out, pre)
+        net = DenseNetwork([Layer(np.array([[1.0, -2.0]]), np.array([0.5]), "sigmoid")])
+        _, trace = forward_trace(net, np.array([[0.3, 0.1], [-4.0, 2.0]]))
+        h_in, pre, post = trace.layers[0]
+        assert not np.shares_memory(pre, post)
+        assert same_bits(pre, np.array([[0.6], [-7.5]]))
+        assert same_bits(post, masked_sigmoid(pre))
+
+    def test_raises_nothing_new_under_errstate(self):
+        def raised(f, pre):
+            try:
+                with np.errstate(all="raise"):
+                    f(pre)
+            except FloatingPointError:
+                return True
+            return False
+
+        new = lambda pre: _apply_activation("sigmoid", pre)
+        for value in SIGMOID_EDGES:
+            pre = np.array([[value]])
+            assert raised(new, pre) <= raised(masked_sigmoid, pre), value
+        moderate = np.linspace(-30.0, 30.0, 241).reshape(-1, 1)
+        assert not raised(new, moderate) and not raised(masked_sigmoid, moderate)
+        assert raised(new, self.sigmoid_grid()) <= raised(masked_sigmoid, self.sigmoid_grid())
+
+
 class TestSgdStep:
     def _net(self):
         return DenseNetwork(
@@ -309,6 +389,37 @@ class TestLosses:
         value, grad = cross_entropy(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
         assert_allclose(value, 27.631021115928547, atol=1e-9)
         assert_allclose(grad, [0.0, 0.0], atol=0)
+
+    def test_cross_entropy_matches_clip_form_bitwise(self):
+        edges = [0.0, 1.0, PROB_FLOOR, 1.0 - PROB_FLOOR, np.nextafter(PROB_FLOOR, 0.0),
+                 np.nextafter(1.0 - PROB_FLOOR, 2.0), 0.5, 0.25]
+        rng = np.random.default_rng(5)
+        for p in edges + list(rng.uniform(0.0, 1.0, 40)):
+            predicted = np.array([p, 1.0 - p, 0.0])
+            for hot in range(3):
+                target = np.eye(3)[hot]
+                value, grad = cross_entropy(predicted, target)
+                clamped = clip_clamp(predicted)
+                old_grad = -target / clamped
+                old_grad[(predicted < PROB_FLOOR) | (predicted > 1.0 - PROB_FLOOR)] = 0.0
+                assert same_bits(value, float(-(target * np.log(clamped)).sum()))
+                assert same_bits(grad, old_grad)
+
+    def test_mean_losses_match_clip_form_bitwise(self):
+        rng = np.random.default_rng(6)
+        predicted = rng.uniform(0.0, 1.0, (50, 3))
+        predicted[:4] = [[0.0, 1.0, PROB_FLOOR], [1.0 - PROB_FLOOR, 0.5, 0.0],
+                         [1.0, 1.0, 0.0], [PROB_FLOOR / 2, 1.0 - PROB_FLOOR / 2, 0.5]]
+        target = (rng.uniform(0.0, 1.0, (50, 3)) < 0.5).astype(np.float64)
+        n = predicted.shape[0]
+        clamped = clip_clamp(predicted)
+        value, grad = mean_cross_entropy(predicted, target)
+        assert same_bits(value, float(-(target * np.log(clamped)).sum() / n))
+        assert same_bits(grad, -target / clamped / n)
+        value, grad = mean_binary_cross_entropy(predicted, target)
+        old = float(-(target * np.log(clamped) + (1.0 - target) * np.log1p(-clamped)).sum() / n)
+        assert same_bits(value, old)
+        assert same_bits(grad, (-target / clamped + (1.0 - target) / (1.0 - clamped)) / n)
 
     def test_cross_entropy_shape_mismatch_rejected(self):
         with pytest.raises(DimensionError):
