@@ -49,8 +49,9 @@ from .errors import (
     PartialResultWarning,
     TrainingError,
 )
-from .metrics import alpha_sweep, build_methods, run_benchmark, sweep_to_json
+from .metrics import alpha_sweep, benchmark_recipe, build_methods, run_benchmark, sweep_to_json
 from .models import (
+    _MANIFEST_TRAIN,
     GenerativeConfig,
     TrainConfig,
     load_discriminator,
@@ -81,29 +82,44 @@ _USER_ERRORS = (
 
 
 class Options:
-    """Flag > config-file section > builtin default resolution."""
+    """Flag > config-file section > builtin default resolution. A file that
+    does not parse, or a file value its cast rejects, is a ConfigurationError."""
 
     def __init__(self, args, section):
         self.args = vars(args)
+        self.path = self.args.get("config")
         self.file = {}
-        path = self.args.get("config")
-        if path:
+        if self.path:
             cp = configparser.ConfigParser()
-            with open(path, encoding="utf-8") as fh:
-                cp.read_file(fh)
-            if cp.has_section(section):
-                self.file = dict(cp[section])
+            with open(self.path, encoding="utf-8") as fh:
+                try:
+                    cp.read_file(fh)
+                    if cp.has_section(section):
+                        self.file = dict(cp[section])
+                except (configparser.Error, UnicodeDecodeError) as exc:
+                    raise ConfigurationError(f"{self.path}: {exc}") from exc
 
     def get(self, key, builtin=None, cast=str):
         value = self.args.get(key)
         if value is not None:
             return value
-        raw = self.file.get(key.replace("_", "-"))
-        if raw is not None:
-            if cast is bool:
-                return raw.strip().lower() in ("1", "true", "yes", "on")
+        name = key.replace("_", "-")
+        raw = self.file.get(name)
+        if raw is None:
+            return builtin
+        if cast is bool:
+            cast = _ini_bool
+        try:
             return cast(raw)
-        return builtin
+        except ValueError as exc:
+            raise ConfigurationError(f"{self.path}: {name} = {raw!r}: {exc}") from exc
+
+
+def _ini_bool(text):
+    state = configparser.ConfigParser.BOOLEAN_STATES.get(text.strip().lower())
+    if state is None:
+        raise ValueError("not one of 1/0, yes/no, true/false, on/off")
+    return state
 
 
 def _int_list(text):
@@ -126,14 +142,9 @@ def _perturb_from(opts):
         ("decay", "step_decay", float),
         ("max_iters", "max_iters", int),
     ):
-        value = opts.get(key, cast=cast)
-        if value is not None:
-            setattr(cfg, attr, cast(value))
-    if opts.get("freeze_attributes", False, bool):
-        cfg.optimize_attributes = False
-    desired = opts.get("desired", cast=int)
-    if desired is not None:
-        cfg.desired = int(desired)
+        setattr(cfg, attr, opts.get(key, getattr(cfg, attr), cast))
+    cfg.optimize_attributes = not opts.get("freeze_attributes", False, bool)
+    cfg.desired = opts.get("desired", cfg.desired, int)
     cfg.validate()
     return cfg
 
@@ -187,26 +198,27 @@ def _desired_for(target, predicted, cfg):
 
 def cmd_gen_data(args):
     opts = Options(args, "gen-data")
-    # Defaults reproduce the stock benchmark dataset (metrics.benchmark_recipe).
-    generator = opts.get("generator", "blobs")
+    # Defaults reproduce the stock benchmark dataset.
+    stock = benchmark_recipe().spec
+    generator = opts.get("generator", stock.generator)
     spec = SynthSpec(
         generator=generator,
-        n_features=int(opts.get("features", 32, int)),
-        n_attributes=int(opts.get("attributes", 4, int)),
-        n_samples=int(opts.get("samples", 6000, int)),
-        seed=int(opts.get("seed", 7, int)),
-        n_classes=int(opts.get("classes", 2, int)),
-        noise=float(opts.get("noise", 0.4, float)),
-        shift=float(opts.get("shift", 2.0, float)),
-        margin=float(opts.get("margin", 1.0, float)),
-        n_styles=int(opts.get("styles", 4, int)),
-        style_leak=float(opts.get("style_leak", 0.0, float)),
+        n_features=opts.get("features", stock.n_features, int),
+        n_attributes=opts.get("attributes", stock.n_attributes, int),
+        n_samples=opts.get("samples", stock.n_samples, int),
+        seed=opts.get("seed", stock.seed, int),
+        n_classes=opts.get("classes", stock.n_classes, int),
+        noise=opts.get("noise", stock.noise, float),
+        shift=opts.get("shift", stock.shift, float),
+        margin=opts.get("margin", stock.margin, float),
+        n_styles=opts.get("styles", stock.n_styles, int),
+        style_leak=opts.get("style_leak", stock.style_leak, float),
         # The echo channel only exists for blobs, so glyphs default to none.
-        label_echo=float(opts.get("label_echo", 0.9 if generator == "blobs" else 0.0, float)),
-        label_attributes=_int_list(opts.get("label_attributes", "0,1")),
-        attribute_prob=float(opts.get("attribute_prob", 0.5, float)),
-        train_frac=float(opts.get("train_frac", 5000 / 6000, float)),
-        dev_frac=float(opts.get("dev_frac", 250 / 6000, float)),
+        label_echo=opts.get("label_echo", stock.label_echo if generator == "blobs" else 0.0, float),
+        label_attributes=opts.get("label_attributes", stock.label_attributes, _int_list),
+        attribute_prob=opts.get("attribute_prob", stock.attribute_prob, float),
+        train_frac=opts.get("train_frac", stock.train_frac, float),
+        dev_frac=opts.get("dev_frac", stock.dev_frac, float),
     )
     ds = generate(spec)
     out = opts.get("out", "dataset.lcfc")
@@ -229,7 +241,7 @@ def cmd_train(args):
     out_dir = opts.get("out_dir", "artifacts")
     os.makedirs(out_dir, exist_ok=True)
     seed = int(opts.get("seed", 0, int))
-    hidden = _int_list(opts.get("hidden", "32"))
+    hidden = opts.get("hidden", (32,), _int_list)
     activation = opts.get("activation", "tanh")
     lr = float(opts.get("lr", 1e-3, float))
     tcfg = TrainConfig(
@@ -341,16 +353,16 @@ def cmd_bench(args):
         raise ConfigurationError("--manifest is required")
     dataset, target, _, gen, _ = _load_stack(manifest_path)
     cfg = _perturb_from(opts)
-    methods = build_methods(cfg, epsilon=float(opts.get("epsilon", 3.0, float)))
+    stock = benchmark_recipe()
+    methods = build_methods(cfg, epsilon=opts.get("epsilon", stock.epsilon, float))
     report = run_benchmark(
         dataset,
         target,
         gen,
         methods,
-        n_queries=int(opts.get("queries", 500, int)),
+        n_queries=opts.get("queries", stock.n_queries, int),
         seed=int(opts.get("seed", 0, int)),
         desired_class=opts.get("desired_class", cast=int),
-        jobs=int(opts.get("jobs", 1, int)),
     )
     include_timing = opts.get("include_timing", True, bool)
     print(report.to_csv(include_timing=include_timing), end="")
@@ -374,7 +386,7 @@ def cmd_sweep(args):
         raise ConfigurationError("--manifest is required")
     dataset, target, _, gen, _ = _load_stack(manifest_path)
     cfg = _perturb_from(opts)
-    weights = _float_list(opts.get("weights", "0,0.4,0.8,1.5,3.0"))
+    weights = opts.get("weights", (0.0, 0.4, 0.8, 1.5, 3.0), _float_list)
     points = alpha_sweep(
         dataset,
         target,
@@ -383,7 +395,6 @@ def cmd_sweep(args):
         weights,
         n_queries=int(opts.get("queries", 100, int)),
         seed=int(opts.get("seed", 0, int)),
-        jobs=int(opts.get("jobs", 1, int)),
     )
     print("distance_weight,flipping_ratio,mean_latent_perturbation")
     for p in points:
@@ -400,7 +411,7 @@ def cmd_rank(args):
     opts = Options(args, "rank")
     names_opt = opts.get("names")
     names = [n.strip() for n in names_opt.split(",")] if names_opt else None
-    exclude = _int_list(opts.get("exclude", ""))
+    exclude = opts.get("exclude", (), _int_list)
     results_path = opts.get("results")
     if results_path is not None:
         results = read_results_jsonl(results_path)
@@ -480,14 +491,8 @@ def cmd_augment(args):
     print(f"wrote {out}: {added} counterfactual rows appended")
     n_compare = opts.get("compare", cast=int)
     if n_compare is not None:
-        train_opts = manifest.get("train", {})
-        tcfg = TrainConfig(
-            epochs=int(train_opts.get("epochs", 40)),
-            batch_size=int(train_opts.get("batch_size", 128)),
-            learning_rate=float(train_opts.get("learning_rate", 1e-3)),
-            hidden_dims=tuple(train_opts.get("hidden_dims", (32,))),
-            hidden_activation=train_opts.get("hidden_activation", "tanh"),
-        )
+        train = manifest.get("train", {})
+        tcfg = TrainConfig(**{key: train[key] for key in _MANIFEST_TRAIN if key in train})
         comp = retrain_comparison(
             dataset, augmented, tcfg, seeds=list(range(int(n_compare)))
         )
@@ -526,7 +531,7 @@ def build_parser():
     p.add_argument("--styles", type=int)
     p.add_argument("--style-leak", type=float)
     p.add_argument("--label-echo", type=float)
-    p.add_argument("--label-attributes")
+    p.add_argument("--label-attributes", type=_int_list)
     p.add_argument("--attribute-prob", type=float)
     p.add_argument("--train-frac", type=float)
     p.add_argument("--dev-frac", type=float)
@@ -539,7 +544,7 @@ def build_parser():
     p.add_argument("--batch-size", type=int)
     p.add_argument("--lr", type=float)
     p.add_argument("--gen-lr", type=float)
-    p.add_argument("--hidden")
+    p.add_argument("--hidden", type=_int_list)
     p.add_argument("--activation")
     p.add_argument("--latent", type=int)
     p.add_argument("--disc-weight", type=float)
@@ -570,7 +575,6 @@ def build_parser():
     p.add_argument("--seed", type=int)
     p.add_argument("--desired-class", type=int)
     p.add_argument("--epsilon", type=float)
-    p.add_argument("--jobs", type=int)
     p.add_argument("--out")
     p.add_argument("--csv")
     p.add_argument("--include-timing", action=argparse.BooleanOptionalAction, default=None)
@@ -578,10 +582,9 @@ def build_parser():
 
     p = add("sweep", "trace the distance-weight trade-off")
     p.add_argument("--manifest")
-    p.add_argument("--weights")
+    p.add_argument("--weights", type=_float_list)
     p.add_argument("--queries", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int)
     p.add_argument("--out")
     add_perturb(p)
 
@@ -593,7 +596,7 @@ def build_parser():
     p.add_argument("--queries", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--names")
-    p.add_argument("--exclude")
+    p.add_argument("--exclude", type=_int_list)
     p.add_argument("--out")
     add_perturb(p)
 

@@ -9,10 +9,12 @@ autoencoder stay frozen throughout (checked against an exact parameter
 snapshot taken before each search).
 
 Three baselines share the result type so they can run under one benchmark
-harness: a random-direction walk with the same stopping rule, a one-shot
-signed-gradient attack in instance space, and an iterative instance-space
-descent. Results serialize to JSON lines; square instances can be dumped as
-PGM images for eyeballing.
+harness. The random-direction walk runs the very loop the gradient search
+runs (``_latent_walk``: encode, evaluate, stop, step, result, frozen-model
+check) with its own step rule, so the two differ only in how a step is
+chosen. A one-shot signed-gradient attack and an iterative descent work in
+instance space and keep loops of their own. Results serialize to JSON
+lines; square instances can be dumped as PGM images for eyeballing.
 """
 
 from __future__ import annotations
@@ -51,9 +53,8 @@ class PerturbConfig:
 
     @classmethod
     def text_defaults(cls, **overrides):
-        """Defaults tuned for tabular data."""
-        cfg = cls(distance_weight=0.8, code_step=1.0, attr_step=2.0, step_decay=0.95, max_iters=300)
-        return _replace(cfg, overrides)
+        """Defaults tuned for tabular data: the field defaults above."""
+        return _replace(cls(), overrides)
 
     @classmethod
     def image_defaults(cls, **overrides):
@@ -224,17 +225,10 @@ def _check_frozen(before, target, gen, method):
         raise InvariantViolation(f"{method} modified frozen model parameters")
 
 
-def latent_descent(target, gen, x0, a0, config, query_index=-1, method="latent-descent"):
-    """Gradient search in the latent space.
-
-    Each iteration evaluates the objective once; the evaluation doubles as
-    the stopping check (decoded instance already classified as desired) and
-    as the gradient source for the update, whose backward sweep runs only
-    once the check has failed. Step sizes decay after every
-    update, so iterate n moves by step * decay**n. The loss trace holds one
-    entry per evaluation, so a search that flips immediately has a single
-    entry and zero iterations.
-    """
+def _latent_walk(target, gen, x0, a0, config, method, query_index, step):
+    """The loop of both latent searches: evaluate, stop, else step(point, n,
+    grads) moves the point in place, where grads() is the evaluation's
+    lazy backward to the code and the attribute vector."""
     config.validate()
     desired = _require_desired(target, config)
     frozen = _frozen_snapshot(target, gen)
@@ -248,10 +242,7 @@ def latent_descent(target, gen, x0, a0, config, query_index=-1, method="latent-d
         trace.append((loss.total, loss.prediction_term, loss.distance_term))
         if int(np.argmax(loss.probabilities)) == desired or n >= config.max_iters:
             break
-        code_grad, attr_grad = grads()
-        point.code -= step_size(config.code_step, config.step_decay, n) * code_grad
-        if config.optimize_attributes:
-            point.attributes -= step_size(config.attr_step, config.step_decay, n) * attr_grad
+        step(point, n, grads)
         n += 1
     elapsed = _micros_since(t0)
     predicted = int(np.argmax(loss.probabilities))
@@ -272,6 +263,27 @@ def latent_descent(target, gen, x0, a0, config, query_index=-1, method="latent-d
     return result
 
 
+def latent_descent(target, gen, x0, a0, config, query_index=-1, method="latent-descent"):
+    """Gradient search in the latent space.
+
+    Each iteration evaluates the objective once; the evaluation doubles as
+    the stopping check (decoded instance already classified as desired) and
+    as the gradient source for the update, whose backward sweep runs only
+    once the check has failed. Step sizes decay after every
+    update, so iterate n moves by step * decay**n. The loss trace holds one
+    entry per evaluation, so a search that flips immediately has a single
+    entry and zero iterations.
+    """
+
+    def step(point, n, grads):
+        code_grad, attr_grad = grads()
+        point.code -= step_size(config.code_step, config.step_decay, n) * code_grad
+        if config.optimize_attributes:
+            point.attributes -= step_size(config.attr_step, config.step_decay, n) * attr_grad
+
+    return _latent_walk(target, gen, x0, a0, config, method, query_index, step)
+
+
 def latent_random_search(target, gen, x0, a0, config, rng=None, query_index=-1):
     """Baseline: random unit directions under the same schedule and stopping.
 
@@ -280,49 +292,18 @@ def latent_random_search(target, gen, x0, a0, config, rng=None, query_index=-1):
     their respective current step sizes. No gradients are computed, which
     is the point of the comparison.
     """
-    config.validate()
-    desired = _require_desired(target, config)
     if rng is None:
         rng = np.random.default_rng()
-    frozen = _frozen_snapshot(target, gen)
-    t0 = time.perf_counter_ns()
-    origin = encode(gen, x0, a0)
-    point = origin.copy()
-    trace = []
-    n = 0
     with_attrs = config.optimize_attributes and gen.attribute_dim > 0
     k = gen.latent_dim
-    while True:
-        loss = counterfactual_loss(
-            target, gen, point, origin, desired, config.distance_weight, with_grads=False
-        )
-        trace.append((loss.total, loss.prediction_term, loss.distance_term))
-        if int(np.argmax(loss.probabilities)) == desired or n >= config.max_iters:
-            break
+
+    def step(point, n, grads):
         direction = _unit_direction(rng, k + gen.attribute_dim if with_attrs else k)
         point.code += step_size(config.code_step, config.step_decay, n) * direction[:k]
         if with_attrs:
-            point.attributes += step_size(
-                config.attr_step, config.step_decay, n
-            ) * direction[k:]
-        n += 1
-    elapsed = _micros_since(t0)
-    predicted = int(np.argmax(loss.probabilities))
-    result = CounterfactualResult(
-        sample=loss.sample,
-        latent=point,
-        origin=origin,
-        flipped=predicted == desired,
-        iterations=n,
-        predicted_class=predicted,
-        desired_class=desired,
-        loss_trace=trace,
-        wall_time_micros=elapsed,
-        method="latent-random",
-        query_index=query_index,
-    )
-    _check_frozen(frozen, target, gen, "latent-random")
-    return result
+            point.attributes += step_size(config.attr_step, config.step_decay, n) * direction[k:]
+
+    return _latent_walk(target, gen, x0, a0, config, "latent-random", query_index, step)
 
 
 def _unit_direction(rng, dim):

@@ -1,17 +1,17 @@
 """Evaluation: flip rates, latent sparsity, benchmark harness, sweeps.
 
 The benchmark draws a fixed set of query instances from the test split and
-runs every registered method on exactly the same queries with the same
-per-query random streams, so method columns in a report are directly
-comparable and a rerun with the same seed reproduces the same numbers
-(timing aside, which is why the serialized report can exclude it).
+runs every registered method on exactly the same queries, one query after
+another, each with its own random stream spawned from the seed. Method
+columns in a report are therefore directly comparable, and a rerun with the
+same seed reproduces the same numbers (timing aside, which is why the
+serialized report can exclude it).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -288,7 +288,6 @@ def run_benchmark(
     seed=0,
     desired_class=None,
     threshold=None,
-    jobs=1,
     keep_results=False,
 ):
     """Run every method on one shared query set and aggregate the metrics.
@@ -296,8 +295,8 @@ def run_benchmark(
     Queries come from the test split without replacement. When
     desired_class is None (two-class tasks) each query targets the
     complement of its current prediction; otherwise the fixed class, with
-    already-there instances excluded up front. Per-query random streams are
-    spawned from the seed so jobs > 1 changes wall time, never numbers.
+    already-there instances excluded up front. Each query gets its own
+    random stream spawned from the seed, the same one for every method.
     """
     query_rows, desired = _select_queries(dataset, target, n_queries, seed, desired_class)
     default_threshold = threshold is None
@@ -308,9 +307,8 @@ def run_benchmark(
     per_method = {}
     all_results = {}
     for method in methods:
-        def one(i):
-            row = query_rows[i]
-            return method.run(
+        results = [
+            method.run(
                 target,
                 gen,
                 dataset.instances[row],
@@ -319,12 +317,8 @@ def run_benchmark(
                 np.random.default_rng(children[i]),
                 int(row),
             )
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(one, range(n_queries)))
-        else:
-            results = [one(i) for i in range(n_queries)]
+            for i, row in enumerate(query_rows)
+        ]
         lprs = [
             latent_perturbation_ratio(r.latent.code, r.origin.code, threshold)
             for r in results
@@ -368,7 +362,6 @@ def alpha_sweep(
     seed=0,
     desired_class=None,
     threshold=None,
-    jobs=1,
 ):
     """Trace the distance-weight trade-off for the latent search.
 
@@ -393,7 +386,6 @@ def alpha_sweep(
             seed=seed,
             desired_class=desired_class,
             threshold=threshold,
-            jobs=jobs,
         )
         stats = report.per_method["latent-descent"]
         points.append(

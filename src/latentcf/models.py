@@ -459,11 +459,26 @@ def save_manifest(path, entries):
 _MANIFEST_PATHS = ("dataset", "target", "discriminator", "generative")
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# The ``train`` fields that rebuild a TrainConfig, each with what it must be.
+_MANIFEST_TRAIN = {
+    "epochs": ("an integer", _is_int),
+    "batch_size": ("an integer", _is_int),
+    "learning_rate": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "hidden_dims": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "hidden_activation": ("a string", lambda v: isinstance(v, str)),
+}
+
+
 def load_manifest(path):
     """Read a manifest, raising FormatError unless its shape is usable.
 
     The top level must be a JSON object, each of _MANIFEST_PATHS a string,
-    and ``train``, when present, an object.
+    and ``train``, when present, an object whose _MANIFEST_TRAIN fields, when
+    present, have the listed types.
     """
     with open(path, encoding="utf-8") as fh:
         manifest = json.load(fh)
@@ -474,6 +489,10 @@ def load_manifest(path):
             raise FormatError(f"{path}: manifest has no {key!r} path")
         if not isinstance(manifest[key], str):
             raise FormatError(f"{path}: manifest {key!r} must be a path string")
-    if not isinstance(manifest.get("train", {}), dict):
+    train = manifest.get("train", {})
+    if not isinstance(train, dict):
         raise FormatError(f"{path}: manifest 'train' must be a JSON object")
+    for key, (kind, ok) in _MANIFEST_TRAIN.items():
+        if key in train and not ok(train[key]):
+            raise FormatError(f"{path}: manifest 'train' field {key!r} must be {kind}")
     return manifest

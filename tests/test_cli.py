@@ -7,8 +7,9 @@ import pytest
 
 from latentcf import cli, models
 from latentcf.cli import build_parser, main
-from latentcf.datasets import load_dataset
+from latentcf.datasets import generate, load_dataset
 from latentcf.engine import read_results_jsonl
+from latentcf.metrics import benchmark_recipe
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +82,15 @@ class TestGenData:
         ds = load_dataset(out)
         assert ds.instances.shape == (90, 64)
         assert ds.instances.min() >= 0.0 and ds.instances.max() <= 1.0
+        # The stock recipe's label echo is a blobs-only channel.
+        assert ds.metadata["spec"]["label_echo"] == 0.0
+
+    def test_defaults_are_the_stock_recipe(self, tmp_path):
+        out = tmp_path / "stock.lcfc"
+        assert main(["gen-data", "--out", str(out)]) == 0
+        ds, stock = load_dataset(out), generate(benchmark_recipe().spec)
+        for name in ("instances", "attributes", "labels", "split"):
+            assert np.array_equal(getattr(ds, name), getattr(stock, name)), name
 
     def test_bad_spec_is_a_user_error(self, tmp_path, capsys):
         rc = main(
@@ -276,6 +286,37 @@ class TestManifestErrors:
         manifest["train"] = value
         assert "'train'" in self.explain_with(tmp_path, capsys, manifest)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("epochs", "forty"),
+            ("epochs", True),
+            ("epochs", 40.0),
+            ("batch_size", None),
+            ("learning_rate", "fast"),
+            ("learning_rate", False),
+            ("hidden_dims", 32),
+            ("hidden_dims", ["32"]),
+            ("hidden_dims", [16, True]),
+            ("hidden_activation", 5),
+        ],
+    )
+    def test_train_field_of_the_wrong_type(self, workspace, tmp_path, capsys, key, value):
+        manifest = self.manifest_like(workspace)
+        manifest["train"][key] = value
+        assert repr(key) in self.explain_with(tmp_path, capsys, manifest)
+
+    def test_augment_compare_rejects_a_bad_train_field(self, workspace, tmp_path, capsys):
+        manifest = self.manifest_like(workspace)
+        manifest["train"]["epochs"] = "forty"
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        rc = main(["augment", "--manifest", str(path), "--count", "2",
+                   "--out", str(tmp_path / "aug.lcfc"), "--compare", "1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "'epochs'" in err
+
     def test_train_section_is_optional(self, workspace, tmp_path, capsys):
         manifest = self.manifest_like(workspace)
         del manifest["train"]
@@ -406,6 +447,40 @@ class TestConfigLayers:
         # builtins fill the rest.
         assert ds.instances.shape == (120, 10)
         assert ds.metadata["spec"]["seed"] == 7
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[gen-data]\nfeatures = forty\n",
+            "[gen-data]\nlabel-attributes = 0,one\n",
+            "features = 10\n",
+            "[gen-data]\nfeatures = 10\nfeatures = 12\n",
+            "[gen-data]\nnoise = %(missing)s\n",
+        ],
+        ids=["bad-int", "bad-list", "no-section-header", "repeated-key", "interpolation"],
+    )
+    def test_malformed_file_is_a_user_error(self, tmp_path, capsys, text):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(text)
+        rc = main(["gen-data", "--config", str(ini), "--out", str(tmp_path / "x.lcfc")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {ini}: ") and "Traceback" not in err
+        assert not (tmp_path / "x.lcfc").exists()
+
+    @pytest.mark.parametrize("text, code", [("ture", 1), ("off", 0), ("Yes", 0)])
+    def test_file_booleans_are_checked(self, workspace, tmp_path, capsys, text, code):
+        ini = tmp_path / "flags.ini"
+        ini.write_text(f"[explain]\nfreeze-attributes = {text}\n")
+        rc = main(
+            [
+                "explain", "--config", str(ini),
+                "--manifest", str(workspace["manifest"]), "--query-index", "0",
+            ]
+        )
+        assert rc == code
+        if code:
+            assert capsys.readouterr().err.startswith(f"error: {ini}: freeze-attributes")
 
     def test_file_only_profile_is_validated(self, workspace, tmp_path, capsys):
         ini = tmp_path / "bad.ini"

@@ -212,11 +212,15 @@ class TestLatentDescent:
         assert_allclose(res.latent.code, res.origin.code, atol=0)
         assert_allclose(res.sample, recon, atol=0)
 
-    def test_zero_steps_walk_nowhere(self):
+    @pytest.mark.parametrize(
+        "search", [latent_descent, latent_random_search],
+        ids=["latent_descent", "latent_random_search"],
+    )
+    def test_zero_steps_walk_nowhere(self, search):
         gen = identity_gen(2)
         target = stubborn_target(2)
         cfg = PerturbConfig(code_step=0.0, attr_step=0.0, max_iters=4, desired=1)
-        res = latent_descent(target, gen, np.array([0.1, 0.2]), np.zeros(0), cfg)
+        res = search(target, gen, np.array([0.1, 0.2]), np.zeros(0), cfg)
         assert not res.flipped
         assert res.iterations == 4
         assert len(res.loss_trace) == 5
@@ -239,6 +243,34 @@ class TestLatentDescent:
             z = z - 0.5 * 0.9**n * loss.code_grad
         assert res.iterations == 3
         assert_allclose(res.latent.code, z, atol=1e-15)
+
+    def test_random_iterates_match_a_manual_replay(self):
+        """The random walk draws one unit direction per step from the caller's
+        rng, code block first, and scales each block by its own step size."""
+        k, t = 2, 2
+        eye = np.eye(k + t)
+        gen = GenerativeModel(
+            encoder=DenseNetwork([Layer(np.eye(k), np.zeros(k), "identity")]),
+            decoder=DenseNetwork([Layer(eye[:k] + eye[k:], np.zeros(k), "identity")]),
+            latent_dim=k,
+            attribute_dim=t,
+            final_recon_error=0.0,
+            attribute_consistency=1.0,
+        )
+        target = stubborn_target(k)
+        x0, a0 = np.array([0.4, -0.7]), np.array([1.0, 0.0])
+        cfg = PerturbConfig(code_step=0.5, attr_step=0.3, step_decay=0.9, max_iters=4, desired=1)
+        res = latent_random_search(target, gen, x0, a0, cfg, rng=np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        z, a = x0.copy(), a0.copy()
+        for n in range(4):
+            v = rng.standard_normal(k + t)
+            v = v / np.sqrt((v * v).sum())
+            z = z + 0.5 * 0.9**n * v[:k]
+            a = a + 0.3 * 0.9**n * v[k:]
+        assert res.iterations == 4 and not res.flipped
+        assert_allclose(res.latent.code, z, rtol=0, atol=0)
+        assert_allclose(res.latent.attributes, a, rtol=0, atol=0)
 
     def test_attribute_freeze_keeps_attributes(self, target, gen, dataset):
         x0, a0 = first_query(dataset, target)

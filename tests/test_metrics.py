@@ -140,13 +140,6 @@ class TestRunBenchmark:
         b = run_benchmark(dataset, target, gen, methods, **kwargs)
         assert a.to_json(include_timing=False) == b.to_json(include_timing=False)
 
-    def test_jobs_change_wall_time_not_numbers(self, dataset, target, gen, methods):
-        a = run_benchmark(dataset, target, gen, methods, n_queries=10, seed=3, desired_class=1)
-        b = run_benchmark(
-            dataset, target, gen, methods, n_queries=10, seed=3, desired_class=1, jobs=2
-        )
-        assert a.to_json(include_timing=False) == b.to_json(include_timing=False)
-
     def test_queries_come_from_misclassified_test_rows(self, dataset, target, gen, methods):
         report = run_benchmark(dataset, target, gen, methods, n_queries=20, seed=3, desired_class=1)
         test_rows = set(int(i) for i in dataset.indices("test"))
