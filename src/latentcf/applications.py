@@ -60,6 +60,8 @@ def mean_attribute_ranking(results, names=None, exclude=(), flipped_only=True):
     pool = [r for r in results if r.flipped] if flipped_only else list(results)
     if not pool:
         raise ConfigurationError("no results to rank")
+    if len({r.latent.attributes.shape for r in pool}) > 1:
+        raise ConfigurationError("results differ in their number of attributes")
     scores = np.mean(
         [np.abs(r.latent.attributes - r.origin.attributes) for r in pool], axis=0
     )

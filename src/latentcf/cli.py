@@ -10,6 +10,11 @@ section of an INI file passed via --config, then the built-in default.
 
 Exit codes: 0 success, 1 usage or input error, 2 internal invariant
 violation, 3 partial result (outputs were written but incomplete).
+
+Error policy (_USER_ERRORS): the package's typed errors, OSError, and a
+file that is not UTF-8 or not JSON print one ``error:`` line and exit 1.
+Anything else, KeyError and TypeError included, is a bug and keeps its
+traceback.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .applications import (
     mean_attribute_ranking,
     retrain_comparison,
 )
+from .container import is_number_list
 from .datasets import SynthSpec, generate, load_dataset, save_dataset
 from .engine import (
     PerturbConfig,
@@ -73,11 +79,9 @@ _USER_ERRORS = (
     FormatError,
     NumericalError,
     TrainingError,
-    FileNotFoundError,
-    IsADirectoryError,
-    PermissionError,
-    KeyError,
+    OSError,
     json.JSONDecodeError,
+    UnicodeDecodeError,
 )
 
 
@@ -149,7 +153,10 @@ def _perturb_from(opts):
     return cfg
 
 
-def _load_stack(manifest_path):
+def _load_stack(opts):
+    manifest_path = opts.get("manifest")
+    if manifest_path is None:
+        raise ConfigurationError("--manifest is required")
     manifest = load_manifest(manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
 
@@ -177,14 +184,27 @@ def _query_instance(opts, dataset, disc):
         return dataset.instances[qi], dataset.attributes[qi], qi
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    if "instance" not in payload:
-        raise ConfigurationError(f"{path} is missing the 'instance' field")
+    if not isinstance(payload, dict) or "instance" not in payload:
+        raise ConfigurationError(f"{path} must be a JSON object with an 'instance' field")
+    for key in ("instance", "attributes"):
+        value = payload.get(key, [])
+        if not is_number_list(value):
+            raise ConfigurationError(f"{path}: {key!r} must be an array of numbers")
     x0 = np.asarray(payload["instance"], dtype=np.float64)
     if "attributes" in payload:
         a0 = np.asarray(payload["attributes"], dtype=np.float64)
     else:
         a0 = disc.predict(x0)
     return x0, a0, -1
+
+
+def _write_out(opts, key, text):
+    """Write text to the file the option names, when it names one."""
+    path = opts.get(key)
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print(f"wrote {path}")
 
 
 def _desired_for(target, predicted, cfg):
@@ -240,29 +260,28 @@ def cmd_train(args):
     dataset = load_dataset(data_path)
     out_dir = opts.get("out_dir", "artifacts")
     os.makedirs(out_dir, exist_ok=True)
-    seed = int(opts.get("seed", 0, int))
-    hidden = opts.get("hidden", (32,), _int_list)
-    activation = opts.get("activation", "tanh")
-    lr = float(opts.get("lr", 1e-3, float))
+    # The builtins are the config classes' own defaults; latent_dim has none.
+    tdef, gdef = TrainConfig(), GenerativeConfig(latent_dim=8)
+    seed = opts.get("seed", tdef.seed, int)
     tcfg = TrainConfig(
-        epochs=int(opts.get("epochs", 40, int)),
-        batch_size=int(opts.get("batch_size", 128, int)),
-        learning_rate=lr,
-        hidden_dims=hidden,
-        hidden_activation=activation,
+        epochs=opts.get("epochs", tdef.epochs, int),
+        batch_size=opts.get("batch_size", tdef.batch_size, int),
+        learning_rate=opts.get("lr", tdef.learning_rate, float),
+        hidden_dims=opts.get("hidden", tdef.hidden_dims, _int_list),
+        hidden_activation=opts.get("activation", tdef.hidden_activation),
         seed=seed,
     )
     target = train_target(dataset, tcfg)
     disc = train_discriminator(dataset, dataclasses.replace(tcfg, seed=seed + 1))
     gcfg = GenerativeConfig(
-        latent_dim=int(opts.get("latent", 8, int)),
-        epochs=int(opts.get("gen_epochs", 60, int)),
-        batch_size=int(opts.get("batch_size", 128, int)),
-        learning_rate=float(opts.get("gen_lr", lr, float)),
-        hidden_dims=hidden,
-        hidden_activation=activation,
-        output_activation=opts.get("output_activation", "identity"),
-        disc_weight=float(opts.get("disc_weight", 1.0, float)),
+        latent_dim=opts.get("latent", gdef.latent_dim, int),
+        epochs=opts.get("gen_epochs", gdef.epochs, int),
+        batch_size=opts.get("batch_size", gdef.batch_size, int),
+        learning_rate=opts.get("gen_lr", tcfg.learning_rate, float),
+        hidden_dims=opts.get("hidden", gdef.hidden_dims, _int_list),
+        hidden_activation=opts.get("activation", gdef.hidden_activation),
+        output_activation=opts.get("output_activation", gdef.output_activation),
+        disc_weight=opts.get("disc_weight", gdef.disc_weight, float),
         seed=seed + 2,
     )
     gen = train_generative(dataset, disc, gcfg)
@@ -281,8 +300,8 @@ def cmd_train(args):
         "epochs": tcfg.epochs,
         "batch_size": tcfg.batch_size,
         "learning_rate": tcfg.learning_rate,
-        "hidden_dims": list(hidden),
-        "hidden_activation": activation,
+        "hidden_dims": list(tcfg.hidden_dims),
+        "hidden_activation": tcfg.hidden_activation,
         "latent_dim": gcfg.latent_dim,
         "gen_epochs": gcfg.epochs,
         "gen_learning_rate": gcfg.learning_rate,
@@ -291,11 +310,8 @@ def cmd_train(args):
     }
     manifest["perturb_profiles"] = {
         name: {
-            "distance_weight": c.distance_weight,
-            "code_step": c.code_step,
-            "attr_step": c.attr_step,
-            "step_decay": c.step_decay,
-            "max_iters": c.max_iters,
+            key: getattr(c, key)
+            for key in ("distance_weight", "code_step", "attr_step", "step_decay", "max_iters")
         }
         for name, c in (
             ("text", PerturbConfig.text_defaults()),
@@ -315,10 +331,7 @@ def cmd_train(args):
 
 def cmd_explain(args):
     opts = Options(args, "explain")
-    manifest_path = opts.get("manifest")
-    if manifest_path is None:
-        raise ConfigurationError("--manifest is required")
-    dataset, target, disc, gen, _ = _load_stack(manifest_path)
+    dataset, target, disc, gen, _ = _load_stack(opts)
     x0, a0, qi = _query_instance(opts, dataset, disc)
     cfg = _perturb_from(opts)
     predicted = target.predict(x0)
@@ -348,10 +361,7 @@ def cmd_explain(args):
 
 def cmd_bench(args):
     opts = Options(args, "bench")
-    manifest_path = opts.get("manifest")
-    if manifest_path is None:
-        raise ConfigurationError("--manifest is required")
-    dataset, target, _, gen, _ = _load_stack(manifest_path)
+    dataset, target, _, gen, _ = _load_stack(opts)
     cfg = _perturb_from(opts)
     stock = benchmark_recipe()
     methods = build_methods(cfg, epsilon=opts.get("epsilon", stock.epsilon, float))
@@ -365,26 +375,16 @@ def cmd_bench(args):
         desired_class=opts.get("desired_class", cast=int),
     )
     include_timing = opts.get("include_timing", True, bool)
-    print(report.to_csv(include_timing=include_timing), end="")
-    out = opts.get("out")
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json(include_timing=include_timing))
-        print(f"wrote {out}")
-    csv_path = opts.get("csv")
-    if csv_path:
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write(report.to_csv(include_timing=include_timing))
-        print(f"wrote {csv_path}")
+    csv = report.to_csv(include_timing=include_timing)
+    print(csv, end="")
+    _write_out(opts, "out", report.to_json(include_timing=include_timing))
+    _write_out(opts, "csv", csv)
     return 0
 
 
 def cmd_sweep(args):
     opts = Options(args, "sweep")
-    manifest_path = opts.get("manifest")
-    if manifest_path is None:
-        raise ConfigurationError("--manifest is required")
-    dataset, target, _, gen, _ = _load_stack(manifest_path)
+    dataset, target, _, gen, _ = _load_stack(opts)
     cfg = _perturb_from(opts)
     weights = opts.get("weights", (0.0, 0.4, 0.8, 1.5, 3.0), _float_list)
     points = alpha_sweep(
@@ -399,11 +399,7 @@ def cmd_sweep(args):
     print("distance_weight,flipping_ratio,mean_latent_perturbation")
     for p in points:
         print(f"{p.distance_weight!r},{p.flipping_ratio!r},{p.mean_latent_perturbation!r}")
-    out = opts.get("out")
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(sweep_to_json(points))
-        print(f"wrote {out}")
+    _write_out(opts, "out", sweep_to_json(points))
     return 0
 
 
@@ -422,60 +418,38 @@ def cmd_rank(args):
         else:
             ranking = mean_attribute_ranking(results, names=names, exclude=exclude)
     else:
-        manifest_path = opts.get("manifest")
-        if manifest_path is None:
+        if opts.get("manifest") is None:
             raise ConfigurationError("give --results or --manifest")
-        dataset, target, disc, gen, _ = _load_stack(manifest_path)
+        dataset, target, disc, gen, _ = _load_stack(opts)
         cfg = _perturb_from(opts)
         n_queries = opts.get("queries", cast=int)
         if n_queries is not None:
-            from .metrics import _select_queries
-
-            rows, desired = _select_queries(
+            report = run_benchmark(
                 dataset,
                 target,
-                int(n_queries),
-                int(opts.get("seed", 0, int)),
-                cfg.desired,
+                gen,
+                build_methods(cfg)[:1],
+                n_queries=n_queries,
+                seed=opts.get("seed", 0, int),
+                desired_class=cfg.desired,
+                keep_results=True,
             )
-            results = []
-            for row, des in zip(rows, desired):
-                c = dataclasses.replace(cfg, desired=int(des))
-                results.append(
-                    latent_descent(
-                        target,
-                        gen,
-                        dataset.instances[row],
-                        dataset.attributes[row],
-                        c,
-                        query_index=int(row),
-                    )
-                )
+            results = report.results["latent-descent"]
             ranking = mean_attribute_ranking(results, names=names, exclude=exclude)
         else:
             x0, a0, qi = _query_instance(opts, dataset, disc)
             cfg.desired = _desired_for(target, target.predict(x0), cfg)
             result = latent_descent(target, gen, x0, a0, cfg, query_index=qi)
             ranking = attribute_interaction_ranking(result, names=names, exclude=exclude)
-    print("attribute,score")
-    for entry in ranking:
-        print(f"{entry.name},{entry.score!r}")
-    out = opts.get("out")
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write("attribute,score\n")
-            for entry in ranking:
-                fh.write(f"{entry.name},{entry.score!r}\n")
-        print(f"wrote {out}")
+    table = "attribute,score\n" + "".join(f"{e.name},{e.score!r}\n" for e in ranking)
+    print(table, end="")
+    _write_out(opts, "out", table)
     return 0
 
 
 def cmd_augment(args):
     opts = Options(args, "augment")
-    manifest_path = opts.get("manifest")
-    if manifest_path is None:
-        raise ConfigurationError("--manifest is required")
-    dataset, target, _, gen, manifest = _load_stack(manifest_path)
+    dataset, target, _, gen, manifest = _load_stack(opts)
     cfg = _perturb_from(opts)
     n_aug = int(opts.get("count", 100, int))
     seed = int(opts.get("seed", 0, int))

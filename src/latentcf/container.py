@@ -38,6 +38,29 @@ _DTYPES = {"<f8": np.dtype("<f8"), "|i1": np.dtype("|i1")}
 _ENTRY_FIELDS = (("name", str), ("shape", list), ("dtype", str), ("offset", int), ("nbytes", int))
 
 
+def is_int(value):
+    """Whether a decoded JSON value is an integer; booleans are not."""
+    return type(value) is int
+
+
+def is_number(value):
+    return type(value) in (int, float)
+
+
+def is_number_list(value):
+    return isinstance(value, list) and all(map(is_number, value))
+
+
+def require_field(record, key, what, ok, where):
+    """record[key], or FormatError naming where and key unless the key is
+    present and ok(record[key]) holds; what says what the value must be."""
+    if key not in record:
+        raise FormatError(f"{where} has no {key!r} field")
+    if not ok(record[key]):
+        raise FormatError(f"{where} field {key!r} must be {what}")
+    return record[key]
+
+
 def _dtype_code(arr):
     if arr.dtype == np.float64:
         return "<f8"

@@ -17,13 +17,13 @@ find. Everything is deterministic in the spec seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import isqrt
 
 import numpy as np
 
 from .container import read_container, write_container
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, DimensionError, FormatError
 
 GENERATORS = ("blobs", "glyphs")
 
@@ -321,30 +321,17 @@ def generate(spec):
 
 
 def spec_to_dict(spec):
-    return {
-        "generator": spec.generator,
-        "n_features": spec.n_features,
-        "n_attributes": spec.n_attributes,
-        "n_samples": spec.n_samples,
-        "seed": spec.seed,
-        "n_classes": spec.n_classes,
-        "noise": spec.noise,
-        "shift": spec.shift,
-        "margin": spec.margin,
-        "n_styles": spec.n_styles,
-        "style_leak": spec.style_leak,
-        "label_echo": spec.label_echo,
-        "label_attributes": list(spec.label_attributes),
-        "attribute_prob": spec.attribute_prob,
-        "train_frac": spec.train_frac,
-        "dev_frac": spec.dev_frac,
-    }
+    return dict(asdict(spec), label_attributes=list(spec.label_attributes))
 
 
 def spec_from_dict(d):
     d = dict(d)
     d["label_attributes"] = tuple(d.get("label_attributes", (0,)))
     return SynthSpec(**d)
+
+
+# The arrays of a dataset container, in the order they are written.
+_DATASET_ARRAYS = ("instances", "attributes", "labels", "split")
 
 
 def save_dataset(path, ds):
@@ -354,23 +341,21 @@ def save_dataset(path, ds):
         path,
         kind="dataset",
         meta=ds.metadata,
-        arrays={
-            "instances": ds.instances,
-            "attributes": ds.attributes,
-            "labels": ds.labels,
-            "split": ds.split,
-        },
+        arrays={name: getattr(ds, name) for name in _DATASET_ARRAYS},
     )
 
 
 def load_dataset(path):
+    """Read a dataset container; FormatError unless its meta is an object
+    and it holds every _DATASET_ARRAYS array."""
     _, meta, arrays = read_container(path, expected_kind="dataset")
-    ds = AttributedDataset(
-        instances=arrays["instances"],
-        attributes=arrays["attributes"],
-        labels=arrays["labels"],
-        split=arrays["split"].astype(np.int8),
-        metadata=meta,
-    )
+    if not isinstance(meta, dict):
+        raise FormatError(f"{path}: dataset meta must be a JSON object")
+    for name in _DATASET_ARRAYS:
+        if name not in arrays:
+            raise FormatError(f"{path}: dataset has no {name!r} array")
+    ds = AttributedDataset(**{name: arrays[name] for name in _DATASET_ARRAYS}, metadata=meta)
+    # Validated before the cast, so fractional split tags are refused, not truncated.
     ds.validate()
+    ds.split = ds.split.astype(np.int8)
     return ds

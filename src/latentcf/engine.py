@@ -26,7 +26,8 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import ConfigurationError, InvariantViolation
+from .container import is_int, is_number_list, require_field
+from .errors import ConfigurationError, FormatError, InvariantViolation
 from .models import LatentPoint, encode
 from .nn import cross_entropy, forward, forward_trace, l2_distance, vjp
 
@@ -491,13 +492,43 @@ def write_results_jsonl(path, results):
             fh.write("\n")
 
 
+# Each field of a results-JSONL record, with what it must be.
+_RESULT_FIELDS = {
+    "method": ("a string", lambda v: isinstance(v, str)),
+    "flipped": ("a boolean", lambda v: isinstance(v, bool)),
+    **dict.fromkeys(
+        ("query_index", "desired_class", "predicted_class", "iterations", "wall_time_micros"),
+        ("an integer", is_int),
+    ),
+    **dict.fromkeys(
+        ("sample", "code", "attributes", "origin_code", "origin_attributes"),
+        ("an array of numbers", is_number_list),
+    ),
+    "loss_trace": (
+        "a list of number arrays",
+        lambda v: isinstance(v, list) and all(map(is_number_list, v)),
+    ),
+}
+
+
 def read_results_jsonl(path):
+    """Read results back; a line that is not a JSON object holding every
+    _RESULT_FIELDS field with its type raises FormatError("path:line: ...")."""
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(result_from_dict(json.loads(line)))
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            where = f"{path}:{number}"
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise FormatError(f"{where}: a result must be a JSON object")
+            for key, (what, ok) in _RESULT_FIELDS.items():
+                require_field(record, key, what, ok, f"{where}: result")
+            for key in ("code", "attributes"):
+                if len(record[key]) != len(record[f"origin_{key}"]):
+                    raise FormatError(f"{where}: {key!r} and 'origin_{key}' differ in length")
+            out.append(result_from_dict(record))
     return out
 
 

@@ -212,16 +212,10 @@ class BenchmarkReport:
     results: dict = field(default_factory=dict)
 
     def to_dict(self, include_timing=True):
-        methods = {}
-        for name, stats in self.per_method.items():
-            entry = {
-                "flipping_ratio": stats.flipping_ratio,
-                "mean_latent_perturbation": stats.mean_latent_perturbation,
-                "n_queries": stats.n_queries,
-            }
-            if include_timing:
-                entry["mean_micros_per_query"] = stats.mean_micros_per_query
-            methods[name] = entry
+        methods = {name: dataclasses.asdict(stats) for name, stats in self.per_method.items()}
+        if not include_timing:
+            for entry in methods.values():
+                del entry["mean_micros_per_query"]
         return {
             "n_queries": self.n_queries,
             "seed": self.seed,
@@ -241,19 +235,14 @@ class BenchmarkReport:
         lines = [",".join(cols)]
         for name in sorted(self.per_method):
             stats = self.per_method[name]
-            row = [
-                name,
-                repr(stats.flipping_ratio),
-                repr(stats.mean_latent_perturbation),
-                str(stats.n_queries),
-            ]
-            if include_timing:
-                row.append(repr(stats.mean_micros_per_query))
-            lines.append(",".join(row))
+            # str of a float is its repr, the shortest round-tripping form.
+            lines.append(",".join([name] + [str(getattr(stats, c)) for c in cols[1:]]))
         return "\n".join(lines) + "\n"
 
 
 def _select_queries(dataset, target, n_queries, seed, desired_class):
+    if n_queries < 1:
+        raise ConfigurationError(f"need at least one query, got {n_queries}")
     test_idx = dataset.indices("test")
     if len(test_idx) == 0:
         raise ConfigurationError("dataset has no test split to query")
@@ -395,18 +384,4 @@ def alpha_sweep(
 
 
 def sweep_to_json(points):
-    return (
-        json.dumps(
-            [
-                {
-                    "distance_weight": p.distance_weight,
-                    "flipping_ratio": p.flipping_ratio,
-                    "mean_latent_perturbation": p.mean_latent_perturbation,
-                }
-                for p in points
-            ],
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n"
-    )
+    return json.dumps([dataclasses.asdict(p) for p in points], sort_keys=True, indent=2) + "\n"

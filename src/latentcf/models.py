@@ -11,17 +11,26 @@ The generative model is a deterministic autoencoder whose decoder consumes
 the latent code concatenated with the attribute vector. Training minimizes
 mean reconstruction distance plus a weighted attribute-consistency term
 scored by the frozen discriminator on the reconstruction.
+
+Checkpoints (container kinds in _CHECKPOINTS) store a network field's layer
+i as arrays ``{prefix}w{i}``/``{prefix}b{i}`` and its activations as the meta
+list ``activations``, or ``{field}_activations`` when prefixed (the encoder's
+``enc_``, the decoder's ``dec_``); every other field is a meta value. Loading
+raises FormatError, naming file and field, when meta is not an object, an
+activations list, a layer array or a meta field is missing, a value has the
+wrong JSON type for its annotation, or a generative model's latent_dim and
+attribute_dim disagree with its encoder output and decoder input widths.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .container import read_container, write_container
+from .container import is_int, is_number, read_container, require_field, write_container
 from .errors import (
     ConfigurationError,
     DimensionError,
@@ -355,97 +364,101 @@ def train_generative(dataset, discriminator, config):
 # --- checkpoint io ---------------------------------------------------------
 
 
-def _network_arrays(net, prefix=""):
-    arrays = {}
-    for i, layer in enumerate(net.layers):
-        arrays[f"{prefix}w{i}"] = layer.weights
-        arrays[f"{prefix}b{i}"] = layer.bias
-    return arrays
+# Each checkpoint kind: its model class and the array-name prefix of each of
+# its network fields. Every other field of the class is metadata.
+_CHECKPOINTS = {
+    "target-model": (TargetModel, {"network": ""}),
+    "discriminator": (Discriminator, {"network": ""}),
+    "generative-model": (GenerativeModel, {"encoder": "enc_", "decoder": "dec_"}),
+}
+
+# What a metadata field's annotation asks of its JSON value.
+_META_TYPES = {
+    "float": ("a number", is_number),
+    "int": ("an integer", is_int),
+    "list": ("a list", lambda v: isinstance(v, list)),
+}
 
 
-def _network_from(arrays, activations, prefix=""):
-    return DenseNetwork(
-        Layer(arrays[f"{prefix}w{i}"], arrays[f"{prefix}b{i}"], act)
-        for i, act in enumerate(activations)
-    )
+def _activations_key(name, prefix):
+    return f"{name}_activations" if prefix else "activations"
+
+
+def _save_model(path, kind, model):
+    cls, networks = _CHECKPOINTS[kind]
+    meta, arrays = {}, {}
+    for f in fields(cls):
+        value = getattr(model, f.name)
+        prefix = networks.get(f.name)
+        if prefix is None:
+            meta[f.name] = value
+            continue
+        meta[_activations_key(f.name, prefix)] = [l.activation for l in value.layers]
+        for i, layer in enumerate(value.layers):
+            arrays[f"{prefix}w{i}"] = layer.weights
+            arrays[f"{prefix}b{i}"] = layer.bias
+    write_container(path, kind=kind, meta=meta, arrays=arrays)
+
+
+def _load_model(path, kind):
+    cls, networks = _CHECKPOINTS[kind]
+    _, meta, arrays = read_container(path, expected_kind=kind)
+    if not isinstance(meta, dict):
+        raise FormatError(f"{path}: {kind} meta must be a JSON object")
+    where = f"{path}: {kind} meta"
+    values = {}
+    for f in fields(cls):
+        prefix = networks.get(f.name)
+        if prefix is None:
+            values[f.name] = require_field(meta, f.name, *_META_TYPES[f.type], where)
+            continue
+        activations = require_field(
+            meta, _activations_key(f.name, prefix), "a list of strings",
+            lambda v: isinstance(v, list) and all(isinstance(a, str) for a in v), where,
+        )
+        try:
+            layers = [Layer(arrays[f"{prefix}w{i}"], arrays[f"{prefix}b{i}"], act)
+                      for i, act in enumerate(activations)]
+        except KeyError as exc:
+            raise FormatError(f"{path}: {kind} has no array {exc.args[0]!r}") from None
+        values[f.name] = DenseNetwork(layers)
+    model = cls(**values)
+    # The search splits the decoder's input gradient at latent_dim, so the
+    # recorded sizes must be the networks' own.
+    if cls is GenerativeModel and not (
+        model.latent_dim == model.encoder.output_dim
+        and 0 <= model.attribute_dim == model.decoder.input_dim - model.latent_dim
+    ):
+        raise FormatError(
+            f"{path}: latent_dim {model.latent_dim} and attribute_dim "
+            f"{model.attribute_dim} disagree with encoder output "
+            f"{model.encoder.output_dim} and decoder input {model.decoder.input_dim}"
+        )
+    return model
 
 
 def save_target(path, model):
-    write_container(
-        path,
-        kind="target-model",
-        meta={
-            "activations": [l.activation for l in model.network.layers],
-            "train_accuracy": model.train_accuracy,
-            "dev_accuracy": model.dev_accuracy,
-            "test_accuracy": model.test_accuracy,
-            "loss_history": model.loss_history,
-        },
-        arrays=_network_arrays(model.network),
-    )
+    _save_model(path, "target-model", model)
 
 
 def load_target(path):
-    _, meta, arrays = read_container(path, expected_kind="target-model")
-    return TargetModel(
-        network=_network_from(arrays, meta["activations"]),
-        train_accuracy=meta["train_accuracy"],
-        dev_accuracy=meta["dev_accuracy"],
-        test_accuracy=meta["test_accuracy"],
-        loss_history=meta["loss_history"],
-    )
+    return _load_model(path, "target-model")
 
 
 def save_discriminator(path, model):
-    write_container(
-        path,
-        kind="discriminator",
-        meta={
-            "activations": [l.activation for l in model.network.layers],
-            "attribute_accuracy": model.attribute_accuracy,
-        },
-        arrays=_network_arrays(model.network),
-    )
+    _save_model(path, "discriminator", model)
 
 
 def load_discriminator(path):
-    _, meta, arrays = read_container(path, expected_kind="discriminator")
-    return Discriminator(
-        network=_network_from(arrays, meta["activations"]),
-        attribute_accuracy=meta["attribute_accuracy"],
-    )
+    return _load_model(path, "discriminator")
 
 
 def save_generative(path, model):
-    arrays = _network_arrays(model.encoder, "enc_")
-    arrays.update(_network_arrays(model.decoder, "dec_"))
-    write_container(
-        path,
-        kind="generative-model",
-        meta={
-            "encoder_activations": [l.activation for l in model.encoder.layers],
-            "decoder_activations": [l.activation for l in model.decoder.layers],
-            "latent_dim": model.latent_dim,
-            "attribute_dim": model.attribute_dim,
-            "final_recon_error": model.final_recon_error,
-            "attribute_consistency": model.attribute_consistency,
-            "loss_history": model.loss_history,
-        },
-        arrays=arrays,
-    )
+    _save_model(path, "generative-model", model)
 
 
 def load_generative(path):
-    _, meta, arrays = read_container(path, expected_kind="generative-model")
-    return GenerativeModel(
-        encoder=_network_from(arrays, meta["encoder_activations"], "enc_"),
-        decoder=_network_from(arrays, meta["decoder_activations"], "dec_"),
-        latent_dim=meta["latent_dim"],
-        attribute_dim=meta["attribute_dim"],
-        final_recon_error=meta["final_recon_error"],
-        attribute_consistency=meta["attribute_consistency"],
-        loss_history=meta["loss_history"],
-    )
+    return _load_model(path, "generative-model")
 
 
 def save_manifest(path, entries):
@@ -459,16 +472,12 @@ def save_manifest(path, entries):
 _MANIFEST_PATHS = ("dataset", "target", "discriminator", "generative")
 
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 # The ``train`` fields that rebuild a TrainConfig, each with what it must be.
 _MANIFEST_TRAIN = {
-    "epochs": ("an integer", _is_int),
-    "batch_size": ("an integer", _is_int),
-    "learning_rate": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
-    "hidden_dims": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "epochs": ("an integer", is_int),
+    "batch_size": ("an integer", is_int),
+    "learning_rate": ("a number", is_number),
+    "hidden_dims": ("a list of integers", lambda v: isinstance(v, list) and all(map(is_int, v))),
     "hidden_activation": ("a string", lambda v: isinstance(v, str)),
 }
 
@@ -484,15 +493,13 @@ def load_manifest(path):
         manifest = json.load(fh)
     if not isinstance(manifest, dict):
         raise FormatError(f"{path}: manifest must be a JSON object")
+    where = f"{path}: manifest"
     for key in _MANIFEST_PATHS:
-        if key not in manifest:
-            raise FormatError(f"{path}: manifest has no {key!r} path")
-        if not isinstance(manifest[key], str):
-            raise FormatError(f"{path}: manifest {key!r} must be a path string")
+        require_field(manifest, key, "a path string", lambda v: isinstance(v, str), where)
     train = manifest.get("train", {})
     if not isinstance(train, dict):
-        raise FormatError(f"{path}: manifest 'train' must be a JSON object")
-    for key, (kind, ok) in _MANIFEST_TRAIN.items():
-        if key in train and not ok(train[key]):
-            raise FormatError(f"{path}: manifest 'train' field {key!r} must be {kind}")
+        raise FormatError(f"{where} 'train' must be a JSON object")
+    for key, (what, ok) in _MANIFEST_TRAIN.items():
+        if key in train:
+            require_field(train, key, what, ok, f"{where} 'train'")
     return manifest

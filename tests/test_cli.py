@@ -7,9 +7,11 @@ import pytest
 
 from latentcf import cli, models
 from latentcf.cli import build_parser, main
+from latentcf.container import write_container
 from latentcf.datasets import generate, load_dataset
 from latentcf.engine import read_results_jsonl
 from latentcf.metrics import benchmark_recipe
+from test_models import malformed_checkpoints, write_malformed
 
 
 @pytest.fixture(scope="module")
@@ -236,31 +238,39 @@ class TestBench:
         assert "error:" in capsys.readouterr().err
 
 
+PATH_KEYS = ("dataset", "target", "discriminator", "generative")
+
+
+def absolute_manifest(workspace):
+    """The workspace manifest with every path made absolute."""
+    manifest = json.loads(workspace["manifest"].read_text())
+    base = workspace["manifest"].parent
+    for key in PATH_KEYS:
+        manifest[key] = str((base / manifest[key]).resolve())
+    return manifest
+
+
+def user_error(capsys, argv):
+    """Run the CLI, assert exit 1 with one error line and no traceback, and
+    return that stderr."""
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    return err
+
+
 class TestManifestErrors:
     """A malformed manifest ends in exit 1 and an error line, never a traceback."""
-
-    PATH_KEYS = ("dataset", "target", "discriminator", "generative")
-
-    def manifest_like(self, workspace):
-        """The workspace manifest with every path made absolute."""
-        manifest = json.loads(workspace["manifest"].read_text())
-        base = workspace["manifest"].parent
-        for key in self.PATH_KEYS:
-            manifest[key] = str((base / manifest[key]).resolve())
-        return manifest
 
     def explain_with(self, tmp_path, capsys, content):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(content))
-        rc = main(["explain", "--manifest", str(path), "--query-index", "0"])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith("error:") and "Traceback" not in err
-        return err
+        return user_error(capsys, ["explain", "--manifest", str(path), "--query-index", "0"])
 
     def test_well_formed_manifest_passes(self, workspace, tmp_path, capsys):
         path = tmp_path / "m.json"
-        path.write_text(json.dumps(self.manifest_like(workspace)))
+        path.write_text(json.dumps(absolute_manifest(workspace)))
         assert main(["explain", "--manifest", str(path), "--query-index", "0"]) == 0
 
     @pytest.mark.parametrize("content", [[1, 2], "manifest", 5, None])
@@ -269,20 +279,20 @@ class TestManifestErrors:
 
     @pytest.mark.parametrize("key", PATH_KEYS)
     def test_path_key_missing(self, workspace, tmp_path, capsys, key):
-        manifest = self.manifest_like(workspace)
+        manifest = absolute_manifest(workspace)
         del manifest[key]
         assert repr(key) in self.explain_with(tmp_path, capsys, manifest)
 
     @pytest.mark.parametrize("value", [5, None, ["data.lcfc"], {"path": "data.lcfc"}, True])
     @pytest.mark.parametrize("key", PATH_KEYS)
     def test_path_key_not_a_string(self, workspace, tmp_path, capsys, key, value):
-        manifest = self.manifest_like(workspace)
+        manifest = absolute_manifest(workspace)
         manifest[key] = value
         assert repr(key) in self.explain_with(tmp_path, capsys, manifest)
 
     @pytest.mark.parametrize("value", [[30], "epochs=30", 30, None])
     def test_train_not_an_object(self, workspace, tmp_path, capsys, value):
-        manifest = self.manifest_like(workspace)
+        manifest = absolute_manifest(workspace)
         manifest["train"] = value
         assert "'train'" in self.explain_with(tmp_path, capsys, manifest)
 
@@ -302,12 +312,12 @@ class TestManifestErrors:
         ],
     )
     def test_train_field_of_the_wrong_type(self, workspace, tmp_path, capsys, key, value):
-        manifest = self.manifest_like(workspace)
+        manifest = absolute_manifest(workspace)
         manifest["train"][key] = value
         assert repr(key) in self.explain_with(tmp_path, capsys, manifest)
 
     def test_augment_compare_rejects_a_bad_train_field(self, workspace, tmp_path, capsys):
-        manifest = self.manifest_like(workspace)
+        manifest = absolute_manifest(workspace)
         manifest["train"]["epochs"] = "forty"
         path = tmp_path / "m.json"
         path.write_text(json.dumps(manifest))
@@ -318,7 +328,7 @@ class TestManifestErrors:
         assert err.startswith("error:") and "'epochs'" in err
 
     def test_train_section_is_optional(self, workspace, tmp_path, capsys):
-        manifest = self.manifest_like(workspace)
+        manifest = absolute_manifest(workspace)
         del manifest["train"]
         path = tmp_path / "m.json"
         path.write_text(json.dumps(manifest))
@@ -537,3 +547,132 @@ class TestParser:
             120, None, None, None)
         assert load_dataset(small).instances.shape == (150, 10)
         assert load_dataset(plain).instances.shape == (120, 32)
+
+
+class TestInputErrors:
+    """Malformed checkpoints, results, instance files and datasets, and paths
+    through a regular file, each end in exit 1 and one error line."""
+
+    MANIFEST_KEY = {
+        "target-model": "target",
+        "discriminator": "discriminator",
+        "generative-model": "generative",
+    }
+
+    @pytest.mark.parametrize("kind, edit", malformed_checkpoints())
+    def test_malformed_checkpoint(self, workspace, tmp_path, capsys, kind, edit):
+        manifest = absolute_manifest(workspace)
+        key = self.MANIFEST_KEY[kind]
+        bad = tmp_path / "bad.lcfc"
+        write_malformed(manifest[key], bad, edit)
+        manifest[key] = str(bad)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        err = user_error(capsys, ["explain", "--manifest", str(path), "--query-index", "0"])
+        assert "bad.lcfc" in err
+
+    @pytest.fixture(scope="class")
+    def record(self, workspace, tmp_path_factory):
+        """One well-formed result record, as a dict."""
+        path = tmp_path_factory.mktemp("record") / "r.jsonl"
+        assert main(["explain", "--manifest", str(workspace["manifest"]),
+                     "--query-index", "201", "--max-iters", "20", "--out", str(path)]) == 0
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda r: [1], "must be a JSON object"),
+            (lambda r: "result", "must be a JSON object"),
+            (lambda r: {"method": "x"}, "no 'flipped' field"),
+            (lambda r: {"sample": [1], "code": "x"}, "no 'method' field"),
+            (lambda r: {k: v for k, v in r.items() if k != "loss_trace"}, "no 'loss_trace'"),
+            (lambda r: {**r, "code": "x"}, "'code' must be an array of numbers"),
+            (lambda r: {**r, "sample": [1.0, "x"]}, "'sample' must be an array of numbers"),
+            (lambda r: {**r, "attributes": [[1.0, 0.0]]}, "'attributes' must be an array"),
+            (lambda r: {**r, "flipped": 1}, "'flipped' must be a boolean"),
+            (lambda r: {**r, "iterations": True}, "'iterations' must be an integer"),
+            (lambda r: {**r, "method": None}, "'method' must be a string"),
+            (lambda r: {**r, "loss_trace": [[1.0], "x"]}, "'loss_trace' must be"),
+            (lambda r: {**r, "origin_attributes": [0.0]}, "differ in length"),
+        ],
+    )
+    def test_malformed_results_line(self, record, tmp_path, capsys, edit, message):
+        path = tmp_path / "r.jsonl"
+        path.write_text(json.dumps(record) + "\n\n" + json.dumps(edit(record)) + "\n")
+        err = user_error(capsys, ["rank", "--results", str(path)])
+        assert "r.jsonl:3: " in err and message in err
+
+    def test_results_with_different_attribute_counts(self, record, tmp_path, capsys):
+        longer = {**record, "attributes": record["attributes"] + [1.0],
+                  "origin_attributes": record["origin_attributes"] + [0.0]}
+        path = tmp_path / "r.jsonl"
+        path.write_text("".join(json.dumps({**r, "flipped": True}) + "\n" for r in (record, longer)))
+        assert "number of attributes" in user_error(capsys, ["rank", "--results", str(path)])
+
+    @pytest.mark.parametrize("read_as", ["manifest", "instance-file"])
+    def test_file_that_is_not_utf8(self, workspace, tmp_path, capsys, read_as):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"instance": "\xe9"}')
+        if read_as == "manifest":
+            argv = ["explain", "--manifest", str(path), "--query-index", "0"]
+        else:
+            argv = ["explain", "--manifest", str(workspace["manifest"]), "--instance-file", str(path)]
+        user_error(capsys, argv)
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            (5, "JSON object"),
+            (["instance"], "JSON object"),
+            ({"attributes": [1.0, 0.0]}, "'instance' field"),
+            ({"instance": "abc"}, "'instance' must be an array of numbers"),
+            ({"instance": [1.0] * 11 + ["x"]}, "'instance' must be an array of numbers"),
+            ({"instance": [1.0] * 11 + [True]}, "'instance' must be an array of numbers"),
+            ({"instance": [[1.0] * 12]}, "'instance' must be an array of numbers"),
+            ({"instance": [1.0] * 12, "attributes": "10"}, "'attributes' must be an array"),
+            ({"instance": [1.0] * 12, "attributes": [1, None]}, "'attributes' must be an array"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["explain", "rank"])
+    def test_malformed_instance_file(self, workspace, tmp_path, capsys, command, payload, message):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(payload))
+        err = user_error(capsys, [command, "--manifest", str(workspace["manifest"]),
+                                  "--instance-file", str(path)])
+        assert message in err
+
+    def test_dataset_without_an_array(self, workspace, tmp_path, capsys):
+        ds = load_dataset(workspace["data"])
+        bad = tmp_path / "bad.lcfc"
+        write_container(bad, kind="dataset", meta=ds.metadata,
+                        arrays={"instances": ds.instances, "labels": ds.labels, "split": ds.split})
+        err = user_error(capsys, ["train", "--data", str(bad), "--out-dir", str(tmp_path / "a")])
+        assert "'attributes'" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-data", "--out", "{file}/x.lcfc"],
+            ["explain", "--manifest", "{file}/m.json", "--query-index", "0"],
+            ["rank", "--config", "{file}/c.ini", "--results", "r.jsonl"],
+        ],
+        ids=["gen-data-out", "explain-manifest", "rank-config"],
+    )
+    def test_path_through_a_regular_file(self, workspace, capsys, argv):
+        # Each path runs through the dataset file as if it were a directory.
+        user_error(capsys, [a.format(file=workspace["data"]) for a in argv])
+
+    @pytest.mark.parametrize("command", ["bench", "rank", "sweep"])
+    def test_negative_query_count(self, workspace, capsys, command):
+        err = user_error(capsys, [command, "--manifest", str(workspace["manifest"]),
+                                  "--queries", "-1"])
+        assert "at least one query" in err
+
+    def test_a_key_error_in_a_command_is_a_bug(self, monkeypatch):
+        def broken(args):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli, "cmd_rank", broken)
+        with pytest.raises(KeyError, match="internal"):
+            main(["rank"])

@@ -158,6 +158,15 @@ class TestBlobs:
         spec = blob_spec(label_echo=0.9, style_leak=0.2, label_attributes=(0, 1))
         assert spec_from_dict(spec_to_dict(spec)) == spec
 
+    def test_spec_dict_names_every_field_as_json(self):
+        spec = blob_spec(label_attributes=(0, 2))
+        assert spec_to_dict(spec) == {
+            "generator": "blobs", "n_features": 16, "n_attributes": 4, "n_samples": 200,
+            "seed": 0, "n_classes": 2, "noise": 0.0, "shift": 2.0, "margin": 1.0,
+            "n_styles": 4, "style_leak": 0.0, "label_echo": 0.0, "label_attributes": [0, 2],
+            "attribute_prob": 0.5, "train_frac": 0.6, "dev_frac": 0.2,
+        }
+
 
 class TestGlyphs:
     def glyph(self, **overrides):
@@ -285,6 +294,36 @@ class TestSaveLoad:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(FormatError):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("missing", ["instances", "attributes", "labels", "split"])
+    def test_missing_array_rejected(self, tmp_path, missing):
+        ds = generate(blob_spec())
+        path = tmp_path / "ds.lcfc"
+        arrays = {name: getattr(ds, name) for name in ("instances", "attributes", "labels", "split")}
+        del arrays[missing]
+        write_container(path, kind="dataset", meta=ds.metadata, arrays=arrays)
+        with pytest.raises(FormatError, match=f"no {missing!r} array"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("meta", [[1, 2], "spec", None])
+    def test_meta_must_be_an_object(self, tmp_path, meta):
+        ds = generate(blob_spec())
+        path = tmp_path / "ds.lcfc"
+        arrays = {name: getattr(ds, name) for name in ("instances", "attributes", "labels", "split")}
+        write_container(path, kind="dataset", meta=meta, arrays=arrays)
+        with pytest.raises(FormatError, match="meta must be a JSON object"):
+            load_dataset(path)
+
+    def test_fractional_split_tags_are_not_truncated(self, tmp_path):
+        ds = generate(blob_spec())
+        path = tmp_path / "ds.lcfc"
+        split = ds.split.astype(np.float64)
+        split[0] = 0.5
+        arrays = {"instances": ds.instances, "attributes": ds.attributes, "labels": ds.labels,
+                  "split": split}
+        write_container(path, kind="dataset", meta=ds.metadata, arrays=arrays)
+        with pytest.raises(ConfigurationError, match="split tags"):
             load_dataset(path)
 
     def test_future_version_rejected(self, tmp_path):

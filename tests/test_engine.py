@@ -21,7 +21,7 @@ from latentcf.engine import (
     write_pgm,
     write_results_jsonl,
 )
-from latentcf.errors import ConfigurationError, InvariantViolation
+from latentcf.errors import ConfigurationError, FormatError, InvariantViolation
 from latentcf.models import (
     Discriminator,
     GenerativeConfig,
@@ -537,6 +537,22 @@ class TestResultPersistence:
             assert rt.method == orig.method
             assert rt.query_index == orig.query_index
             assert rt.loss_trace == [tuple(e) for e in orig.loss_trace]
+
+    def test_malformed_jsonl_line_is_named(self, target, gen, dataset, tmp_path):
+        x0, a0 = first_query(dataset, target)
+        result = latent_descent(target, gen, x0, a0, PerturbConfig.text_defaults(desired=1))
+        path = tmp_path / "results.jsonl"
+        write_results_jsonl(path, [result])
+        good = path.read_text()
+        for bad, message in [
+            ("[1]", "must be a JSON object"),
+            ('{"method": "x"}', "no 'flipped' field"),
+            ('{"sample": [1], "code": "x"}', "no 'method' field"),
+            (good.replace('"flipped": ', '"flipped": "yes", "was": '), "'flipped' must be"),
+        ]:
+            path.write_text(good + bad + "\n")
+            with pytest.raises(FormatError, match=f"results.jsonl:2: .*{message}"):
+                read_results_jsonl(path)
 
     def test_pgm_output_is_exact(self, tmp_path):
         path = tmp_path / "img.pgm"

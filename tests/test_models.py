@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from latentcf.container import read_container, write_container
 from latentcf.datasets import AttributedDataset, SynthSpec, generate
 from latentcf.errors import (
     ConfigurationError,
@@ -275,3 +276,156 @@ class TestCheckpoints:
         save_target(p1, target)
         save_target(p2, target)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+# The checkpoint layout that bench/reference.py reads independently: the
+# meta keys and, for one hidden layer, the array names of each kind.
+CHECKPOINT_LAYOUT = {
+    "target-model": (
+        ["activations", "dev_accuracy", "loss_history", "test_accuracy", "train_accuracy"],
+        ["w0", "b0", "w1", "b1"],
+    ),
+    "discriminator": (["activations", "attribute_accuracy"], ["w0", "b0", "w1", "b1"]),
+    "generative-model": (
+        [
+            "attribute_consistency",
+            "attribute_dim",
+            "decoder_activations",
+            "encoder_activations",
+            "final_recon_error",
+            "latent_dim",
+            "loss_history",
+        ],
+        ["enc_w0", "enc_b0", "enc_w1", "enc_b1", "dec_w0", "dec_b0", "dec_w1", "dec_b1"],
+    ),
+}
+
+CHECKPOINT_IO = {
+    "target-model": (save_target, load_target),
+    "discriminator": (save_discriminator, load_discriminator),
+    "generative-model": (save_generative, load_generative),
+}
+
+# JSON values each annotation refuses; True stands for "a bool is not a number".
+_NOT_A_NUMBER = ["0.9", True, None, [0.9]]
+_NOT_AN_INT = [8.0, True, "8", None]
+_NOT_A_LIST = ["0.5", 0.5, {"0": 0.5}, None]
+_NOT_ACTIVATIONS = ["tanh", ["tanh", 3], None, {"0": "tanh"}]
+
+CHECKPOINT_META_REFUSES = {
+    "target-model": {
+        "activations": _NOT_ACTIVATIONS,
+        "train_accuracy": _NOT_A_NUMBER,
+        "dev_accuracy": _NOT_A_NUMBER,
+        "test_accuracy": _NOT_A_NUMBER,
+        "loss_history": _NOT_A_LIST,
+    },
+    "discriminator": {"activations": _NOT_ACTIVATIONS, "attribute_accuracy": _NOT_A_LIST},
+    "generative-model": {
+        "encoder_activations": _NOT_ACTIVATIONS,
+        "decoder_activations": _NOT_ACTIVATIONS,
+        "latent_dim": _NOT_AN_INT,
+        "attribute_dim": _NOT_AN_INT,
+        "final_recon_error": _NOT_A_NUMBER,
+        "attribute_consistency": _NOT_A_NUMBER,
+        "loss_history": _NOT_A_LIST,
+    },
+}
+
+
+def _without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+def malformed_checkpoints():
+    """pytest params (kind, edit) for every malformation a checkpoint load
+    must refuse; edit(meta, arrays) returns the malformed (meta, arrays)."""
+    cases = []
+    for kind, refuses in CHECKPOINT_META_REFUSES.items():
+        w1 = "enc_w1" if kind == "generative-model" else "w1"
+        cases.append(pytest.param(kind, lambda m, a: (list(m), a), id=f"{kind}-meta-is-a-list"))
+        cases.append(
+            pytest.param(kind, lambda m, a, w1=w1: (m, _without(a, w1)), id=f"{kind}-no-{w1}")
+        )
+        for key, values in refuses.items():
+            cases.append(
+                pytest.param(
+                    kind, lambda m, a, key=key: (_without(m, key), a), id=f"{kind}-no-{key}"
+                )
+            )
+            cases.extend(
+                pytest.param(
+                    kind,
+                    lambda m, a, key=key, value=value: ({**m, key: value}, a),
+                    id=f"{kind}-{key}={value!r}",
+                )
+                for value in values
+            )
+    # Sizes that still sum to the decoder input, but split it at the wrong index.
+    cases.append(
+        pytest.param(
+            "generative-model",
+            lambda m, a: ({**m, "latent_dim": m["latent_dim"] + 1,
+                           "attribute_dim": m["attribute_dim"] - 1}, a),
+            id="generative-model-latent_dim-shifted",
+        )
+    )
+    cases.append(
+        pytest.param(
+            "generative-model",
+            lambda m, a: ({**m, "attribute_dim": m["attribute_dim"] + 1}, a),
+            id="generative-model-attribute_dim-too-large",
+        )
+    )
+    return cases
+
+
+def write_malformed(source, dest, edit):
+    kind, meta, arrays = read_container(source)
+    meta, arrays = edit(meta, arrays)
+    write_container(dest, kind=kind, meta=meta, arrays=arrays)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_paths(tmp_path_factory, target, disc, gen):
+    root = tmp_path_factory.mktemp("checkpoints")
+    paths = {}
+    for kind, model in (("target-model", target), ("discriminator", disc), ("generative-model", gen)):
+        paths[kind] = root / f"{kind}.lcfc"
+        CHECKPOINT_IO[kind][0](paths[kind], model)
+    return paths
+
+
+class TestCheckpointCodec:
+    @pytest.mark.parametrize("kind", sorted(CHECKPOINT_LAYOUT))
+    def test_layout_is_pinned(self, checkpoint_paths, kind):
+        stored_kind, meta, arrays = read_container(checkpoint_paths[kind])
+        assert stored_kind == kind
+        assert sorted(meta) == CHECKPOINT_LAYOUT[kind][0]
+        assert list(arrays) == CHECKPOINT_LAYOUT[kind][1]
+
+    @pytest.mark.parametrize("kind", sorted(CHECKPOINT_LAYOUT))
+    def test_round_trip_keeps_every_field(self, checkpoint_paths, kind):
+        model = CHECKPOINT_IO[kind][1](checkpoint_paths[kind])
+        _, meta, _ = read_container(checkpoint_paths[kind])
+        for key, value in meta.items():
+            if not key.endswith("activations"):
+                assert getattr(model, key) == value
+
+    @pytest.mark.parametrize("kind, edit", malformed_checkpoints())
+    def test_malformed_checkpoint_is_a_format_error(self, checkpoint_paths, tmp_path, kind, edit):
+        bad = tmp_path / "bad.lcfc"
+        write_malformed(checkpoint_paths[kind], bad, edit)
+        with pytest.raises(FormatError, match="bad.lcfc"):
+            CHECKPOINT_IO[kind][1](bad)
+
+    def test_errors_name_the_field(self, checkpoint_paths, tmp_path):
+        bad = tmp_path / "bad.lcfc"
+        write_malformed(
+            checkpoint_paths["generative-model"], bad, lambda m, a: ({**m, "latent_dim": True}, a)
+        )
+        with pytest.raises(FormatError, match="'latent_dim' must be an integer"):
+            load_generative(bad)
+        write_malformed(checkpoint_paths["target-model"], bad, lambda m, a: (m, _without(a, "b1")))
+        with pytest.raises(FormatError, match="no array 'b1'"):
+            load_target(bad)
