@@ -6,7 +6,9 @@ weighted distance term anchoring the point to its encoding of the original
 instance. Both the latent code and the attribute vector move, each with its
 own geometrically decaying step size, and the classifier plus the
 autoencoder stay frozen throughout (checked against an exact parameter
-snapshot taken before each search).
+snapshot taken before each search). Shapes are checked once per search;
+each evaluation then runs ``nn``'s bare layer kernels, still checking every
+output and input gradient finite.
 
 Three baselines share the result type so they can run under one benchmark
 harness. The random-direction walk runs the very loop the gradient search
@@ -27,9 +29,14 @@ from math import isqrt
 import numpy as np
 
 from .container import is_int, is_number_list, require_field
-from .errors import ConfigurationError, FormatError, InvariantViolation
+from .errors import (
+    ConfigurationError, DimensionError, FormatError, InvariantViolation, NumericalError,
+)
 from .models import LatentPoint, encode
-from .nn import cross_entropy, forward, forward_trace, l2_distance, vjp
+from .nn import (
+    PROB_FLOOR, _check_finite, _clamp_probabilities, _pull_back, _trace_layers, cross_entropy,
+    forward, forward_trace, l2_distance, vjp,
+)
 
 
 @dataclass
@@ -135,37 +142,83 @@ def step_size(initial, decay, n):
     return initial * decay**n
 
 
-def _evaluate(target, gen, point, origin, desired, distance_weight):
-    """The objective at a latent point, and a function for its gradients.
+def _latent_vector(gen, point, what):
+    """point as one fresh float64 vector [code, attributes], its widths
+    checked against the generative model's."""
+    code = np.asarray(point.code, dtype=np.float64)
+    attributes = np.asarray(point.attributes, dtype=np.float64)
+    if code.shape != (gen.latent_dim,) or attributes.shape != (gen.attribute_dim,):
+        raise DimensionError(
+            f"{what} code {code.shape} and attributes {attributes.shape}, expected "
+            f"({gen.latent_dim},) and ({gen.attribute_dim},)"
+        )
+    return np.concatenate([code, attributes])
 
-    Decoder and classifier each run once, traced; the returned function
-    pulls the loss back through those traces to the code and the attribute
-    vector, with input-only VJPs, so a caller that stops here pays for no
-    backward sweep.
+
+def _objective(target, gen, origin, desired, distance_weight):
+    """The search objective around one origin, its shapes checked once.
+
+    Returns (evaluate, u0), u0 being the origin as one vector [code,
+    attributes] that the caller must not write to. ``evaluate(u)``, for a
+    float64 vector of u0's shape, runs decoder and classifier once on the
+    bare layer kernels, checks both outputs finite, and returns (total,
+    prediction term, distance term, probabilities, sample, grads); grads()
+    pulls the loss back, input only and checked finite, to (code_grad,
+    attr_grad), so a caller that stops at the value pays for no backward.
     """
-    u = np.concatenate([point.code, point.attributes])
-    sample, dec_trace = forward_trace(gen.decoder, u)
-    probs, target_trace = forward_trace(target.network, sample)
+    dec_layers, tgt_layers = gen.decoder.layers, target.network.layers
+    k = gen.latent_dim
+    u0 = _latent_vector(gen, origin, "origin")
+    if u0.size != gen.decoder.input_dim or gen.decoder.output_dim != target.network.input_dim:
+        raise DimensionError(
+            f"a {u0.size}-entry latent point, decoder [{gen.decoder.input_dim} -> "
+            f"{gen.decoder.output_dim}] and classifier input {target.network.input_dim} "
+            "do not chain"
+        )
     onehot = np.zeros(target.network.output_dim)
     onehot[desired] = 1.0
-    pred_term, g_probs = cross_entropy(probs, onehot)
-    code_dist, g_code_dist = l2_distance(point.code, origin.code)
-    attr_dist, g_attr_dist = l2_distance(point.attributes, origin.attributes)
-    dist_term = code_dist + attr_dist
-    loss = CounterfactualLoss(
-        pred_term + distance_weight * dist_term, pred_term, dist_term, probs, sample
-    )
 
-    def grads():
-        g_sample = vjp(target.network, target_trace, g_probs, with_params=False).input_grad
-        g_u = vjp(gen.decoder, dec_trace, g_sample, with_params=False).input_grad
-        k = gen.latent_dim
-        return (
-            g_u[:k] + distance_weight * g_code_dist,
-            g_u[k:] + distance_weight * g_attr_dist,
-        )
+    def evaluate(u):
+        samples, dec_records = _trace_layers(dec_layers, u[None, :])
+        _check_finite(samples, "forward output")
+        probs, tgt_records = _trace_layers(tgt_layers, samples)
+        _check_finite(probs, "forward output")
+        probs = probs[0]
+        clamped = _clamp_probabilities(probs)
+        pred_term = float(-(onehot * np.log(clamped)).sum())
+        diff = u - u0
+        code_diff, attr_diff = diff[:k], diff[k:]
+        code_dist, attr_dist = _norm(code_diff), _norm(attr_diff)
+        dist_term = code_dist + attr_dist
 
-    return loss, grads
+        def grads():
+            # nn.cross_entropy's gradient: flat outside the clamp.
+            g = -onehot / clamped
+            g[(probs < PROB_FLOOR) | (probs > 1.0 - PROB_FLOOR)] = 0.0
+            g = _pull_back(tgt_layers, tgt_records, g[None, :], False, True)[1]
+            _check_finite(g, "input gradient")
+            g = _pull_back(dec_layers, dec_records, g, False, True)[1]
+            _check_finite(g, "input gradient")
+            g = g[0]
+            return (
+                g[:k] + distance_weight * _unit(code_diff, code_dist),
+                g[k:] + distance_weight * _unit(attr_diff, attr_dist),
+            )
+
+        return (pred_term + distance_weight * dist_term, pred_term, dist_term, probs,
+                samples[0], grads)
+
+    return evaluate, u0
+
+
+def _norm(diff):
+    # nn.l2_distance's value, from a difference already taken.
+    return float(np.sqrt((diff * diff).sum()))
+
+
+def _unit(diff, dist):
+    # nn.l2_distance's gradient: the zero vector at zero distance.
+    return diff / dist if dist != 0.0 else np.zeros(diff.shape)
 
 
 def counterfactual_loss(target, gen, point, origin, desired, distance_weight, with_grads=True):
@@ -177,7 +230,11 @@ def counterfactual_loss(target, gen, point, origin, desired, distance_weight, wi
     scaled by distance_weight. Gradients chain through the classifier and
     the decoder back to the code and the attribute vector.
     """
-    loss, grads = _evaluate(target, gen, point, origin, desired, distance_weight)
+    evaluate, _ = _objective(target, gen, origin, desired, distance_weight)
+    total, pred_term, dist_term, probs, sample, grads = evaluate(
+        _latent_vector(gen, point, "point")
+    )
+    loss = CounterfactualLoss(total, pred_term, dist_term, probs, sample)
     if with_grads:
         loss.code_grad, loss.attr_grad = grads()
     return loss
@@ -229,26 +286,30 @@ def _check_frozen(before, target, gen, method):
 def _latent_walk(target, gen, x0, a0, config, method, query_index, step):
     """The loop of both latent searches: evaluate, stop, else step(point, n,
     grads) moves the point in place, where grads() is the evaluation's
-    lazy backward to the code and the attribute vector."""
+    lazy backward to the code and the attribute vector. The iterate is one
+    [code, attributes] buffer; point.code and point.attributes are views
+    into it, so a step moves what the next evaluation reads."""
     config.validate()
     desired = _require_desired(target, config)
     frozen = _frozen_snapshot(target, gen)
     t0 = time.perf_counter_ns()
     origin = encode(gen, x0, a0)
-    point = origin.copy()
+    evaluate, u0 = _objective(target, gen, origin, desired, config.distance_weight)
+    u = u0.copy()
+    point = LatentPoint(u[: gen.latent_dim], u[gen.latent_dim :])
     trace = []
     n = 0
     while True:
-        loss, grads = _evaluate(target, gen, point, origin, desired, config.distance_weight)
-        trace.append((loss.total, loss.prediction_term, loss.distance_term))
-        if int(np.argmax(loss.probabilities)) == desired or n >= config.max_iters:
+        total, pred_term, dist_term, probs, sample, grads = evaluate(u)
+        trace.append((total, pred_term, dist_term))
+        predicted = int(probs.argmax())
+        if predicted == desired or n >= config.max_iters:
             break
         step(point, n, grads)
         n += 1
     elapsed = _micros_since(t0)
-    predicted = int(np.argmax(loss.probabilities))
     result = CounterfactualResult(
-        sample=loss.sample,
+        sample=sample,
         latent=point,
         origin=origin,
         flipped=predicted == desired,
@@ -533,11 +594,19 @@ def read_results_jsonl(path):
 
 
 def write_pgm(path, flat, lo=0.0, hi=1.0):
-    """Dump a square instance as an ASCII PGM image for quick inspection."""
+    """Dump a square instance as an ASCII PGM image for quick inspection.
+
+    Values map linearly from [lo, hi] to grey levels 0-255, clipped; the
+    range must be finite with lo < hi, and every value finite.
+    """
     flat = np.asarray(flat, dtype=np.float64)
     side = isqrt(flat.size)
     if side * side != flat.size:
         raise ConfigurationError(f"instance of length {flat.size} is not square")
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+        raise ConfigurationError(f"grey range must be finite with lo < hi, got [{lo}, {hi}]")
+    if not np.isfinite(flat).all():
+        raise NumericalError("non-finite values in a PGM instance")
     levels = np.clip((flat - lo) / (hi - lo), 0.0, 1.0)
     pixels = np.round(levels * 255).astype(int).reshape(side, side)
     with open(path, "w", encoding="ascii") as fh:

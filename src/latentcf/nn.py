@@ -7,6 +7,11 @@ list of layers, :func:`forward_trace` keeps each layer's activations, and
 :func:`vjp` is a hand-rolled chain-rule sweep over that trace, which keeps
 every gradient auditable against finite differences.
 
+Each loop lives once, in a private batch kernel that checks nothing
+(``_trace_layers`` forward, ``_pull_back`` in reverse); :func:`forward_trace`
+and :func:`vjp` wrap them with the shape and finite checks, and the latent
+search calls the kernels directly after checking its shapes once.
+
 Shapes follow the convention weights[out, in], bias[out]. Inputs may be a
 single vector [d] or a batch [n, d]; outputs mirror that choice. Parameter
 gradients are summed over the batch dimension.
@@ -163,9 +168,9 @@ def _apply_activation(name, pre):
         np.divide(1.0, den, out=out, where=pre >= 0)
         return out
     if name == "softmax":
-        shifted = pre - pre.max(axis=1, keepdims=True)
-        ex = np.exp(shifted)
-        return ex / ex.sum(axis=1, keepdims=True)
+        # The ufunc reductions ndarray.max and .sum call, without their wrappers.
+        ex = np.exp(pre - np.maximum.reduce(pre, axis=1, keepdims=True))
+        return ex / np.add.reduce(ex, axis=1, keepdims=True)
     raise ConfigurationError(f"unknown activation {name!r}")
 
 
@@ -181,7 +186,7 @@ def _activation_vjp(name, pre, post, grad):
         return grad * post * (1.0 - post)
     if name == "softmax":
         # Row-wise Jacobian-vector product: p * (g - <g, p>).
-        inner = (grad * post).sum(axis=1, keepdims=True)
+        inner = np.add.reduce(grad * post, axis=1, keepdims=True)
         return post * (grad - inner)
     raise ConfigurationError(f"unknown activation {name!r}")
 
@@ -200,6 +205,36 @@ def _check_finite(arr, what):
         raise NumericalError(f"non-finite values in {what}")
 
 
+def _trace_layers(layers, batch):
+    """The forward loop over a float64 batch [n, d] of the first layer's
+    width: (output batch, one (input, pre-activation, output) per layer)."""
+    records = []
+    h = batch
+    for layer in layers:
+        pre = h @ layer.weights.T
+        pre += layer.bias
+        post = _apply_activation(layer.activation, pre)
+        records.append((h, pre, post))
+        h = post
+    return h, records
+
+
+def _pull_back(layers, records, grad, with_params, with_input):
+    """The reverse loop over _trace_layers' records from an output-gradient
+    batch of the output's shape: (param_grads, input_grad), None if off."""
+    param_grads = [None] * len(layers) if with_params else None
+    for i in range(len(layers) - 1, -1, -1):
+        layer = layers[i]
+        h_in, pre, post = records[i]
+        d_pre = _activation_vjp(layer.activation, pre, post, grad)
+        if with_params:
+            param_grads[i] = (d_pre.T @ h_in, d_pre.sum(axis=0))
+        if i == 0 and not with_input:
+            return param_grads, None
+        grad = d_pre @ layer.weights
+    return param_grads, grad
+
+
 def forward_trace(net, x):
     """Evaluate the network on a vector [d] or batch [n, d], keeping a trace.
 
@@ -208,15 +243,9 @@ def forward_trace(net, x):
     through this evaluation without running the network again.
     """
     batch, single = _as_batch(x, net.input_dim, "input")
-    layers = []
-    h = batch
-    for layer in net.layers:
-        pre = h @ layer.weights.T + layer.bias
-        post = _apply_activation(layer.activation, pre)
-        layers.append((h, pre, post))
-        h = post
+    h, records = _trace_layers(net.layers, batch)
     _check_finite(h, "forward output")
-    return (h[0] if single else h), Trace(layers, single)
+    return (h[0] if single else h), Trace(records, single)
 
 
 def forward(net, x):
@@ -246,16 +275,9 @@ def vjp(net, trace, out_grad, with_params=True, with_input=True):
             f"output gradient has shape {out_grad.shape}, expected "
             f"{out_shape[1:] if trace.single else out_shape}"
         )
-    param_grads = [None] * len(net.layers) if with_params else None
-    for i in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[i]
-        h_in, pre, post = trace.layers[i]
-        d_pre = _activation_vjp(layer.activation, pre, post, grad)
-        if with_params:
-            param_grads[i] = (d_pre.T @ h_in, d_pre.sum(axis=0))
-        if i == 0 and not with_input:
-            return GradientTape(param_grads, None)
-        grad = d_pre @ layer.weights
+    param_grads, grad = _pull_back(net.layers, trace.layers, grad, with_params, with_input)
+    if grad is None:
+        return GradientTape(param_grads, None)
     _check_finite(grad, "input gradient")
     return GradientTape(param_grads, grad[0] if trace.single else grad)
 

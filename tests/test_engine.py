@@ -21,7 +21,13 @@ from latentcf.engine import (
     write_pgm,
     write_results_jsonl,
 )
-from latentcf.errors import ConfigurationError, FormatError, InvariantViolation
+from latentcf.errors import (
+    ConfigurationError,
+    DimensionError,
+    FormatError,
+    InvariantViolation,
+    NumericalError,
+)
 from latentcf.models import (
     Discriminator,
     GenerativeConfig,
@@ -35,7 +41,18 @@ from latentcf.models import (
     train_generative,
     train_target,
 )
-from latentcf.nn import DenseNetwork, Layer, backward, cross_entropy, forward, parameter_digest
+from latentcf.nn import (
+    DenseNetwork,
+    Layer,
+    backward,
+    build_network,
+    cross_entropy,
+    forward,
+    forward_trace,
+    l2_distance,
+    parameter_digest,
+    vjp,
+)
 
 
 def identity_gen(d):
@@ -312,22 +329,22 @@ class TestGradientWork:
     def test_one_trace_per_network_and_input_only_vjps(
         self, target, gen, dataset, monkeypatch, step, max_iters, flips
     ):
-        """Each evaluation traces decoder and target once; each step pulls
-        back through both traces without parameter gradients, and the final
-        evaluation pays no backward at all."""
+        """Each evaluation runs the forward kernel on decoder then target
+        once; each step pulls back through both records without parameter
+        gradients, and the final evaluation pays no backward at all."""
         traced, pulled = [], []
-        real_trace, real_vjp = engine.forward_trace, engine.vjp
+        real_trace, real_pull = engine._trace_layers, engine._pull_back
 
-        def counting_trace(net, x):
-            traced.append(net)
-            return real_trace(net, x)
+        def counting_trace(layers, batch):
+            traced.append(layers)
+            return real_trace(layers, batch)
 
-        def counting_vjp(net, trace, out_grad, with_params=True):
-            pulled.append((net, with_params))
-            return real_vjp(net, trace, out_grad, with_params=with_params)
+        def counting_pull(layers, records, grad, with_params, with_input):
+            pulled.append((layers, with_params, with_input))
+            return real_pull(layers, records, grad, with_params, with_input)
 
-        monkeypatch.setattr(engine, "forward_trace", counting_trace)
-        monkeypatch.setattr(engine, "vjp", counting_vjp)
+        monkeypatch.setattr(engine, "_trace_layers", counting_trace)
+        monkeypatch.setattr(engine, "_pull_back", counting_pull)
         x0, a0 = first_query(dataset, target)
         cfg = PerturbConfig.text_defaults(
             desired=1, code_step=step, attr_step=step, step_decay=1.0, max_iters=max_iters
@@ -336,8 +353,295 @@ class TestGradientWork:
         assert res.flipped == flips
         assert res.iterations >= 2
         evals = len(res.loss_trace)
-        assert traced == [gen.decoder, target.network] * evals
-        assert pulled == [(target.network, False), (gen.decoder, False)] * res.iterations
+        assert traced == [gen.decoder.layers, target.network.layers] * evals
+        assert pulled == [
+            (target.network.layers, False, True), (gen.decoder.layers, False, True)
+        ] * res.iterations
+
+
+# --- the parent formulation, from public nn functions only ------------------
+
+
+def reference_evaluate(target, gen, point, origin, desired, weight):
+    """The objective as a plain composition of forward_trace, cross_entropy,
+    l2_distance and vjp: (terms, probabilities, sample, grads)."""
+    u = np.concatenate([point.code, point.attributes])
+    sample, dec_trace = forward_trace(gen.decoder, u)
+    probs, target_trace = forward_trace(target.network, sample)
+    onehot = np.zeros(target.network.output_dim)
+    onehot[desired] = 1.0
+    pred, g_probs = cross_entropy(probs, onehot)
+    code_dist, g_code = l2_distance(point.code, origin.code)
+    attr_dist, g_attr = l2_distance(point.attributes, origin.attributes)
+    dist = code_dist + attr_dist
+
+    def grads():
+        g_sample = vjp(target.network, target_trace, g_probs, with_params=False).input_grad
+        g_u = vjp(gen.decoder, dec_trace, g_sample, with_params=False).input_grad
+        k = gen.latent_dim
+        return g_u[:k] + weight * g_code, g_u[k:] + weight * g_attr
+
+    return (pred + weight * dist, pred, dist), probs, sample, grads
+
+
+def reference_walk(target, gen, x0, a0, cfg, step):
+    """The latent search loop over reference_evaluate: (sample, point,
+    origin, loss trace, iterations, predicted class)."""
+    origin = encode(gen, x0, a0)
+    point = origin.copy()
+    trace, n = [], 0
+    while True:
+        terms, probs, sample, grads = reference_evaluate(
+            target, gen, point, origin, cfg.desired, cfg.distance_weight
+        )
+        trace.append(terms)
+        if int(np.argmax(probs)) == cfg.desired or n >= cfg.max_iters:
+            break
+        step(point, n, grads)
+        n += 1
+    return sample, point, origin, trace, n, int(np.argmax(probs))
+
+
+def reference_descent_step(cfg):
+    def step(point, n, grads):
+        code_grad, attr_grad = grads()
+        point.code = point.code - cfg.code_step * cfg.step_decay**n * code_grad
+        if cfg.optimize_attributes:
+            point.attributes = point.attributes - cfg.attr_step * cfg.step_decay**n * attr_grad
+
+    return step
+
+
+def reference_random_step(cfg, rng):
+    def step(point, n, grads):
+        k, t = point.code.size, point.attributes.size
+        v = rng.standard_normal(k + t)
+        v = v / np.sqrt((v * v).sum())
+        point.code = point.code + cfg.code_step * cfg.step_decay**n * v[:k]
+        point.attributes = point.attributes + cfg.attr_step * cfg.step_decay**n * v[k:]
+
+    return step
+
+
+def bits(*arrays):
+    return [(np.asarray(a).dtype, np.asarray(a).shape, np.asarray(a).tobytes()) for a in arrays]
+
+
+HIDDEN = ("identity", "relu", "tanh", "sigmoid")
+
+
+def small_stack(hidden, seed, saturate=False):
+    """A seeded 5-feature stack: encoder to a 3-dim code, decoder from the
+    code plus 2 attributes, and a 3-class softmax target, each with one
+    hidden layer of the given activation and random biases. saturate scales
+    the target's output layer until its probabilities sit at the clamp."""
+    rng = np.random.default_rng(seed)
+    d, k, t = 5, 3, 2
+
+    def net(dims, out):
+        built = build_network(dims, [hidden, out], rng)
+        for layer in built.layers:
+            layer.bias[:] = rng.uniform(-0.5, 0.5, layer.bias.shape)
+        return built
+
+    gen = GenerativeModel(
+        encoder=net([d, 4, k], "identity"),
+        decoder=net([k + t, 4, d], "identity"),
+        latent_dim=k,
+        attribute_dim=t,
+        final_recon_error=0.0,
+        attribute_consistency=1.0,
+    )
+    target_net = net([d, 4, 3], "softmax")
+    if saturate:
+        target_net.layers[-1].weights *= 1e4
+        target_net.layers[-1].bias *= 1e4
+    target = TargetModel(target_net, 1.0, 1.0, 1.0)
+    x0 = rng.uniform(-1.0, 1.0, d)
+    a0 = rng.integers(0, 2, t).astype(np.float64)
+    return target, gen, x0, a0
+
+
+STACKS = [(hidden, False) for hidden in HIDDEN] + [("tanh", True)]
+STACK_IDS = [f"{hidden}{'-saturated' if sat else ''}" for hidden, sat in STACKS]
+
+
+def walk_config(target, gen, x0, a0, **overrides):
+    recon = decode(gen, encode(gen, x0, a0))
+    predicted = int(np.argmax(forward(target.network, recon)))
+    fields = dict(distance_weight=0.3, code_step=0.4, attr_step=0.3, step_decay=0.97,
+                  max_iters=40, desired=(predicted + 1) % 3)
+    fields.update(overrides)
+    return PerturbConfig(**fields)
+
+
+class TestParityWithThePublicComposition:
+    """The searches and counterfactual_loss give the same bytes as the same
+    objective composed from the public, checked nn functions."""
+
+    @pytest.mark.parametrize("hidden, saturate", STACKS, ids=STACK_IDS)
+    @pytest.mark.parametrize("frozen", [False, True], ids=["descent", "descent-frozen"])
+    def test_latent_descent(self, hidden, saturate, frozen):
+        target, gen, x0, a0 = small_stack(hidden, HIDDEN.index(hidden), saturate)
+        cfg = walk_config(target, gen, x0, a0, optimize_attributes=not frozen)
+        res = latent_descent(target, gen, x0, a0, cfg)
+        sample, point, origin, trace, n, predicted = reference_walk(
+            target, gen, x0, a0, cfg, reference_descent_step(cfg)
+        )
+        assert res.iterations == n >= 1
+        assert (res.predicted_class, res.flipped) == (predicted, predicted == cfg.desired)
+        assert bits(res.sample, res.latent.code, res.latent.attributes, res.origin.code,
+                    res.origin.attributes, res.loss_trace) == bits(
+            sample, point.code, point.attributes, origin.code, origin.attributes, trace)
+
+    @pytest.mark.parametrize("hidden, saturate", STACKS, ids=STACK_IDS)
+    def test_latent_random_search(self, hidden, saturate):
+        target, gen, x0, a0 = small_stack(hidden, HIDDEN.index(hidden), saturate)
+        cfg = walk_config(target, gen, x0, a0)
+        res = latent_random_search(target, gen, x0, a0, cfg, rng=np.random.default_rng(3))
+        sample, point, origin, trace, n, predicted = reference_walk(
+            target, gen, x0, a0, cfg, reference_random_step(cfg, np.random.default_rng(3))
+        )
+        assert res.iterations == n >= 1
+        assert res.predicted_class == predicted
+        assert bits(res.sample, res.latent.code, res.latent.attributes, res.loss_trace) == bits(
+            sample, point.code, point.attributes, trace)
+
+    @pytest.mark.parametrize("hidden, saturate", STACKS, ids=STACK_IDS)
+    @pytest.mark.parametrize("where", ["origin", "code-only", "displaced"])
+    def test_counterfactual_loss(self, hidden, saturate, where):
+        target, gen, x0, a0 = small_stack(hidden, HIDDEN.index(hidden), saturate)
+        origin = encode(gen, x0, a0)
+        rng = np.random.default_rng(11)
+        point = origin.copy()
+        if where != "origin":
+            point.code = point.code + rng.normal(0.0, 0.5, point.code.shape)
+        if where == "displaced":
+            point.attributes = point.attributes + rng.normal(0.0, 0.5, point.attributes.shape)
+        for desired in range(3):
+            loss = counterfactual_loss(target, gen, point, origin, desired, 0.7)
+            (total, pred, dist), probs, sample, grads = reference_evaluate(
+                target, gen, point, origin, desired, 0.7
+            )
+            code_grad, attr_grad = grads()
+            assert bits(loss.total, loss.prediction_term, loss.distance_term) == bits(
+                total, pred, dist)
+            assert bits(loss.probabilities, loss.sample, loss.code_grad, loss.attr_grad) == bits(
+                probs, sample, code_grad, attr_grad)
+            if saturate:
+                # At the clamp the prediction term is flat.
+                assert not (0.0 < probs[desired] < 1.0)
+            if where == "origin":
+                assert loss.distance_term == 0.0
+
+    def test_length_mismatches_are_dimension_errors(self):
+        target, gen, x0, a0 = small_stack("tanh", 0)
+        origin = encode(gen, x0, a0)
+        code, attrs = origin.code, origin.attributes
+        for point in (
+            # The same total width as the decoder's input, split differently.
+            LatentPoint(np.append(code, 0.0), attrs[:-1]),
+            LatentPoint(code[:-1], np.append(attrs, 0.0)),
+            LatentPoint(code[:-1], attrs),
+            LatentPoint(code, np.append(attrs, 0.0)),
+        ):
+            with pytest.raises(DimensionError):
+                counterfactual_loss(target, gen, point, origin, 1, 0.7)
+
+    def test_consecutive_searches_share_no_memory(self):
+        target, gen, x0, a0 = small_stack("relu", 1)
+        cfg = walk_config(target, gen, x0, a0)
+        arrays = []
+        for _ in range(2):
+            res = latent_descent(target, gen, x0, a0, cfg)
+            arrays += [res.sample, res.latent.code, res.latent.attributes,
+                       res.origin.code, res.origin.attributes]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1 :]:
+                assert not np.shares_memory(a, b)
+
+
+def overflow_stack(kind):
+    """A 2-feature, 2-class stack with one attribute (0 at the query) whose
+    search overflows at a chosen place. The decoder's identity layers map
+    u = [c0, c1, a] to [c0, c1]; the target prefers class 0 without
+    saturating, so the descent takes a step with a non-zero gradient."""
+    eye = np.eye(2)
+    huge = 1e308
+    dec_weights = np.hstack([eye, np.zeros((2, 1))])
+    dec_layers, tgt_layers = [], []
+    tgt_weights, tgt_bias = np.array([[0.0, 0.0], [-0.5, -0.5]]), np.array([2.0, -2.0])
+    if kind == "decoder-output":
+        # -inf features, which the target's relu layer (all-ones weights,
+        # so no inf * 0) turns into zeros: only the decoder's own check
+        # sees the overflow.
+        dec_weights[:, :2] = -huge
+        tgt_layers = [Layer(np.ones((2, 2)), np.zeros(2), "relu")]
+    elif kind == "classifier-output":
+        tgt_weights = np.full((2, 2), huge)
+    elif kind == "decoder-pull-back":
+        # The attribute column adds nothing forward while a = 0 and
+        # overflows the reverse sweep; once a random step moves a, the
+        # second layer's gain overflows the forward pass.
+        dec_weights[:, 2] = huge
+        dec_layers = [Layer(10.0 * eye, np.zeros(2), "identity")]
+    elif kind == "classifier-pull-back":
+        # The decoder leaves feature 1 at 0, so its huge target column adds
+        # nothing forward and overflows the reverse sweep.
+        dec_weights[1] = 0.0
+        tgt_weights[:, 1] = [huge, -huge]
+    gen = GenerativeModel(
+        encoder=DenseNetwork([Layer(eye, np.zeros(2), "identity")]),
+        decoder=DenseNetwork([Layer(dec_weights, np.zeros(2), "identity")] + dec_layers),
+        latent_dim=2,
+        attribute_dim=1,
+        final_recon_error=0.0,
+        attribute_consistency=1.0,
+    )
+    target = TargetModel(
+        DenseNetwork(tgt_layers + [Layer(tgt_weights, tgt_bias, "softmax")]), 1.0, 1.0, 1.0
+    )
+    return target, gen, np.array([1.0, 1.0]), np.zeros(1)
+
+
+class TestNonFiniteSearch:
+    """Every finite check of a search step fires inside the search."""
+
+    @pytest.mark.parametrize(
+        "kind, descent_message",
+        [
+            ("decoder-output", "forward output"),
+            ("classifier-output", "forward output"),
+            ("decoder-pull-back", "input gradient"),
+        ],
+    )
+    def test_both_latent_searches_raise(self, kind, descent_message):
+        target, gen, x0, a0 = overflow_stack(kind)
+        cfg = PerturbConfig.text_defaults(desired=1, max_iters=50)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match=descent_message):
+                latent_descent(target, gen, x0, a0, cfg)
+            with pytest.raises(NumericalError, match="forward output"):
+                latent_random_search(target, gen, x0, a0, cfg, rng=np.random.default_rng(0))
+
+    def test_classifier_pull_back_overflow_is_caught(self):
+        target, gen, x0, a0 = overflow_stack("classifier-pull-back")
+        cfg = PerturbConfig.text_defaults(desired=1, max_iters=50)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="input gradient"):
+                latent_descent(target, gen, x0, a0, cfg)
+
+    def test_the_overflow_stacks_are_finite_without_the_overflow(self):
+        """With the huge weights scaled down, the same stacks search without
+        a NumericalError, so the errors above come from the overflow."""
+        for kind in ("decoder-output", "classifier-output", "decoder-pull-back",
+                     "classifier-pull-back"):
+            target, gen, x0, a0 = overflow_stack(kind)
+            for layer in target.network.layers + gen.decoder.layers:
+                layer.weights[np.abs(layer.weights) > 1e300] /= 1e306
+            cfg = PerturbConfig.text_defaults(desired=1, max_iters=5)
+            latent_descent(target, gen, x0, a0, cfg)
+            latent_random_search(target, gen, x0, a0, cfg, rng=np.random.default_rng(0))
 
 
 class TestRandomSearch:
@@ -562,6 +866,23 @@ class TestResultPersistence:
     def test_pgm_requires_square_length(self, tmp_path):
         with pytest.raises(ConfigurationError):
             write_pgm(tmp_path / "img.pgm", np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(0.5, 0.5), (1.0, 0.0), (np.nan, 1.0), (0.0, np.inf)],
+        ids=["empty", "reversed", "nan", "unbounded"],
+    )
+    def test_pgm_rejects_a_bad_grey_range(self, tmp_path, lo, hi):
+        path = tmp_path / "img.pgm"
+        with pytest.raises(ConfigurationError, match="lo < hi"):
+            write_pgm(path, np.zeros(4), lo=lo, hi=hi)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_pgm_rejects_a_non_finite_pixel(self, tmp_path, bad):
+        path = tmp_path / "img.pgm"
+        with pytest.raises(NumericalError):
+            write_pgm(path, np.array([0.0, 1.0, bad, 0.5]))
+        assert not path.exists()
 
 
 def private_stack(target, gen):
