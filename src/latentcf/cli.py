@@ -153,7 +153,9 @@ def _perturb_from(opts):
     return cfg
 
 
-def _load_stack(opts):
+def _load_stack(opts, row=None):
+    """The manifest's dataset and its three models. Given a row, only that
+    dataset row is read; a row outside the dataset is out of range."""
     manifest_path = opts.get("manifest")
     if manifest_path is None:
         raise ConfigurationError("--manifest is required")
@@ -164,24 +166,31 @@ def _load_stack(opts):
         p = manifest[key]
         return p if os.path.isabs(p) else os.path.join(base, p)
 
-    dataset = load_dataset(resolve("dataset"))
+    if row is None:
+        dataset = load_dataset(resolve("dataset"))
+    else:
+        try:
+            dataset = load_dataset(resolve("dataset"), rows=(row, row + 1))
+        except IndexError:
+            raise ConfigurationError(f"query index {row} out of range") from None
     target = load_target(resolve("target"))
     disc = load_discriminator(resolve("discriminator"))
     gen = load_generative(resolve("generative"))
     return dataset, target, disc, gen, manifest
 
 
-def _query_instance(opts, dataset, disc):
-    """Resolve the instance to explain: dataset row or external JSON file."""
+def _query_stack(opts):
+    """The target, the generative model and the instance to explain as
+    (target, gen, x0, a0, query index): dataset row --query-index, read on
+    its own, or the instance in --instance-file (query index -1)."""
     qi = opts.get("query_index", cast=int)
+    dataset, target, disc, gen, _ = _load_stack(opts, row=qi)
     path = opts.get("instance_file")
     if (qi is None) == (path is None):
         raise ConfigurationError("give exactly one of --query-index or --instance-file")
     if qi is not None:
-        qi = int(qi)
-        if not 0 <= qi < len(dataset.instances):
-            raise ConfigurationError(f"query index {qi} out of range")
-        return dataset.instances[qi], dataset.attributes[qi], qi
+        # The dataset holds row qi alone.
+        return target, gen, dataset.instances[0], dataset.attributes[0], qi
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or "instance" not in payload:
@@ -195,7 +204,7 @@ def _query_instance(opts, dataset, disc):
         a0 = np.asarray(payload["attributes"], dtype=np.float64)
     else:
         a0 = disc.predict(x0)
-    return x0, a0, -1
+    return target, gen, x0, a0, -1
 
 
 def _write_out(opts, key, text):
@@ -331,8 +340,7 @@ def cmd_train(args):
 
 def cmd_explain(args):
     opts = Options(args, "explain")
-    dataset, target, disc, gen, _ = _load_stack(opts)
-    x0, a0, qi = _query_instance(opts, dataset, disc)
+    target, gen, x0, a0, qi = _query_stack(opts)
     cfg = _perturb_from(opts)
     predicted = target.predict(x0)
     cfg.desired = _desired_for(target, predicted, cfg)
@@ -420,10 +428,10 @@ def cmd_rank(args):
     else:
         if opts.get("manifest") is None:
             raise ConfigurationError("give --results or --manifest")
-        dataset, target, disc, gen, _ = _load_stack(opts)
-        cfg = _perturb_from(opts)
         n_queries = opts.get("queries", cast=int)
         if n_queries is not None:
+            dataset, target, _, gen, _ = _load_stack(opts)
+            cfg = _perturb_from(opts)
             report = run_benchmark(
                 dataset,
                 target,
@@ -437,7 +445,8 @@ def cmd_rank(args):
             results = report.results["latent-descent"]
             ranking = mean_attribute_ranking(results, names=names, exclude=exclude)
         else:
-            x0, a0, qi = _query_instance(opts, dataset, disc)
+            target, gen, x0, a0, qi = _query_stack(opts)
+            cfg = _perturb_from(opts)
             cfg.desired = _desired_for(target, target.predict(x0), cfg)
             result = latent_descent(target, gen, x0, a0, cfg, query_index=qi)
             ranking = attribute_interaction_ranking(result, names=names, exclude=exclude)

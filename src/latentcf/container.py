@@ -14,6 +14,10 @@ count equal to its shape's size; the arrays lie inside the file, do not
 overlap and have distinct names. Each array's bytes are then read once,
 straight from the file into a fresh array, so the arrays returned are
 writable, aligned, C-contiguous and share no memory with each other.
+
+A read can take a row range on the leading axis that all of a container's
+arrays share; it then reads only those rows' bytes. `explain --query-index`
+and `rank --query-index` read the one dataset row they explain this way.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError, UnsupportedVersionError
+from .errors import DimensionError, FormatError, UnsupportedVersionError
 
 MAGIC = b"LCFC"
 FORMAT_VERSION = 1
@@ -106,13 +110,19 @@ def write_container(path, kind, meta, arrays):
     return len(blob)
 
 
-def read_container(path, expected_kind=None):
+def read_container(path, expected_kind=None, rows=None):
     """Read a container back as (kind, meta, arrays dict).
 
     Truncated or malformed files raise FormatError with the byte offset of
     the first problem; a newer format version raises UnsupportedVersionError.
     Every directory entry is checked before any array is allocated, and each
     array's bytes are read once, straight into its own buffer.
+
+    rows=(start, stop) reads only those rows of the leading axis, which every
+    array must share (DimensionError otherwise), with 0 <= start <= stop <= n
+    for n rows (IndexError otherwise). The whole directory is still checked;
+    only the bytes read shrink. `explain` and `rank --query-index` read the
+    dataset row they explain this way.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -145,6 +155,8 @@ def read_container(path, expected_kind=None):
                 f"container holds {header['kind']!r}, expected {expected_kind!r}", offset=16
             )
         entries = _check_directory(header["arrays"], payload_start, size)
+        if rows is not None:
+            entries = _row_range(entries, rows)
         arrays = {}
         for name, shape, dtype, offset, nbytes in entries:
             try:
@@ -207,3 +219,22 @@ def _check_directory(directory, payload_start, size):
         if start < prev_end:
             raise FormatError(f"arrays {prev!r} and {name!r} overlap", offset=16)
     return entries
+
+
+def _row_range(entries, rows):
+    """Checked directory entries cut to rows (start, stop) of their shared
+    leading axis: each shape's first dimension shrinks to the range and each
+    offset moves to the range's first byte."""
+    start, stop = rows
+    lengths = {name: shape[0] if shape else None for name, shape, *_ in entries}
+    n = next(iter(lengths.values()), 0)
+    if n is None or any(length != n for length in lengths.values()):
+        raise DimensionError(f"arrays do not share a leading axis: {lengths}")
+    if not 0 <= start <= stop <= n:
+        raise IndexError(f"rows {start}:{stop} out of range for {n} rows")
+    cut = []
+    for name, shape, dtype, offset, _ in entries:
+        row_bytes = math.prod(shape[1:]) * dtype.itemsize
+        cut.append((name, (stop - start,) + shape[1:], dtype, offset + start * row_bytes,
+                    (stop - start) * row_bytes))
+    return cut

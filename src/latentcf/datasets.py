@@ -133,10 +133,11 @@ class AttributedDataset:
     metadata: dict = field(default_factory=dict)
 
     def validate(self):
-        n = self.instances.shape[0]
-        if n == 0 or self.instances.ndim != 2:
+        # ndim first: a 0-d array has no shape[0] to compare.
+        if self.instances.ndim != 2 or self.instances.shape[0] == 0:
             raise DimensionError("instances must be [n, d] with n > 0")
-        if self.attributes.shape[0] != n or self.attributes.ndim != 2:
+        n = self.instances.shape[0]
+        if self.attributes.ndim != 2 or self.attributes.shape[0] != n:
             raise DimensionError("attributes must be [n, t]")
         if self.labels.ndim != 2 or self.labels.shape[0] != n or self.labels.shape[1] < 2:
             raise DimensionError("labels must be one-hot [n, C] with C >= 2")
@@ -345,10 +346,17 @@ def save_dataset(path, ds):
     )
 
 
-def load_dataset(path):
+def load_dataset(path, rows=None):
     """Read a dataset container; FormatError unless its meta is an object
-    and it holds every _DATASET_ARRAYS array."""
-    _, meta, arrays = read_container(path, expected_kind="dataset")
+    and it holds every _DATASET_ARRAYS array.
+
+    rows=(start, stop) reads only those rows, as `explain` and `rank
+    --query-index` do for the row they explain. The full leading lengths
+    must still agree (DimensionError, checked on the directory shapes), the
+    range must lie inside them (IndexError), and the rows read pass the same
+    value checks as a full read.
+    """
+    _, meta, arrays = read_container(path, expected_kind="dataset", rows=rows)
     if not isinstance(meta, dict):
         raise FormatError(f"{path}: dataset meta must be a JSON object")
     for name in _DATASET_ARRAYS:

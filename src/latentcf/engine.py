@@ -7,8 +7,8 @@ instance. Both the latent code and the attribute vector move, each with its
 own geometrically decaying step size, and the classifier plus the
 autoencoder stay frozen throughout (checked against an exact parameter
 snapshot taken before each search). Shapes are checked once per search;
-each evaluation then runs ``nn``'s bare layer kernels, still checking every
-output and input gradient finite.
+each evaluation then runs ``nn``'s bare layer kernels, still checking both
+outputs and the gradient reaching the latent point finite.
 
 Three baselines share the result type so they can run under one benchmark
 harness. The random-direction walk runs the very loop the gradient search
@@ -31,6 +31,7 @@ import numpy as np
 from .container import is_int, is_number_list, require_field
 from .errors import (
     ConfigurationError, DimensionError, FormatError, InvariantViolation, NumericalError,
+    require_finite,
 )
 from .models import LatentPoint, encode
 from .nn import (
@@ -78,15 +79,16 @@ class PerturbConfig:
         return _replace(cfg, overrides)
 
     def validate(self):
-        if self.distance_weight < 0:
-            raise ConfigurationError("distance_weight must be non-negative")
-        if self.code_step < 0 or self.attr_step < 0:
-            raise ConfigurationError("step sizes must be non-negative")
+        for name in ("distance_weight", "code_step", "attr_step"):
+            require_finite(name, getattr(self, name))
         if not 0 < self.step_decay <= 1:
             raise ConfigurationError("step_decay must lie in (0, 1]")
-        if self.max_iters < 0:
-            raise ConfigurationError("max_iters must be non-negative")
-        if self.clip is not None and self.clip[0] >= self.clip[1]:
+        if not isinstance(self.max_iters, (int, np.integer)) or self.max_iters < 0:
+            raise ConfigurationError(
+                f"max_iters must be a non-negative integer, got {self.max_iters!r}"
+            )
+        # Written as `not lo < hi` so that NaN bounds fail it too.
+        if self.clip is not None and not self.clip[0] < self.clip[1]:
             raise ConfigurationError("clip bounds must satisfy lo < hi")
 
 
@@ -163,8 +165,9 @@ def _objective(target, gen, origin, desired, distance_weight):
     float64 vector of u0's shape, runs decoder and classifier once on the
     bare layer kernels, checks both outputs finite, and returns (total,
     prediction term, distance term, probabilities, sample, grads); grads()
-    pulls the loss back, input only and checked finite, to (code_grad,
-    attr_grad), so a caller that stops at the value pays for no backward.
+    pulls the loss back through both networks, input only, checks the
+    latent gradient finite and returns (code_grad, attr_grad), so a caller
+    that stops at the value pays for no backward.
     """
     dec_layers, tgt_layers = gen.decoder.layers, target.network.layers
     k = gen.latent_dim
@@ -195,8 +198,9 @@ def _objective(target, gen, origin, desired, distance_weight):
             # nn.cross_entropy's gradient: flat outside the clamp.
             g = -onehot / clamped
             g[(probs < PROB_FLOOR) | (probs > 1.0 - PROB_FLOOR)] = 0.0
+            # One finite check covers both sweeps: a non-finite classifier
+            # input gradient stays non-finite through the decoder's.
             g = _pull_back(tgt_layers, tgt_records, g[None, :], False, True)[1]
-            _check_finite(g, "input gradient")
             g = _pull_back(dec_layers, dec_records, g, False, True)[1]
             _check_finite(g, "input gradient")
             g = g[0]
@@ -386,8 +390,7 @@ def gradient_sign_attack(target, gen, x0, a0, epsilon, desired=None, clip=None, 
     are filled in afterwards by encoding, so latent-space bookkeeping does
     not distort the speed comparison.
     """
-    if epsilon < 0:
-        raise ConfigurationError("epsilon must be non-negative")
+    require_finite("epsilon", epsilon)
     x0 = np.asarray(x0, dtype=np.float64)
     frozen = _frozen_snapshot(target, gen)
     t0 = time.perf_counter_ns()

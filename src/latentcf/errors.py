@@ -1,4 +1,7 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the check
+that numeric settings are finite."""
+
+import math
 
 
 class DimensionError(ValueError):
@@ -7,6 +10,14 @@ class DimensionError(ValueError):
 
 class ConfigurationError(ValueError):
     """Raised for invalid user-supplied configuration values."""
+
+
+def require_finite(name, value, positive=False):
+    """ConfigurationError naming the setting unless value is a finite number
+    that is non-negative, or positive when asked. NaN and infinities fail."""
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        sign = "positive" if positive else "non-negative"
+        raise ConfigurationError(f"{name} must be a finite {sign} number, got {value!r}")
 
 
 class NumericalError(ArithmeticError):

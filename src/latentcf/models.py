@@ -37,6 +37,7 @@ from .errors import (
     FormatError,
     TrainingError,
     TrainingQualityWarning,
+    require_finite,
 )
 from .nn import (
     DenseNetwork,
@@ -66,8 +67,7 @@ class TrainConfig:
     def validate(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigurationError("epochs and batch_size must be at least 1")
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
+        require_finite("learning_rate", self.learning_rate, positive=True)
         if not 0 <= self.accuracy_floor <= 1:
             raise ConfigurationError("accuracy_floor must lie in [0, 1]")
 
@@ -96,10 +96,8 @@ class GenerativeConfig:
             raise ConfigurationError("latent_dim must be at least 1")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigurationError("epochs and batch_size must be at least 1")
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
-        if self.disc_weight < 0:
-            raise ConfigurationError("disc_weight must be non-negative")
+        require_finite("learning_rate", self.learning_rate, positive=True)
+        require_finite("disc_weight", self.disc_weight)
         if self.output_activation not in ("identity", "sigmoid"):
             raise ConfigurationError("output_activation must be identity or sigmoid")
 

@@ -1,15 +1,17 @@
 """End-to-end runs of the command-line front end, in process."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from latentcf import cli, models
+from latentcf import cli, datasets, models
+from latentcf.applications import attribute_interaction_ranking
 from latentcf.cli import build_parser, main
 from latentcf.container import write_container
 from latentcf.datasets import generate, load_dataset
-from latentcf.engine import read_results_jsonl
+from latentcf.engine import PerturbConfig, latent_descent, read_results_jsonl, result_to_dict
 from latentcf.metrics import benchmark_recipe
 from test_models import malformed_checkpoints, write_malformed
 
@@ -190,6 +192,88 @@ class TestExplain:
         )
         assert rc == 1
         assert "square" in capsys.readouterr().err
+
+
+def stack_of(workspace):
+    """The workspace's full dataset and its target and generative models."""
+    manifest = absolute_manifest(workspace)
+    return (load_dataset(manifest["dataset"]), models.load_target(manifest["target"]),
+            models.load_generative(manifest["generative"]))
+
+
+def without_wall_time(record):
+    record = dict(record)
+    del record["wall_time_micros"]
+    return record
+
+
+class TestQueryRowRead:
+    """explain and rank --query-index read the row they explain and no other."""
+
+    SEARCH = ["--max-iters", "60", "--alpha", "1.5"]
+
+    @pytest.fixture
+    def dataset_reads(self, monkeypatch):
+        """The array shapes of every dataset container read."""
+        shapes = []
+        original = datasets.read_container
+
+        def recording(*args, **kwargs):
+            kind, meta, arrays = original(*args, **kwargs)
+            shapes.append({name: arr.shape for name, arr in arrays.items()})
+            return kind, meta, arrays
+
+        monkeypatch.setattr(datasets, "read_container", recording)
+        return shapes
+
+    @pytest.mark.parametrize("command", ["explain", "rank"])
+    def test_one_row_of_each_array_is_read(self, workspace, capsys, dataset_reads, command):
+        argv = [command, "--manifest", str(workspace["manifest"]), "--query-index", "239"]
+        assert main(argv + self.SEARCH) == 0
+        assert dataset_reads == [
+            {"instances": (1, 12), "attributes": (1, 2), "labels": (1, 2), "split": (1,)}
+        ]
+
+    def expected(self, workspace, row, freeze):
+        """latent_descent on the fully loaded row, as the CLI configures it."""
+        ds, target, gen = stack_of(workspace)
+        x0, a0 = ds.instances[row], ds.attributes[row]
+        cfg = PerturbConfig.text_defaults(max_iters=60, distance_weight=1.5,
+                                          optimize_attributes=not freeze)
+        cfg.desired = 1 - int(target.predict(x0))
+        return latent_descent(target, gen, x0, a0, cfg, query_index=row)
+
+    @pytest.mark.parametrize("freeze", [False, True])
+    @pytest.mark.parametrize("row", [0, 57, 201, 239])
+    def test_explain_matches_a_search_on_the_full_read(self, workspace, tmp_path, capsys,
+                                                       row, freeze):
+        out = tmp_path / "r.jsonl"
+        argv = ["explain", "--manifest", str(workspace["manifest"]), "--query-index",
+                str(row), "--out", str(out), *self.SEARCH]
+        assert main(argv + ["--freeze-attributes"] * freeze) == 0
+        (line,) = out.read_text().splitlines()
+        want = result_to_dict(self.expected(workspace, row, freeze))
+        assert without_wall_time(json.loads(line)) == without_wall_time(
+            json.loads(json.dumps(want, sort_keys=True))
+        )
+
+    @pytest.mark.parametrize("freeze", [False, True])
+    def test_rank_matches_a_search_on_the_full_read(self, workspace, tmp_path, capsys, freeze):
+        out = tmp_path / "rank.csv"
+        argv = ["rank", "--manifest", str(workspace["manifest"]), "--query-index", "57",
+                "--out", str(out), *self.SEARCH]
+        assert main(argv + ["--freeze-attributes"] * freeze) == 0
+        ranking = attribute_interaction_ranking(self.expected(workspace, 57, freeze))
+        assert out.read_text() == "attribute,score\n" + "".join(
+            f"{e.name},{e.score!r}\n" for e in ranking
+        )
+
+    @pytest.mark.parametrize("command", ["explain", "rank"])
+    @pytest.mark.parametrize("row", [-1, 240, 10**6])
+    def test_index_outside_the_dataset(self, workspace, capsys, command, row):
+        err = user_error(capsys, [command, "--manifest", str(workspace["manifest"]),
+                                  "--query-index", str(row)])
+        assert err == f"error: query index {row} out of range\n"
 
 
 class TestBench:
@@ -662,6 +746,20 @@ class TestInputErrors:
     def test_path_through_a_regular_file(self, workspace, capsys, argv):
         # Each path runs through the dataset file as if it were a directory.
         user_error(capsys, [a.format(file=workspace["data"]) for a in argv])
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--alpha", "nan", "distance_weight"), ("--alpha", "inf", "distance_weight"),
+         ("--code-step", "inf", "code_step"), ("--attr-step", "nan", "attr_step")],
+    )
+    def test_non_finite_search_setting(self, workspace, capsys, flag, value, field):
+        """One error line naming the setting, and no numpy warning, on
+        stderr: the setting is refused before any search runs."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = user_error(capsys, ["explain", "--manifest", str(workspace["manifest"]),
+                                      "--query-index", "0", flag, value])
+        assert err.count("\n") == 1 and field in err and "Warning" not in err
 
     @pytest.mark.parametrize("command", ["bench", "rank", "sweep"])
     def test_negative_query_count(self, workspace, capsys, command):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentcf.container import FORMAT_VERSION, MAGIC, read_container, write_container
-from latentcf.errors import FormatError
+from latentcf.errors import DimensionError, FormatError
 
 
 def raw_container(raw_header, payload=b""):
@@ -201,6 +201,14 @@ class TestDirectoryChecks:
         self.assert_rejected(tmp_path, header_with(entry(shape=(1,) * 65, nbytes=8)), b"\x00" * 8)
 
 
+def written_bytes(arrays, meta):
+    """The bytes write_container writes for arrays and meta."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.lcfc"
+        write_container(path, "test", meta, arrays)
+        return path.read_bytes()
+
+
 @st.composite
 def valid_containers(draw):
     """Bytes of a small valid container, with a header of varying length."""
@@ -210,16 +218,24 @@ def valid_containers(draw):
         shape = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
         dtype = draw(st.sampled_from([np.float64, np.int8]))
         arrays[f"a{i}"] = np.arange(int(np.prod(shape)), dtype=dtype).reshape(shape)
-    meta = {"pad": "x" * draw(st.integers(0, 15))}
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "c.lcfc"
-        write_container(path, "test", meta, arrays)
-        return path.read_bytes()
+    return written_bytes(arrays, {"pad": "x" * draw(st.integers(0, 15))})
 
 
 @st.composite
-def damaged_containers(draw):
-    blob = draw(valid_containers())
+def row_containers(draw):
+    """Bytes of a small valid container whose arrays share a leading axis."""
+    n = draw(st.integers(0, 4))
+    arrays = {}
+    for i in range(draw(st.integers(1, 3))):
+        shape = (n, *draw(st.lists(st.integers(0, 3), max_size=2)))
+        dtype = draw(st.sampled_from([np.float64, np.int8]))
+        arrays[f"a{i}"] = (np.arange(int(np.prod(shape))) % 100).astype(dtype).reshape(shape)
+    return written_bytes(arrays, {"pad": "x" * draw(st.integers(0, 15))})
+
+
+@st.composite
+def damaged_containers(draw, source=None):
+    blob = draw(source if source is not None else valid_containers())
     at = draw(st.integers(0, len(blob) - 1))
     if draw(st.booleans()):
         return blob[:at]
@@ -245,3 +261,83 @@ def test_damaged_container_is_rejected_or_matches_its_header(blob):
         assert arr.shape == tuple(e["shape"]) and arr.dtype == np.dtype(e["dtype"])
         assert arr.tobytes() == expected[e["name"]].tobytes()
     assert_detached(arrays)
+
+
+def read_rows(blob, rows=None):
+    """read_container on blob's bytes, over rows when given."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.lcfc"
+        path.write_bytes(blob)
+        return read_container(path, rows=rows)[2]
+
+
+def shared_length(arrays):
+    """The leading length all arrays share (0 for no arrays), or None when
+    they share none."""
+    lengths = {arr.shape[0] if arr.ndim else None for arr in arrays.values()} or {0}
+    return lengths.pop() if len(lengths) == 1 else None
+
+
+@settings(max_examples=100, deadline=None)
+@given(row_containers())
+def test_every_row_range_reads_the_full_read_sliced(blob):
+    full = read_rows(blob)
+    n = shared_length(full)
+    for start in range(n + 1):
+        for stop in range(start, n + 1):
+            rows = read_rows(blob, (start, stop))
+            assert list(rows) == list(full)
+            for name, arr in full.items():
+                part = rows[name]
+                assert part.dtype == arr.dtype and part.shape == arr[start:stop].shape
+                assert part.tobytes() == arr[start:stop].tobytes()
+            assert_detached(rows)
+
+
+@settings(max_examples=50, deadline=None)
+@given(row_containers())
+def test_a_row_range_outside_the_rows_is_an_index_error(blob):
+    n = shared_length(read_rows(blob))
+    for rows in ((-1, 0), (0, n + 1), (n, n + 1), (1, 0)):
+        with pytest.raises(IndexError):
+            read_rows(blob, rows)
+
+
+def test_a_row_range_needs_a_shared_leading_axis(tmp_path):
+    path = tmp_path / "c.lcfc"
+    for arrays in ({"a": np.zeros((3, 2)), "b": np.zeros(2)},
+                   {"a": np.zeros(2), "s": np.array(1.0)}):
+        write_container(path, "test", {}, arrays)
+        read_container(path)
+        with pytest.raises(DimensionError, match="leading axis"):
+            read_container(path, rows=(0, 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(damaged_containers(row_containers()), st.integers(0, 5), st.integers(0, 5))
+def test_damaged_container_row_read_refuses_what_a_full_read_refuses(blob, start, stop):
+    """A row read of a damaged file raises the full read's FormatError, or
+    reads the full read sliced; on a file the full read accepts it refuses
+    only arrays with no shared leading axis and a range outside it."""
+    start, stop = min(start, stop), max(start, stop)
+    try:
+        full = read_rows(blob)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as row_exc:
+            read_rows(blob, (start, stop))
+        assert str(row_exc.value) == str(exc)
+        return
+    n = shared_length(full)
+    if n is None:
+        with pytest.raises(DimensionError):
+            read_rows(blob, (start, stop))
+    elif stop > n:
+        with pytest.raises(IndexError):
+            read_rows(blob, (start, stop))
+    else:
+        rows = read_rows(blob, (start, stop))
+        assert list(rows) == list(full)
+        for name, arr in full.items():
+            assert rows[name].shape == arr[start:stop].shape
+            assert rows[name].tobytes() == arr[start:stop].tobytes()
+        assert_detached(rows)

@@ -19,7 +19,12 @@ from latentcf.datasets import (
     spec_from_dict,
     spec_to_dict,
 )
-from latentcf.errors import ConfigurationError, FormatError, UnsupportedVersionError
+from latentcf.errors import (
+    ConfigurationError,
+    DimensionError,
+    FormatError,
+    UnsupportedVersionError,
+)
 
 
 def blob_spec(**overrides):
@@ -335,6 +340,86 @@ class TestSaveLoad:
         path.write_bytes(bytes(blob))
         with pytest.raises(UnsupportedVersionError):
             load_dataset(path)
+
+
+def write_dataset_arrays(path, ds, **replace):
+    """A dataset container holding ds's arrays, some replaced as given."""
+    arrays = {name: getattr(ds, name) for name in ("instances", "attributes", "labels", "split")}
+    arrays.update(replace)
+    write_container(path, kind="dataset", meta=ds.metadata, arrays=arrays)
+
+
+def assert_both_reads_raise(path, error, rows):
+    with pytest.raises(error):
+        load_dataset(path)
+    with pytest.raises(error):
+        load_dataset(path, rows=rows)
+
+
+class TestRowRead:
+    """load_dataset(rows=...) reads a row range and refuses what a full read
+    refuses, with the same error type."""
+
+    def test_rows_match_the_full_read(self, tmp_path):
+        ds = generate(blob_spec(noise=0.25, seed=4))
+        path = tmp_path / "ds.lcfc"
+        save_dataset(path, ds)
+        for start, stop in ((0, 1), (57, 58), (199, 200), (10, 30)):
+            part = load_dataset(path, rows=(start, stop))
+            for name in ("instances", "attributes", "labels", "split"):
+                got, want = getattr(part, name), getattr(ds, name)[start:stop]
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert part.metadata == ds.metadata
+
+    @pytest.mark.parametrize("row", [-1, 200, 201])
+    def test_row_outside_the_dataset_is_an_index_error(self, tmp_path, row):
+        path = tmp_path / "ds.lcfc"
+        save_dataset(path, generate(blob_spec()))
+        with pytest.raises(IndexError):
+            load_dataset(path, rows=(row, row + 1))
+
+    @pytest.mark.parametrize("name, cut", [("instances", 199), ("attributes", 150),
+                                           ("labels", 1), ("split", 198)])
+    def test_mismatched_leading_lengths(self, tmp_path, name, cut):
+        ds = generate(blob_spec())
+        path = tmp_path / "ds.lcfc"
+        write_dataset_arrays(path, ds, **{name: getattr(ds, name)[:cut]})
+        assert_both_reads_raise(path, DimensionError, (0, 1))
+
+    def test_instances_without_a_leading_axis(self, tmp_path):
+        path = tmp_path / "ds.lcfc"
+        write_dataset_arrays(path, generate(blob_spec()), instances=np.array(1.0))
+        assert_both_reads_raise(path, DimensionError, (0, 1))
+
+    @pytest.mark.parametrize("value", [0.5, np.nan, 2.0])
+    def test_bad_attribute_in_the_row(self, tmp_path, value):
+        ds = generate(blob_spec())
+        attrs = ds.attributes.copy()
+        attrs[57, 2] = value
+        path = tmp_path / "ds.lcfc"
+        write_dataset_arrays(path, ds, attributes=attrs)
+        assert_both_reads_raise(path, ConfigurationError, (57, 58))
+        load_dataset(path, rows=(56, 57))
+
+    @pytest.mark.parametrize("row", [[1.0, 1.0], [0.5, 0.5], [np.nan, 1.0]])
+    def test_bad_label_in_the_row(self, tmp_path, row):
+        ds = generate(blob_spec())
+        labels = ds.labels.copy()
+        labels[57] = row
+        path = tmp_path / "ds.lcfc"
+        write_dataset_arrays(path, ds, labels=labels)
+        assert_both_reads_raise(path, ConfigurationError, (57, 58))
+        load_dataset(path, rows=(58, 59))
+
+    @pytest.mark.parametrize("tag", [3.0, 0.5, -1.0, np.nan])
+    def test_bad_split_tag_in_the_row(self, tmp_path, tag):
+        ds = generate(blob_spec())
+        split = ds.split.astype(np.float64)
+        split[57] = tag
+        path = tmp_path / "ds.lcfc"
+        write_dataset_arrays(path, ds, split=split)
+        assert_both_reads_raise(path, ConfigurationError, (57, 58))
+        assert load_dataset(path, rows=(56, 57)).split.dtype == np.int8
 
 
 class TestAugmentationMetadataFields:

@@ -153,6 +153,25 @@ class TestPerturbConfig:
         with pytest.raises(ConfigurationError):
             PerturbConfig(clip=(1.0, 0.0)).validate()
 
+    @pytest.mark.parametrize("field", ["distance_weight", "code_step", "attr_step"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_and_steps_are_refused(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            PerturbConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("clip", [(np.nan, 1.0), (0.0, np.nan), (np.nan, np.nan)])
+    def test_nan_clip_bounds_are_refused(self, clip):
+        with pytest.raises(ConfigurationError, match="clip"):
+            PerturbConfig(clip=clip).validate()
+
+    @pytest.mark.parametrize("max_iters", [2.5, np.inf, -1, "3"])
+    def test_max_iters_must_be_a_non_negative_integer(self, max_iters):
+        with pytest.raises(ConfigurationError, match="max_iters"):
+            PerturbConfig(max_iters=max_iters).validate()
+
+    def test_integer_max_iters_and_infinite_clip_bounds_pass(self):
+        PerturbConfig(max_iters=np.int64(3), clip=(-np.inf, np.inf)).validate()
+
     def test_step_schedule_closed_form(self):
         assert step_size(2.0, 0.9, 0) == 2.0
         assert_allclose(step_size(2.0, 0.9, 3), 2.0 * 0.9**3, atol=0)
@@ -605,7 +624,9 @@ def overflow_stack(kind):
 
 
 class TestNonFiniteSearch:
-    """Every finite check of a search step fires inside the search."""
+    """Every finite check of a search step fires inside the search: the
+    decoder output, the classifier output and the latent input gradient,
+    which also catches an overflow in the classifier's reverse sweep."""
 
     @pytest.mark.parametrize(
         "kind, descent_message",
@@ -676,6 +697,13 @@ class TestRandomSearch:
 
 
 class TestGradientSign:
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf, -0.5])
+    def test_epsilon_must_be_finite_and_non_negative(self, epsilon):
+        gen = identity_gen(2)
+        target = linear_target(np.array([[1.0, 0.0], [0.0, 1.0]]), [0.0, 0.0])
+        with pytest.raises(ConfigurationError, match="epsilon"):
+            gradient_sign_attack(target, gen, np.zeros(2), np.zeros(0), epsilon, desired=1)
+
     def test_zero_epsilon_returns_the_instance(self, target, gen, dataset):
         x0, a0 = first_query(dataset, target)
         res = gradient_sign_attack(target, gen, x0, a0, 0.0, desired=1)

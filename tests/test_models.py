@@ -113,6 +113,11 @@ class TestTargetTraining:
         with pytest.raises(ConfigurationError):
             TrainConfig(accuracy_floor=1.5).validate()
 
+    @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf])
+    def test_non_finite_learning_rate_is_refused(self, lr):
+        with pytest.raises(ConfigurationError, match="learning_rate"):
+            TrainConfig(learning_rate=lr).validate()
+
     def test_predict_matches_argmax_of_probabilities(self, dataset, target):
         x = dataset.instances[:7]
         assert np.array_equal(
@@ -215,6 +220,12 @@ class TestGenerative:
             GenerativeConfig(latent_dim=2, disc_weight=-1.0).validate()
         with pytest.raises(ConfigurationError):
             GenerativeConfig(latent_dim=2, output_activation="relu").validate()
+
+    @pytest.mark.parametrize("field", ["learning_rate", "disc_weight"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rate_and_weight_are_refused(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            GenerativeConfig(latent_dim=2, **{field: value}).validate()
 
 
 class TestEncodeDecode:
