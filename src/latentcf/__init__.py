@@ -80,7 +80,6 @@ from .nn import (
     DenseNetwork,
     GradientTape,
     Layer,
-    backward,
     build_network,
     cross_entropy,
     forward,

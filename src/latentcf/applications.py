@@ -117,23 +117,13 @@ def augment_with_counterfactuals(dataset, target, gen, n_aug, perturb, seed=0):
             PartialResultWarning,
         )
     m = len(new_x)
-    if m == 0:
-        stacked_x = dataset.instances.copy()
-        stacked_a = dataset.attributes.copy()
-        stacked_y = dataset.labels.copy()
-        stacked_s = dataset.split.copy()
-    else:
-        stacked_x = np.vstack([dataset.instances, np.asarray(new_x)])
-        stacked_a = np.vstack([dataset.attributes, np.asarray(new_a)])
-        stacked_y = np.vstack([dataset.labels, np.asarray(new_y)])
-        stacked_s = np.concatenate([dataset.split, np.zeros(m, dtype=np.int8)])
     meta = dict(dataset.metadata)
     meta["augmented_tail"] = m
     out = AttributedDataset(
-        instances=stacked_x,
-        attributes=stacked_a,
-        labels=stacked_y,
-        split=stacked_s,
+        instances=np.vstack([dataset.instances, *new_x]),
+        attributes=np.vstack([dataset.attributes, *new_a]),
+        labels=np.vstack([dataset.labels, *new_y]),
+        split=np.concatenate([dataset.split, np.zeros(m, dtype=np.int8)]),
         metadata=meta,
     )
     out.validate()

@@ -153,9 +153,10 @@ def _perturb_from(opts):
     return cfg
 
 
-def _load_stack(opts, row=None):
+def _load_stack(opts, row=None, with_dataset=True):
     """The manifest's dataset and its three models. Given a row, only that
-    dataset row is read; a row outside the dataset is out of range."""
+    dataset row is read; a row outside the dataset is out of range. Without
+    the dataset, no dataset container is opened and None stands in for it."""
     manifest_path = opts.get("manifest")
     if manifest_path is None:
         raise ConfigurationError("--manifest is required")
@@ -166,7 +167,9 @@ def _load_stack(opts, row=None):
         p = manifest[key]
         return p if os.path.isabs(p) else os.path.join(base, p)
 
-    if row is None:
+    if not with_dataset:
+        dataset = None
+    elif row is None:
         dataset = load_dataset(resolve("dataset"))
     else:
         try:
@@ -182,12 +185,13 @@ def _load_stack(opts, row=None):
 def _query_stack(opts):
     """The target, the generative model and the instance to explain as
     (target, gen, x0, a0, query index): dataset row --query-index, read on
-    its own, or the instance in --instance-file (query index -1)."""
+    its own, or the instance in --instance-file (query index -1), which
+    reads no dataset. The one-source rule is checked before any file is read."""
     qi = opts.get("query_index", cast=int)
-    dataset, target, disc, gen, _ = _load_stack(opts, row=qi)
     path = opts.get("instance_file")
     if (qi is None) == (path is None):
         raise ConfigurationError("give exactly one of --query-index or --instance-file")
+    dataset, target, disc, gen, _ = _load_stack(opts, row=qi, with_dataset=path is None)
     if qi is not None:
         # The dataset holds row qi alone.
         return target, gen, dataset.instances[0], dataset.attributes[0], qi

@@ -11,12 +11,13 @@ each evaluation then runs ``nn``'s bare layer kernels, still checking both
 outputs and the gradient reaching the latent point finite.
 
 Three baselines share the result type so they can run under one benchmark
-harness. The random-direction walk runs the very loop the gradient search
-runs (``_latent_walk``: encode, evaluate, stop, step, result, frozen-model
-check) with its own step rule, so the two differ only in how a step is
-chosen. A one-shot signed-gradient attack and an iterative descent work in
-instance space and keep loops of their own. Results serialize to JSON
-lines; square instances can be dumped as PGM images for eyeballing.
+harness. Every iterative search runs one loop (``_search``: evaluate, stop,
+step, result, frozen-model check) and differs from the others only in its
+frame and its step rule. The random-direction walk steps the same latent
+point at random; the input-space descent walks the instance itself, with
+no decoder in the objective, and encodes its latent fields after the clock.
+A one-shot signed-gradient attack keeps code of its own. Results serialize
+to JSON lines; square instances can be dumped as PGM images for eyeballing.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .errors import (
 from .models import LatentPoint, encode
 from .nn import (
     PROB_FLOOR, _check_finite, _clamp_probabilities, _pull_back, _trace_layers, cross_entropy,
-    forward, forward_trace, l2_distance, vjp,
+    forward, forward_trace, vjp,
 )
 
 
@@ -144,9 +145,10 @@ def step_size(initial, decay, n):
     return initial * decay**n
 
 
-def _latent_vector(gen, point, what):
+def _latent_vector(target, gen, point, what):
     """point as one fresh float64 vector [code, attributes], its widths
-    checked against the generative model's."""
+    checked against the generative model's, and the decoder checked to
+    chain from them into the classifier."""
     code = np.asarray(point.code, dtype=np.float64)
     attributes = np.asarray(point.attributes, dtype=np.float64)
     if code.shape != (gen.latent_dim,) or attributes.shape != (gen.attribute_dim,):
@@ -154,35 +156,34 @@ def _latent_vector(gen, point, what):
             f"{what} code {code.shape} and attributes {attributes.shape}, expected "
             f"({gen.latent_dim},) and ({gen.attribute_dim},)"
         )
-    return np.concatenate([code, attributes])
-
-
-def _objective(target, gen, origin, desired, distance_weight):
-    """The search objective around one origin, its shapes checked once.
-
-    Returns (evaluate, u0), u0 being the origin as one vector [code,
-    attributes] that the caller must not write to. ``evaluate(u)``, for a
-    float64 vector of u0's shape, runs decoder and classifier once on the
-    bare layer kernels, checks both outputs finite, and returns (total,
-    prediction term, distance term, probabilities, sample, grads); grads()
-    pulls the loss back through both networks, input only, checks the
-    latent gradient finite and returns (code_grad, attr_grad), so a caller
-    that stops at the value pays for no backward.
-    """
-    dec_layers, tgt_layers = gen.decoder.layers, target.network.layers
-    k = gen.latent_dim
-    u0 = _latent_vector(gen, origin, "origin")
-    if u0.size != gen.decoder.input_dim or gen.decoder.output_dim != target.network.input_dim:
+    width = code.size + attributes.size
+    if width != gen.decoder.input_dim or gen.decoder.output_dim != target.network.input_dim:
         raise DimensionError(
-            f"a {u0.size}-entry latent point, decoder [{gen.decoder.input_dim} -> "
+            f"a {width}-entry latent point, decoder [{gen.decoder.input_dim} -> "
             f"{gen.decoder.output_dim}] and classifier input {target.network.input_dim} "
             "do not chain"
         )
+    return np.concatenate([code, attributes])
+
+
+def _objective(target, layers, u0, k, desired, distance_weight):
+    """The search objective around the origin vector u0, code in its first
+    k entries and attributes after, which the caller has checked to chain
+    through layers (the decoder's, or none) into the classifier and must
+    not write to. ``evaluate(u)``, for a float64 vector of u0's shape, runs
+    the layers and the classifier once on the bare layer kernels, checks
+    both outputs finite, and returns (total, prediction term, distance
+    term, probabilities, sample, grads); grads() pulls the loss back
+    through both, input only, checks the gradient reaching u finite and
+    returns (code_grad, attr_grad), so a caller that stops at the value
+    pays for no backward.
+    """
+    tgt_layers = target.network.layers
     onehot = np.zeros(target.network.output_dim)
     onehot[desired] = 1.0
 
     def evaluate(u):
-        samples, dec_records = _trace_layers(dec_layers, u[None, :])
+        samples, dec_records = _trace_layers(layers, u[None, :])
         _check_finite(samples, "forward output")
         probs, tgt_records = _trace_layers(tgt_layers, samples)
         _check_finite(probs, "forward output")
@@ -201,7 +202,7 @@ def _objective(target, gen, origin, desired, distance_weight):
             # One finite check covers both sweeps: a non-finite classifier
             # input gradient stays non-finite through the decoder's.
             g = _pull_back(tgt_layers, tgt_records, g[None, :], False, True)[1]
-            g = _pull_back(dec_layers, dec_records, g, False, True)[1]
+            g = _pull_back(layers, dec_records, g, False, True)[1]
             _check_finite(g, "input gradient")
             g = g[0]
             return (
@@ -212,7 +213,7 @@ def _objective(target, gen, origin, desired, distance_weight):
         return (pred_term + distance_weight * dist_term, pred_term, dist_term, probs,
                 samples[0], grads)
 
-    return evaluate, u0
+    return evaluate
 
 
 def _norm(diff):
@@ -234,9 +235,10 @@ def counterfactual_loss(target, gen, point, origin, desired, distance_weight, wi
     scaled by distance_weight. Gradients chain through the classifier and
     the decoder back to the code and the attribute vector.
     """
-    evaluate, _ = _objective(target, gen, origin, desired, distance_weight)
+    u0 = _latent_vector(target, gen, origin, "origin")
+    evaluate = _objective(target, gen.decoder.layers, u0, gen.latent_dim, desired, distance_weight)
     total, pred_term, dist_term, probs, sample, grads = evaluate(
-        _latent_vector(gen, point, "point")
+        _latent_vector(target, gen, point, "point")
     )
     loss = CounterfactualLoss(total, pred_term, dist_term, probs, sample)
     if with_grads:
@@ -287,20 +289,28 @@ def _check_frozen(before, target, gen, method):
         raise InvariantViolation(f"{method} modified frozen model parameters")
 
 
-def _latent_walk(target, gen, x0, a0, config, method, query_index, step):
-    """The loop of both latent searches: evaluate, stop, else step(point, n,
-    grads) moves the point in place, where grads() is the evaluation's
-    lazy backward to the code and the attribute vector. The iterate is one
-    [code, attributes] buffer; point.code and point.attributes are views
-    into it, so a step moves what the next evaluation reads."""
+def _search(target, gen, x0, a0, config, method, query_index, start, step):
+    """The loop of every iterative search.
+
+    The config and the desired class are checked and the frozen snapshot
+    taken before the clock starts. start(target, gen, x0, a0) then returns
+    (layers, u0, k, finish): the frame of ``_objective``, and finish(code,
+    attributes), which after the clock gives the result's (latent, origin)
+    points. The iterate starts as a copy of u0, its code and attribute
+    blocks views into that one buffer. Each round evaluates it and stops
+    once it is classified as desired or the budget is spent; otherwise
+    step(code, attributes, n, grads) moves the blocks in place, grads()
+    being the evaluation's lazy backward. The frozen-model check follows
+    finish, the last model call.
+    """
     config.validate()
     desired = _require_desired(target, config)
     frozen = _frozen_snapshot(target, gen)
     t0 = time.perf_counter_ns()
-    origin = encode(gen, x0, a0)
-    evaluate, u0 = _objective(target, gen, origin, desired, config.distance_weight)
+    layers, u0, k, finish = start(target, gen, x0, a0)
+    evaluate = _objective(target, layers, u0, k, desired, config.distance_weight)
     u = u0.copy()
-    point = LatentPoint(u[: gen.latent_dim], u[gen.latent_dim :])
+    code, attributes = u[:k], u[k:]
     trace = []
     n = 0
     while True:
@@ -309,12 +319,13 @@ def _latent_walk(target, gen, x0, a0, config, method, query_index, step):
         predicted = int(probs.argmax())
         if predicted == desired or n >= config.max_iters:
             break
-        step(point, n, grads)
+        step(code, attributes, n, grads)
         n += 1
     elapsed = _micros_since(t0)
+    latent, origin = finish(code, attributes)
     result = CounterfactualResult(
         sample=sample,
-        latent=point,
+        latent=latent,
         origin=origin,
         flipped=predicted == desired,
         iterations=n,
@@ -329,6 +340,14 @@ def _latent_walk(target, gen, x0, a0, config, method, query_index, step):
     return result
 
 
+def _latent_start(target, gen, x0, a0):
+    """A latent search's frame: the origin is the encoding of (x0, a0), and
+    the result's latent point holds the iterate's two blocks."""
+    origin = encode(gen, x0, a0)
+    u0 = _latent_vector(target, gen, origin, "origin")
+    return gen.decoder.layers, u0, gen.latent_dim, lambda *point: (LatentPoint(*point), origin)
+
+
 def latent_descent(target, gen, x0, a0, config, query_index=-1, method="latent-descent"):
     """Gradient search in the latent space.
 
@@ -341,13 +360,13 @@ def latent_descent(target, gen, x0, a0, config, query_index=-1, method="latent-d
     entry and zero iterations.
     """
 
-    def step(point, n, grads):
+    def step(code, attributes, n, grads):
         code_grad, attr_grad = grads()
-        point.code -= step_size(config.code_step, config.step_decay, n) * code_grad
+        code -= step_size(config.code_step, config.step_decay, n) * code_grad
         if config.optimize_attributes:
-            point.attributes -= step_size(config.attr_step, config.step_decay, n) * attr_grad
+            attributes -= step_size(config.attr_step, config.step_decay, n) * attr_grad
 
-    return _latent_walk(target, gen, x0, a0, config, method, query_index, step)
+    return _search(target, gen, x0, a0, config, method, query_index, _latent_start, step)
 
 
 def latent_random_search(target, gen, x0, a0, config, rng=None, query_index=-1):
@@ -363,13 +382,13 @@ def latent_random_search(target, gen, x0, a0, config, rng=None, query_index=-1):
     with_attrs = config.optimize_attributes and gen.attribute_dim > 0
     k = gen.latent_dim
 
-    def step(point, n, grads):
+    def step(code, attributes, n, grads):
         direction = _unit_direction(rng, k + gen.attribute_dim if with_attrs else k)
-        point.code += step_size(config.code_step, config.step_decay, n) * direction[:k]
+        code += step_size(config.code_step, config.step_decay, n) * direction[:k]
         if with_attrs:
-            point.attributes += step_size(config.attr_step, config.step_decay, n) * direction[k:]
+            attributes += step_size(config.attr_step, config.step_decay, n) * direction[k:]
 
-    return _latent_walk(target, gen, x0, a0, config, "latent-random", query_index, step)
+    return _search(target, gen, x0, a0, config, "latent-random", query_index, _latent_start, step)
 
 
 def _unit_direction(rng, dim):
@@ -427,54 +446,32 @@ def gradient_sign_attack(target, gen, x0, a0, epsilon, desired=None, clip=None, 
     return result
 
 
+def _instance_start(target, gen, x0, a0):
+    """Input-space descent's frame: no decoder, the instance as the
+    iterate, and encodings for the latent fields."""
+    x0 = np.asarray(x0, dtype=np.float64)
+    d = target.network.input_dim
+    if x0.shape != (d,):
+        raise DimensionError(f"instance has shape {x0.shape}, expected ({d},)")
+    return [], x0, x0.size, lambda x, _: (encode(gen, x, a0), encode(gen, x0, a0))
+
+
 def input_space_descent(target, gen, x0, a0, config, query_index=-1):
     """Baseline: the same descent run directly on instance features.
 
-    Uses code_step as its step size with the shared decay and stopping
-    rule; the distance term anchors to the original instance. The latent
-    fields come from encoding outside the timed region.
+    The loop of the latent searches with no decoder: the iterate is the
+    instance, all of it code, so code_step sets its steps under the shared
+    decay and stopping rule, and the distance term anchors it to the
+    original instance. With config.clip set, every step ends by clipping
+    the iterate. The latent fields come from encoding after the clock.
     """
-    config.validate()
-    desired = _require_desired(target, config)
-    x0 = np.asarray(x0, dtype=np.float64)
-    frozen = _frozen_snapshot(target, gen)
-    t0 = time.perf_counter_ns()
-    onehot = np.zeros(target.network.output_dim)
-    onehot[desired] = 1.0
-    x = x0.copy()
-    trace = []
-    n = 0
-    while True:
-        probs, probs_trace = forward_trace(target.network, x)
-        pred_term, g_probs = cross_entropy(probs, onehot)
-        dist, g_dist = l2_distance(x, x0)
-        trace.append((pred_term + config.distance_weight * dist, pred_term, dist))
-        if int(np.argmax(probs)) == desired or n >= config.max_iters:
-            break
-        g_x = vjp(target.network, probs_trace, g_probs, with_params=False).input_grad
-        x -= step_size(config.code_step, config.step_decay, n) * (
-            g_x + config.distance_weight * g_dist
-        )
+
+    def step(x, _, n, grads):
+        x -= step_size(config.code_step, config.step_decay, n) * grads()[0]
         if config.clip is not None:
-            x = np.clip(x, config.clip[0], config.clip[1])
-        n += 1
-    elapsed = _micros_since(t0)
-    predicted = int(np.argmax(probs))
-    result = CounterfactualResult(
-        sample=x,
-        latent=encode(gen, x, a0),
-        origin=encode(gen, x0, a0),
-        flipped=predicted == desired,
-        iterations=n,
-        predicted_class=predicted,
-        desired_class=desired,
-        loss_trace=trace,
-        wall_time_micros=elapsed,
-        method="input-descent",
-        query_index=query_index,
-    )
-    _check_frozen(frozen, target, gen, "input-descent")
-    return result
+            np.clip(x, config.clip[0], config.clip[1], out=x)
+
+    return _search(target, gen, x0, a0, config, "input-descent", query_index, _instance_start, step)
 
 
 def attribute_preservation(disc, results, exclude=()):

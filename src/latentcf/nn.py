@@ -9,8 +9,8 @@ every gradient auditable against finite differences.
 
 Each loop lives once, in a private batch kernel that checks nothing
 (``_trace_layers`` forward, ``_pull_back`` in reverse); :func:`forward_trace`
-and :func:`vjp` wrap them with the shape and finite checks, and the latent
-search calls the kernels directly after checking its shapes once.
+and :func:`vjp` wrap them with the shape and finite checks, and the engine's
+search loop calls the kernels directly after checking its shapes once.
 
 Shapes follow the convention weights[out, in], bias[out]. Inputs may be a
 single vector [d] or a batch [n, d]; outputs mirror that choice. Parameter
@@ -280,20 +280,6 @@ def vjp(net, trace, out_grad, with_params=True, with_input=True):
         return GradientTape(param_grads, None)
     _check_finite(grad, "input gradient")
     return GradientTape(param_grads, grad[0] if trace.single else grad)
-
-
-def backward(net, x, out_grad):
-    """Gradients w.r.t. every parameter and the input, from (net, x).
-
-    Shorthand for ``vjp(net, forward_trace(net, x)[1], out_grad)`` for
-    callers that did not keep the trace of their own evaluation, except that
-    the parameter gradients it returns are checked finite too.
-    """
-    tape = vjp(net, forward_trace(net, x)[1], out_grad)
-    for d_weights, d_bias in tape.param_grads:
-        _check_finite(d_weights, "parameter gradient")
-        _check_finite(d_bias, "parameter gradient")
-    return tape
 
 
 def sgd_step(net, tape, lr):

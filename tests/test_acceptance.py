@@ -44,12 +44,13 @@ from latentcf.models import (
 )
 from latentcf.nn import (
     DenseNetwork,
-    backward,
     build_network,
     cross_entropy,
     forward,
+    forward_trace,
     l2_distance,
     parameter_digest,
+    vjp,
 )
 
 from test_engine import identity_gen, linear_target
@@ -134,7 +135,7 @@ class TestCriterion1:
                 pytest.fail("could not draw an input clear of relu kinks")
             c = rng.normal(size=dims[-1])
             value = lambda: float(c @ forward(net, x))
-            tape = backward(net, x, c)
+            tape = vjp(net, forward_trace(net, x)[1], c)
             for i in range(x.size):
                 fd = central_difference(value, x, i)
                 worst = max(worst, tolerance_fraction(tape.input_grad[i], fd))

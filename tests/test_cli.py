@@ -208,7 +208,8 @@ def without_wall_time(record):
 
 
 class TestQueryRowRead:
-    """explain and rank --query-index read the row they explain and no other."""
+    """explain and rank --query-index read the row they explain and no other;
+    --instance-file reads no dataset at all."""
 
     SEARCH = ["--max-iters", "60", "--alpha", "1.5"]
 
@@ -274,6 +275,48 @@ class TestQueryRowRead:
         err = user_error(capsys, [command, "--manifest", str(workspace["manifest"]),
                                   "--query-index", str(row)])
         assert err == f"error: query index {row} out of range\n"
+
+    def instance_file(self, tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"instance": [0.1] * 12}))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["explain", "rank"])
+    def test_instance_file_reads_no_dataset(self, workspace, tmp_path, capsys, dataset_reads,
+                                            command):
+        argv = [command, "--manifest", str(workspace["manifest"]),
+                "--instance-file", self.instance_file(tmp_path)]
+        assert main(argv + self.SEARCH) == 0
+        assert dataset_reads == []
+
+    @pytest.mark.parametrize("damage", ["missing", "not-a-container"])
+    def test_instance_file_explains_without_a_readable_dataset(self, workspace, tmp_path, capsys,
+                                                               damage):
+        manifest = absolute_manifest(workspace)
+        manifest["dataset"] = str(tmp_path / "data.lcfc")
+        if damage == "not-a-container":
+            (tmp_path / "data.lcfc").write_bytes(b"not a container")
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        argv = ["explain", "--manifest", str(path)]
+        assert main(argv + ["--instance-file", self.instance_file(tmp_path)] + self.SEARCH) == 0
+        # A row still needs the dataset.
+        user_error(capsys, argv + ["--query-index", "0"])
+
+    @pytest.mark.parametrize("command", ["explain", "rank"])
+    def test_both_sources_fail_before_any_file_is_read(self, workspace, tmp_path, capsys,
+                                                       monkeypatch, command):
+        reads = []
+        for module, name in ((datasets, "read_container"), (models, "read_container"),
+                             (cli, "load_manifest")):
+            original = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, _f=original, **k: reads.append(a) or _f(*a, **k))
+        err = user_error(capsys, [command, "--manifest", str(workspace["manifest"]),
+                                  "--query-index", "0",
+                                  "--instance-file", self.instance_file(tmp_path)])
+        assert "exactly one" in err
+        assert reads == []
 
 
 class TestBench:

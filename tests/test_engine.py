@@ -44,7 +44,6 @@ from latentcf.models import (
 from latentcf.nn import (
     DenseNetwork,
     Layer,
-    backward,
     build_network,
     cross_entropy,
     forward,
@@ -377,6 +376,46 @@ class TestGradientWork:
             (target.network.layers, False, True), (gen.decoder.layers, False, True)
         ] * res.iterations
 
+    @pytest.mark.parametrize(
+        "step, max_iters, flips", [(0.02, 50, True), (0.001, 5, False)],
+        ids=["flips", "out-of-budget"],
+    )
+    def test_input_descent_traces_the_target_alone(
+        self, target, gen, dataset, monkeypatch, step, max_iters, flips
+    ):
+        """Input-space descent runs the same loop with no decoder: per
+        evaluation one target trace, per step one input-only pull-back
+        through it, none after the last evaluation, and none of the checked
+        nn wrappers."""
+        traced, pulled = [], []
+        real_trace, real_pull = engine._trace_layers, engine._pull_back
+
+        def counting_trace(layers, batch):
+            traced.append(layers)
+            return real_trace(layers, batch)
+
+        def counting_pull(layers, records, grad, with_params, with_input):
+            pulled.append((layers, with_params, with_input))
+            return real_pull(layers, records, grad, with_params, with_input)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a checked nn wrapper inside the search")
+
+        monkeypatch.setattr(engine, "_trace_layers", counting_trace)
+        monkeypatch.setattr(engine, "_pull_back", counting_pull)
+        for name in ("forward_trace", "vjp", "cross_entropy"):
+            monkeypatch.setattr(engine, name, refused)
+        x0, a0 = first_query(dataset, target)
+        cfg = PerturbConfig.text_defaults(
+            desired=1, code_step=step, step_decay=1.0, max_iters=max_iters
+        )
+        res = input_space_descent(target, gen, x0, a0, cfg)
+        assert res.flipped == flips
+        assert res.iterations >= 2
+        evals = len(res.loss_trace)
+        assert traced == [[], target.network.layers] * evals
+        assert pulled == [(target.network.layers, False, True), ([], False, True)] * res.iterations
+
 
 # --- the parent formulation, from public nn functions only ------------------
 
@@ -440,6 +479,28 @@ def reference_random_step(cfg, rng):
         point.attributes = point.attributes + cfg.attr_step * cfg.step_decay**n * v[k:]
 
     return step
+
+
+def reference_input_descent(target, x0, cfg):
+    """Input-space descent as its own loop over forward_trace, cross_entropy,
+    l2_distance and vjp: (sample, loss trace, iterations, predicted class)."""
+    onehot = np.zeros(target.network.output_dim)
+    onehot[cfg.desired] = 1.0
+    x = x0.copy()
+    trace, n = [], 0
+    while True:
+        probs, probs_trace = forward_trace(target.network, x)
+        pred, g_probs = cross_entropy(probs, onehot)
+        dist, g_dist = l2_distance(x, x0)
+        trace.append((pred + cfg.distance_weight * dist, pred, dist))
+        if int(np.argmax(probs)) == cfg.desired or n >= cfg.max_iters:
+            break
+        g_x = vjp(target.network, probs_trace, g_probs, with_params=False).input_grad
+        x -= cfg.code_step * cfg.step_decay**n * (g_x + cfg.distance_weight * g_dist)
+        if cfg.clip is not None:
+            x = np.clip(x, cfg.clip[0], cfg.clip[1])
+        n += 1
+    return x, trace, n, int(np.argmax(probs))
 
 
 def bits(*arrays):
@@ -567,14 +628,49 @@ class TestParityWithThePublicComposition:
             with pytest.raises(DimensionError):
                 counterfactual_loss(target, gen, point, origin, 1, 0.7)
 
+    def test_a_decoder_that_does_not_feed_the_classifier(self):
+        target, gen, x0, a0 = small_stack("tanh", 0)
+        origin = encode(gen, x0, a0)
+        # The decoder now emits 2 features; the classifier reads 5.
+        gen.decoder.layers.append(Layer(np.ones((2, 5)), np.zeros(2), "identity"))
+        with pytest.raises(DimensionError, match="do not chain"):
+            latent_descent(target, gen, x0, a0, PerturbConfig(desired=1))
+        with pytest.raises(DimensionError, match="do not chain"):
+            counterfactual_loss(target, gen, origin, origin, 1, 0.7)
+
+    @pytest.mark.parametrize("hidden, saturate", STACKS, ids=STACK_IDS)
+    @pytest.mark.parametrize("clip", [None, (-1.0, 1.0)], ids=["unclipped", "clipped"])
+    @pytest.mark.parametrize("budget", [False, True], ids=["flip", "budget"])
+    def test_input_space_descent(self, hidden, saturate, clip, budget):
+        target, gen, x0, a0 = small_stack(hidden, HIDDEN.index(hidden), saturate)
+        runner_up = int(np.argsort(forward(target.network, x0))[-2])
+        cfg = PerturbConfig(distance_weight=0.3, code_step=0.05 if budget else 1.0,
+                            step_decay=0.97, max_iters=3 if budget else 60, desired=runner_up,
+                            clip=clip)
+        res = input_space_descent(target, gen, x0, a0, cfg)
+        sample, trace, n, predicted = reference_input_descent(target, x0, cfg)
+        # The sigmoid stack and the saturated one (flat at the clamp) never flip.
+        assert res.flipped == (not budget and hidden != "sigmoid" and not saturate)
+        assert res.iterations == n >= 1
+        if budget:
+            assert n == cfg.max_iters
+        assert res.predicted_class == predicted
+        latent, origin = encode(gen, sample, a0), encode(gen, x0, a0)
+        assert bits(res.sample, res.latent.code, res.latent.attributes, res.origin.code,
+                    res.origin.attributes, res.loss_trace) == bits(
+            sample, latent.code, latent.attributes, origin.code, origin.attributes, trace)
+
     def test_consecutive_searches_share_no_memory(self):
         target, gen, x0, a0 = small_stack("relu", 1)
         cfg = walk_config(target, gen, x0, a0)
-        arrays = []
+        arrays = [x0]
         for _ in range(2):
             res = latent_descent(target, gen, x0, a0, cfg)
             arrays += [res.sample, res.latent.code, res.latent.attributes,
                        res.origin.code, res.origin.attributes]
+        for _ in range(2):
+            res = input_space_descent(target, gen, x0, a0, cfg)
+            arrays += [res.sample, res.latent.code, res.origin.code]
         for i, a in enumerate(arrays):
             for b in arrays[i + 1 :]:
                 assert not np.shares_memory(a, b)
@@ -652,6 +748,21 @@ class TestNonFiniteSearch:
             with pytest.raises(NumericalError, match="input gradient"):
                 latent_descent(target, gen, x0, a0, cfg)
 
+    @pytest.mark.parametrize(
+        "kind, x0, message",
+        [
+            ("classifier-output", [1.0, 1.0], "forward output"),
+            # Feature 1 at 0, as the decoder leaves it in the latent searches.
+            ("classifier-pull-back", [1.0, 0.0], "input gradient"),
+        ],
+    )
+    def test_input_descent_raises(self, kind, x0, message):
+        target, gen, _, a0 = overflow_stack(kind)
+        cfg = PerturbConfig.text_defaults(desired=1, max_iters=50)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match=message):
+                input_space_descent(target, gen, np.array(x0), a0, cfg)
+
     def test_the_overflow_stacks_are_finite_without_the_overflow(self):
         """With the huge weights scaled down, the same stacks search without
         a NumericalError, so the errors above come from the overflow."""
@@ -663,6 +774,8 @@ class TestNonFiniteSearch:
             cfg = PerturbConfig.text_defaults(desired=1, max_iters=5)
             latent_descent(target, gen, x0, a0, cfg)
             latent_random_search(target, gen, x0, a0, cfg, rng=np.random.default_rng(0))
+            input_space_descent(target, gen, x0, a0, cfg)
+            input_space_descent(target, gen, np.array([1.0, 0.0]), a0, cfg)
 
 
 class TestRandomSearch:
@@ -718,7 +831,7 @@ class TestGradientSign:
         probs = forward(target.network, x0)
         onehot = np.array([0.0, 1.0])
         _, g_probs = cross_entropy(probs, onehot)
-        g_x = backward(target.network, x0, g_probs).input_grad
+        g_x = vjp(target.network, forward_trace(target.network, x0)[1], g_probs).input_grad
         assert_allclose(res.sample, x0 - 0.25 * np.sign(g_x), atol=0)
         assert_allclose(np.abs(res.sample - x0).max(), 0.25, atol=1e-15)
         assert res.iterations == 1
@@ -773,6 +886,20 @@ class TestInputDescent:
         res = input_space_descent(target, gen, np.array([0.4, 0.1]), np.zeros(0), cfg)
         assert np.array_equal(res.sample, np.array([0.4, 0.1]))
         assert res.iterations == 3
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 2), (2, 2)])
+    def test_instance_shape_is_checked(self, shape):
+        gen = identity_gen(2)
+        cfg = PerturbConfig(max_iters=3, desired=1)
+        with pytest.raises(DimensionError):
+            input_space_descent(stubborn_target(2), gen, np.zeros(shape), np.zeros(0), cfg)
+
+    @pytest.mark.parametrize("bad", [dict(step_decay=0.0), dict(desired=None), dict(desired=2)])
+    def test_config_fails_before_the_shape_check(self, bad):
+        cfg = dataclasses.replace(PerturbConfig(max_iters=3, desired=1), **bad)
+        with pytest.raises(ConfigurationError):
+            input_space_descent(stubborn_target(2), identity_gen(2), np.zeros(3), np.zeros(0),
+                                cfg)
 
     def test_clip_applied_to_iterates(self):
         gen = identity_gen(2)
