@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import AttributedDataset
-from .engine import latent_descent
+from .engine import desired_class, latent_descent
 from .errors import ConfigurationError, PartialResultWarning
 from .models import train_target
 
@@ -84,10 +84,8 @@ def augment_with_counterfactuals(dataset, target, gen, n_aug, perturb, seed=0):
     """
     if n_aug < 0:
         raise ConfigurationError("n_aug must be non-negative")
-    if perturb.desired is None and dataset.n_classes != 2:
-        raise ConfigurationError(
-            "perturb.desired is required when the task has more than two classes"
-        )
+    # Refuses a target beyond two classes before any search, whatever n_aug is.
+    desired_class(target, 0, perturb.desired)
     train_idx = dataset.indices("train")
     rng = np.random.default_rng(seed)
     order = rng.permutation(train_idx)
@@ -97,13 +95,11 @@ def augment_with_counterfactuals(dataset, target, gen, n_aug, perturb, seed=0):
             break
         x0 = dataset.instances[row]
         a0 = dataset.attributes[row]
-        if perturb.desired is None:
-            current = int(np.argmax(target.predict_proba(x0)))
-            cfg = dataclasses.replace(perturb, desired=1 - current)
-        else:
-            cfg = perturb
-            if int(np.argmax(target.predict_proba(x0))) == cfg.desired:
-                continue
+        current = int(np.argmax(target.predict_proba(x0)))
+        desired = desired_class(target, current, perturb.desired)
+        if current == desired:
+            continue
+        cfg = dataclasses.replace(perturb, desired=desired)
         result = latent_descent(target, gen, x0, a0, cfg, query_index=int(row))
         if not result.flipped:
             continue

@@ -41,6 +41,7 @@ from .container import is_number_list
 from .datasets import SynthSpec, generate, load_dataset, save_dataset
 from .engine import (
     PerturbConfig,
+    desired_class,
     latent_descent,
     read_results_jsonl,
     write_pgm,
@@ -220,15 +221,6 @@ def _write_out(opts, key, text):
         print(f"wrote {path}")
 
 
-def _desired_for(target, predicted, cfg):
-    """The requested class, or else the other of two classes than predicted."""
-    if cfg.desired is not None:
-        return cfg.desired
-    if target.network.output_dim != 2:
-        raise ConfigurationError("--desired is required beyond two classes")
-    return 1 - predicted
-
-
 def cmd_gen_data(args):
     opts = Options(args, "gen-data")
     # Defaults reproduce the stock benchmark dataset.
@@ -347,7 +339,7 @@ def cmd_explain(args):
     target, gen, x0, a0, qi = _query_stack(opts)
     cfg = _perturb_from(opts)
     predicted = target.predict(x0)
-    cfg.desired = _desired_for(target, predicted, cfg)
+    cfg.desired = desired_class(target, predicted, cfg.desired)
     result = latent_descent(target, gen, x0, a0, cfg, query_index=qi)
     print(f"prediction {predicted} -> "
           f"desired {result.desired_class}: "
@@ -451,7 +443,7 @@ def cmd_rank(args):
         else:
             target, gen, x0, a0, qi = _query_stack(opts)
             cfg = _perturb_from(opts)
-            cfg.desired = _desired_for(target, target.predict(x0), cfg)
+            cfg.desired = desired_class(target, target.predict(x0), cfg.desired)
             result = latent_descent(target, gen, x0, a0, cfg, query_index=qi)
             ranking = attribute_interaction_ranking(result, names=names, exclude=exclude)
     table = "attribute,score\n" + "".join(f"{e.name},{e.score!r}\n" for e in ranking)

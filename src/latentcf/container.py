@@ -113,10 +113,11 @@ def write_container(path, kind, meta, arrays):
 def read_container(path, expected_kind=None, rows=None):
     """Read a container back as (kind, meta, arrays dict).
 
-    Truncated or malformed files raise FormatError with the byte offset of
-    the first problem; a newer format version raises UnsupportedVersionError.
-    Every directory entry is checked before any array is allocated, and each
-    array's bytes are read once, straight into its own buffer.
+    Truncated or malformed files raise FormatError naming the file (its base
+    name) and the byte offset of the first problem; a newer format version
+    raises UnsupportedVersionError. Every directory entry is checked before
+    any array is allocated, and each array's bytes are read once, straight
+    into its own buffer.
 
     rows=(start, stop) reads only those rows of the leading axis, which every
     array must share (DimensionError otherwise), with 0 <= start <= stop <= n
@@ -124,49 +125,54 @@ def read_container(path, expected_kind=None, rows=None):
     only the bytes read shrink. `explain` and `rank --query-index` read the
     dataset row they explain this way.
     """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        preamble = fh.read(16)
-        if len(preamble) < 4 or preamble[:4] != MAGIC:
-            raise FormatError("bad magic, not a container file", offset=0)
-        if len(preamble) < 16:
-            raise FormatError("truncated before header length", offset=len(preamble))
-        version = struct.unpack_from("<H", preamble, 4)[0]
-        if version != FORMAT_VERSION:
-            raise UnsupportedVersionError(
-                f"format version {version} not supported (expected {FORMAT_VERSION})", offset=4
-            )
-        # Preamble layout: magic 0:4, version 4:6, reserved 6:8, header length 8:16.
-        header_len = struct.unpack_from("<Q", preamble, 8)[0]
-        payload_start = 16 + header_len
-        if size < payload_start:
-            raise FormatError("truncated inside header", offset=size)
-        try:
-            header = json.loads(fh.read(header_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-            raise FormatError(f"unreadable header: {exc}", offset=16) from exc
-        if not isinstance(header, dict):
-            raise FormatError("header is not a JSON object", offset=16)
-        for key in ("kind", "meta", "arrays"):
-            if key not in header:
-                raise FormatError(f"header missing {key!r} field", offset=16)
-        if expected_kind is not None and header["kind"] != expected_kind:
-            raise FormatError(
-                f"container holds {header['kind']!r}, expected {expected_kind!r}", offset=16
-            )
-        entries = _check_directory(header["arrays"], payload_start, size)
-        if rows is not None:
-            entries = _row_range(entries, rows)
-        arrays = {}
-        for name, shape, dtype, offset, nbytes in entries:
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            preamble = fh.read(16)
+            if len(preamble) < 4 or preamble[:4] != MAGIC:
+                raise FormatError("bad magic, not a container file", offset=0)
+            if len(preamble) < 16:
+                raise FormatError("truncated before header length", offset=len(preamble))
+            version = struct.unpack_from("<H", preamble, 4)[0]
+            if version != FORMAT_VERSION:
+                raise UnsupportedVersionError(
+                    f"format version {version} not supported (expected {FORMAT_VERSION})", offset=4
+                )
+            # Preamble layout: magic 0:4, version 4:6, reserved 6:8, header length 8:16.
+            header_len = struct.unpack_from("<Q", preamble, 8)[0]
+            payload_start = 16 + header_len
+            if size < payload_start:
+                raise FormatError("truncated inside header", offset=size)
             try:
-                arr = np.empty(shape, dtype)
-            except ValueError as exc:
-                raise FormatError(f"array {name!r}: {exc}", offset=16) from exc
-            fh.seek(payload_start + offset)
-            if fh.readinto(arr) != nbytes:
-                raise FormatError(f"array {name!r} is truncated", offset=payload_start + offset)
-            arrays[name] = arr
+                header = json.loads(fh.read(header_len).decode("utf-8"))
+            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+                raise FormatError(f"unreadable header: {exc}", offset=16) from exc
+            if not isinstance(header, dict):
+                raise FormatError("header is not a JSON object", offset=16)
+            for key in ("kind", "meta", "arrays"):
+                if key not in header:
+                    raise FormatError(f"header missing {key!r} field", offset=16)
+            if expected_kind is not None and header["kind"] != expected_kind:
+                raise FormatError(
+                    f"container holds {header['kind']!r}, expected {expected_kind!r}", offset=16
+                )
+            entries = _check_directory(header["arrays"], payload_start, size)
+            if rows is not None:
+                entries = _row_range(entries, rows)
+            arrays = {}
+            for name, shape, dtype, offset, nbytes in entries:
+                try:
+                    arr = np.empty(shape, dtype)
+                except ValueError as exc:
+                    raise FormatError(f"array {name!r}: {exc}", offset=16) from exc
+                fh.seek(payload_start + offset)
+                if fh.readinto(arr) != nbytes:
+                    raise FormatError(f"array {name!r} is truncated", offset=payload_start + offset)
+                arrays[name] = arr
+    except FormatError as exc:
+        # Named by base name, so the same damage reads the same in any directory.
+        exc.args = (f"{os.path.basename(path)}: {exc}",)
+        raise
     return header["kind"], header["meta"], arrays
 
 

@@ -12,7 +12,9 @@ labels) triples with a contiguous train/dev/test split:
 
 The class label is driven by designated attribute bits, so a classifier,
 an attribute discriminator, and a counterfactual search all have signal to
-find. Everything is deterministic in the spec seed.
+find. A generator draws instances and attributes only; one rule then labels
+the rows of either family (and writes blobs' label echo). Everything is
+deterministic in the spec seed.
 """
 
 from __future__ import annotations
@@ -184,27 +186,27 @@ def _all_in(values, allowed):
     return bool(ok.all())
 
 
-def _label_indices(attrs, spec, rng):
+def _label_indices(x, attrs, spec, rng):
     """Class index from the designated attribute bits.
 
     Two classes: the conjunction of the designated bits gives a signed
     margin score, plus noise, thresholded at zero, so a thin noisy band
     straddles the boundary. With one designated bit this is just that bit;
-    with several, flipping the label needs a coordinated change. More
-    classes: the bit pattern read as a binary code, modulo n_classes,
-    noise-free.
+    with several, flipping the label needs a coordinated change. Label echo
+    (two-class blobs) then writes the realized score onto x's first
+    non-attribute coordinate, so the instance carries label evidence beyond
+    what the attribute bits imply. More classes: the bit pattern read as a
+    binary code, modulo n_classes, noise-free.
     """
-    if spec.n_classes == 2:
-        return (_two_class_scores(attrs, spec, rng) > 0).astype(np.int64)
     bits = attrs[:, list(spec.label_attributes)]
+    if spec.n_classes == 2:
+        base = bits.prod(axis=1)
+        score = spec.margin * (2.0 * base - 1.0) + rng.normal(0.0, spec.noise, size=len(base))
+        if spec.label_echo > 0:
+            x[:, spec.n_attributes] += spec.label_echo * score
+        return (score > 0).astype(np.int64)
     code = (bits * (2 ** np.arange(len(spec.label_attributes)))).sum(axis=1)
     return (code % spec.n_classes).astype(np.int64)
-
-
-def _two_class_scores(attrs, spec, rng):
-    bits = attrs[:, list(spec.label_attributes)]
-    base = bits.prod(axis=1)
-    return spec.margin * (2.0 * base - 1.0) + rng.normal(0.0, spec.noise, size=len(base))
 
 
 def _generate_blobs(spec, rng):
@@ -225,16 +227,7 @@ def _generate_blobs(spec, rng):
             x[:, : spec.n_attributes] += spec.style_leak * styles[:, [0]]
     if spec.noise > 0:
         x += rng.normal(0.0, spec.noise, size=x.shape)
-    labels = None
-    if spec.n_classes == 2:
-        score = _two_class_scores(attrs, spec, rng)
-        labels = (score > 0).astype(np.int64)
-        # Label echo: the realized margin score is written onto the first
-        # non-attribute coordinate, so the instance carries label evidence
-        # beyond what the attribute bits imply.
-        if spec.label_echo > 0:
-            x[:, spec.n_attributes] += spec.label_echo * score
-    return x, attrs, labels
+    return x, attrs
 
 
 def _stroke_mask(name, side):
@@ -292,14 +285,9 @@ def generate(spec):
     """Materialize the dataset a spec describes. Deterministic in spec.seed."""
     spec.validate()
     rng = np.random.default_rng(spec.seed)
-    label_idx = None
-    if spec.generator == "blobs":
-        x, attrs, label_idx = _generate_blobs(spec, rng)
-    else:
-        x, attrs = _generate_glyphs(spec, rng)
-    if label_idx is None:
-        label_idx = _label_indices(attrs, spec, rng)
-    labels = np.eye(spec.n_classes)[label_idx]
+    make = _generate_blobs if spec.generator == "blobs" else _generate_glyphs
+    x, attrs = make(spec, rng)
+    labels = np.eye(spec.n_classes)[_label_indices(x, attrs, spec, rng)]
     n_train, n_dev, _ = spec.split_sizes()
     split = np.full(spec.n_samples, 2, dtype=np.int8)
     split[:n_train] = 0

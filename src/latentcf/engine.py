@@ -246,6 +246,17 @@ def counterfactual_loss(target, gen, point, origin, desired, distance_weight, wi
     return loss
 
 
+def desired_class(target, predicted, desired=None):
+    """desired when given; else, for a two-class target, the class not
+    predicted (elementwise for an array). ConfigurationError otherwise."""
+    if desired is None and target.network.output_dim != 2:
+        raise ConfigurationError(
+            f"a {target.network.output_dim}-class target needs a desired class; "
+            "only two classes default to the class not predicted"
+        )
+    return 1 - predicted if desired is None else desired
+
+
 def _require_desired(target, config):
     if config.desired is None:
         raise ConfigurationError("config.desired must name the class to reach")
@@ -414,10 +425,7 @@ def gradient_sign_attack(target, gen, x0, a0, epsilon, desired=None, clip=None, 
     frozen = _frozen_snapshot(target, gen)
     t0 = time.perf_counter_ns()
     probs, probs_trace = forward_trace(target.network, x0)
-    if desired is None:
-        if target.network.output_dim != 2:
-            raise ConfigurationError("desired class is required beyond two classes")
-        desired = 1 - int(np.argmax(probs))
+    desired = desired_class(target, int(np.argmax(probs)), desired)
     onehot = np.zeros(target.network.output_dim)
     onehot[desired] = 1.0
     loss_before, g_probs = cross_entropy(probs, onehot)

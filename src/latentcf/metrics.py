@@ -19,6 +19,7 @@ import numpy as np
 from .datasets import SynthSpec
 from .engine import (
     PerturbConfig,
+    desired_class,
     gradient_sign_attack,
     input_space_descent,
     latent_descent,
@@ -240,24 +241,17 @@ class BenchmarkReport:
         return "\n".join(lines) + "\n"
 
 
-def _select_queries(dataset, target, n_queries, seed, desired_class):
+def _select_queries(dataset, target, n_queries, seed, fixed):
     if n_queries < 1:
         raise ConfigurationError(f"need at least one query, got {n_queries}")
     test_idx = dataset.indices("test")
     if len(test_idx) == 0:
         raise ConfigurationError("dataset has no test split to query")
     preds = np.argmax(forward(target.network, dataset.instances[test_idx]), axis=1)
-    if desired_class is None:
-        if dataset.n_classes != 2:
-            raise ConfigurationError(
-                "desired_class is required when the task has more than two classes"
-            )
-        usable = test_idx
-        desired = 1 - preds
-    else:
-        mask = preds != desired_class
-        usable = test_idx[mask]
-        desired = np.full(len(usable), desired_class)
+    desired = np.broadcast_to(desired_class(target, preds, fixed), preds.shape)
+    # Only a fixed class can already be predicted; the complement never is.
+    mask = preds != desired
+    usable, desired = test_idx[mask], desired[mask]
     if n_queries > len(usable):
         raise ConfigurationError(
             f"requested {n_queries} queries but only {len(usable)} usable test "

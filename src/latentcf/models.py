@@ -1,11 +1,13 @@
 """Model training: target classifier, attribute discriminator, autoencoder.
 
-All three ride on the dense-network engine and plain minibatch SGD. The
-target classifier is the black box under explanation; after training it is
-only ever queried forward, and its gradients are used solely through the
-counterfactual loss. The discriminator maps instances to per-attribute
-probabilities and stays frozen while the generative model trains: its
-gradient signal flows into the decoder, its parameters never move.
+All three ride on the dense-network engine and one minibatch SGD loop,
+``_fit``; each trainer supplies only a batch closure giving its loss and
+updates. The target classifier is the black box under explanation; after
+training it is only ever queried forward, and its gradients are used solely
+through the counterfactual loss. The discriminator maps instances to
+per-attribute probabilities and stays frozen while the generative model
+trains: its gradient signal flows into the decoder, its parameters never
+move.
 
 The generative model is a deterministic autoencoder whose decoder consumes
 the latent code concatenated with the attribute vector. Training minimizes
@@ -178,10 +180,52 @@ def decode(model, point):
     return forward(model.decoder, np.concatenate([point.code, point.attributes]))
 
 
-def _minibatches(n, batch_size, rng):
-    perm = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield perm[start : start + batch_size]
+def _mlp(in_dim, out_dim, config, head, rng):
+    """A dense network: config's hidden layers, then a head-activated output."""
+    hidden = config.hidden_dims
+    return build_network(
+        [in_dim, *hidden, out_dim], [config.hidden_activation] * len(hidden) + [head], rng
+    )
+
+
+def _fit(config, n, rng, batch, what):
+    """Minibatch SGD over n rows; returns the per-epoch mean losses.
+
+    Each epoch visits the rows in batches of an rng permutation. batch(idx)
+    returns the batch's mean loss and a thunk giving the (network, tape)
+    updates. A non-finite loss raises TrainingError naming what before the
+    thunk runs, so no update is applied from a diverged batch.
+    """
+    history = []
+    for epoch in range(config.epochs):
+        perm = rng.permutation(n)
+        epoch_loss = 0.0
+        for start in range(0, n, config.batch_size):
+            idx = perm[start : start + config.batch_size]
+            loss, updates = batch(idx)
+            if not np.isfinite(loss):
+                raise TrainingError(f"{what} loss diverged at epoch {epoch}")
+            for net, tape in updates():
+                sgd_step(net, tape, config.learning_rate)
+            epoch_loss += loss * len(idx)
+        history.append(epoch_loss / n)
+    return history
+
+
+def _supervised(net, x, y, loss_fn):
+    """The batch closure of a network fit directly to targets y."""
+
+    def batch(idx):
+        out, trace = forward_trace(net, x[idx])
+        loss, grad = loss_fn(out, y[idx])
+        return loss, lambda: [(net, vjp(net, trace, grad, with_input=False))]
+
+    return batch
+
+
+def _warn_below(value, floor, what):
+    if value < floor:
+        warnings.warn(f"{what} {value:.3f} below floor {floor}", TrainingQualityWarning)
 
 
 def _accuracy(network, x, onehot):
@@ -192,29 +236,16 @@ def _accuracy(network, x, onehot):
 def train_target(dataset, config):
     """Fit the classifier on the train split; accuracies on all three splits.
 
-    A non-finite epoch loss aborts with TrainingError. Dev accuracy below
+    A non-finite batch loss aborts with TrainingError. Dev accuracy below
     the configured floor emits TrainingQualityWarning but still returns the
     model, leaving the call site to decide whether it is usable.
     """
     config.validate()
     x_train, _, y_train = dataset.part("train")
     rng = np.random.default_rng(config.seed)
-    net = build_network(
-        [dataset.n_features, *config.hidden_dims, dataset.n_classes],
-        [config.hidden_activation] * len(config.hidden_dims) + ["softmax"],
-        rng,
-    )
-    history = []
-    for epoch in range(config.epochs):
-        epoch_loss = 0.0
-        for idx in _minibatches(len(x_train), config.batch_size, rng):
-            out, trace = forward_trace(net, x_train[idx])
-            loss, grad = mean_cross_entropy(out, y_train[idx])
-            if not np.isfinite(loss):
-                raise TrainingError(f"classifier loss diverged at epoch {epoch}")
-            sgd_step(net, vjp(net, trace, grad, with_input=False), config.learning_rate)
-            epoch_loss += loss * len(idx)
-        history.append(epoch_loss / len(x_train))
+    net = _mlp(dataset.n_features, dataset.n_classes, config, "softmax", rng)
+    history = _fit(config, len(x_train), rng,
+                   _supervised(net, x_train, y_train, mean_cross_entropy), "classifier")
     x_dev, _, y_dev = dataset.part("dev")
     x_test, _, y_test = dataset.part("test")
     model = TargetModel(
@@ -224,12 +255,7 @@ def train_target(dataset, config):
         test_accuracy=_accuracy(net, x_test, y_test),
         loss_history=history,
     )
-    if model.dev_accuracy < config.accuracy_floor:
-        warnings.warn(
-            f"classifier dev accuracy {model.dev_accuracy:.3f} below floor "
-            f"{config.accuracy_floor}",
-            TrainingQualityWarning,
-        )
+    _warn_below(model.dev_accuracy, config.accuracy_floor, "classifier dev accuracy")
     return model
 
 
@@ -248,27 +274,14 @@ def train_discriminator(dataset, config):
                 TrainingQualityWarning,
             )
     rng = np.random.default_rng(config.seed)
-    net = build_network(
-        [dataset.n_features, *config.hidden_dims, dataset.n_attributes],
-        [config.hidden_activation] * len(config.hidden_dims) + ["sigmoid"],
-        rng,
-    )
-    for epoch in range(config.epochs):
-        for idx in _minibatches(len(x_train), config.batch_size, rng):
-            out, trace = forward_trace(net, x_train[idx])
-            loss, grad = mean_binary_cross_entropy(out, a_train[idx])
-            if not np.isfinite(loss):
-                raise TrainingError(f"discriminator loss diverged at epoch {epoch}")
-            sgd_step(net, vjp(net, trace, grad, with_input=False), config.learning_rate)
+    net = _mlp(dataset.n_features, dataset.n_attributes, config, "sigmoid", rng)
+    _fit(config, len(x_train), rng,
+         _supervised(net, x_train, a_train, mean_binary_cross_entropy), "discriminator")
     x_dev, a_dev, _ = dataset.part("dev")
     preds = forward(net, x_dev) >= 0.5
     per_attr = [float(np.mean(preds[:, j] == (a_dev[:, j] == 1.0))) for j in range(dataset.n_attributes)]
-    if float(np.mean(per_attr)) < config.accuracy_floor:
-        warnings.warn(
-            f"mean per-attribute dev accuracy {np.mean(per_attr):.3f} below "
-            f"floor {config.accuracy_floor}",
-            TrainingQualityWarning,
-        )
+    _warn_below(float(np.mean(per_attr)), config.accuracy_floor,
+                "mean per-attribute dev accuracy")
     return Discriminator(network=net, attribute_accuracy=per_attr)
 
 
@@ -299,41 +312,30 @@ def train_generative(dataset, discriminator, config):
     t = dataset.n_attributes
     k = config.latent_dim
     rng = np.random.default_rng(config.seed)
-    encoder = build_network(
-        [d, *config.hidden_dims, k],
-        [config.hidden_activation] * len(config.hidden_dims) + ["identity"],
-        rng,
-    )
-    decoder = build_network(
-        [k + t, *config.hidden_dims, d],
-        [config.hidden_activation] * len(config.hidden_dims) + [config.output_activation],
-        rng,
-    )
+    encoder = _mlp(d, k, config, "identity", rng)
+    decoder = _mlp(k + t, d, config, config.output_activation, rng)
     disc_net = discriminator.network
-    history = []
-    for epoch in range(config.epochs):
-        epoch_loss = 0.0
-        for idx in _minibatches(len(x_train), config.batch_size, rng):
-            xb, ab = x_train[idx], a_train[idx]
-            codes, enc_trace = forward_trace(encoder, xb)
-            u = np.concatenate([codes, ab], axis=1)
-            xhat, dec_trace = forward_trace(decoder, u)
-            recon, g_xhat = _recon_grad(xhat, xb)
-            loss = recon
-            if config.disc_weight > 0:
-                probs, disc_trace = forward_trace(disc_net, xhat)
-                bce, g_probs = mean_binary_cross_entropy(probs, ab)
-                loss += config.disc_weight * bce
-                g_disc_in = vjp(disc_net, disc_trace, g_probs, with_params=False).input_grad
-                g_xhat = g_xhat + config.disc_weight * g_disc_in
-            if not np.isfinite(loss):
-                raise TrainingError(f"autoencoder loss diverged at epoch {epoch}")
+
+    def batch(idx):
+        xb, ab = x_train[idx], a_train[idx]
+        codes, enc_trace = forward_trace(encoder, xb)
+        xhat, dec_trace = forward_trace(decoder, np.concatenate([codes, ab], axis=1))
+        loss, g_xhat = _recon_grad(xhat, xb)
+        if config.disc_weight > 0:
+            probs, disc_trace = forward_trace(disc_net, xhat)
+            bce, g_probs = mean_binary_cross_entropy(probs, ab)
+            loss += config.disc_weight * bce
+            g_disc_in = vjp(disc_net, disc_trace, g_probs, with_params=False).input_grad
+            g_xhat = g_xhat + config.disc_weight * g_disc_in
+
+        def updates():
             dec_tape = vjp(decoder, dec_trace, g_xhat)
             enc_tape = vjp(encoder, enc_trace, dec_tape.input_grad[:, :k], with_input=False)
-            sgd_step(decoder, dec_tape, config.learning_rate)
-            sgd_step(encoder, enc_tape, config.learning_rate)
-            epoch_loss += loss * len(idx)
-        history.append(epoch_loss / len(x_train))
+            return [(decoder, dec_tape), (encoder, enc_tape)]
+
+        return loss, updates
+
+    history = _fit(config, len(x_train), rng, batch, "autoencoder")
     codes = forward(encoder, x_train)
     xhat = forward(decoder, np.concatenate([codes, a_train], axis=1))
     recon_final, _ = _recon_grad(xhat, x_train)
@@ -350,12 +352,7 @@ def train_generative(dataset, discriminator, config):
         attribute_consistency=consistency,
         loss_history=history,
     )
-    if consistency < config.consistency_floor:
-        warnings.warn(
-            f"attribute consistency {consistency:.3f} below floor "
-            f"{config.consistency_floor}",
-            TrainingQualityWarning,
-        )
+    _warn_below(consistency, config.consistency_floor, "attribute consistency")
     return model
 
 

@@ -11,7 +11,14 @@ from latentcf.applications import attribute_interaction_ranking
 from latentcf.cli import build_parser, main
 from latentcf.container import write_container
 from latentcf.datasets import generate, load_dataset
-from latentcf.engine import PerturbConfig, latent_descent, read_results_jsonl, result_to_dict
+from latentcf.engine import (
+    PerturbConfig,
+    desired_class,
+    latent_descent,
+    read_results_jsonl,
+    result_to_dict,
+)
+from latentcf.errors import ConfigurationError, TrainingQualityWarning
 from latentcf.metrics import benchmark_recipe
 from test_models import malformed_checkpoints, write_malformed
 
@@ -817,3 +824,72 @@ class TestInputErrors:
         monkeypatch.setattr(cli, "cmd_rank", broken)
         with pytest.raises(KeyError, match="internal"):
             main(["rank"])
+
+
+class TestUnreadableContainers:
+    """A file that is not a container is named in the error, whichever of
+    the manifest's four files it is, and when it is train's --data."""
+
+    @pytest.mark.parametrize("key", PATH_KEYS)
+    def test_manifest_file(self, workspace, tmp_path, capsys, key):
+        junk = tmp_path / f"junk-{key}.lcfc"
+        junk.write_bytes(b"garbage")
+        manifest = absolute_manifest(workspace)
+        manifest[key] = str(junk)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        err = user_error(capsys, ["explain", "--manifest", str(path), "--query-index", "0"])
+        assert f"junk-{key}.lcfc: bad magic" in err
+
+    def test_train_data(self, tmp_path, capsys):
+        junk = tmp_path / "junk-data.lcfc"
+        junk.write_bytes(b"garbage")
+        err = user_error(capsys, ["train", "--data", str(junk), "--out-dir", str(tmp_path / "a")])
+        assert "junk-data.lcfc: bad magic" in err
+
+
+@pytest.fixture(scope="module")
+def three_classes(tmp_path_factory):
+    """A small three-class dataset and a briefly trained stack."""
+    root = tmp_path_factory.mktemp("three")
+    data = root / "data.lcfc"
+    assert main(["gen-data", "--out", str(data), "--samples", "240", "--features", "12",
+                 "--attributes", "2", "--classes", "3", "--label-attributes", "0,1",
+                 "--label-echo", "0", "--train-frac", "0.75", "--dev-frac", "0.1"]) == 0
+    with warnings.catch_warnings():
+        # Two epochs are deliberately undertrained; quality is not the point.
+        warnings.simplefilter("ignore", TrainingQualityWarning)
+        assert main(["train", "--data", str(data), "--out-dir", str(root / "art"),
+                     "--epochs", "2", "--gen-epochs", "2", "--latent", "3"]) == 0
+    return root / "art" / "manifest.json"
+
+
+def desired_class_message(target):
+    with pytest.raises(ConfigurationError) as exc:
+        desired_class(target, 0)
+    return str(exc.value)
+
+
+class TestThreeClassesNeedADesiredClass:
+    """Without a desired class, every command refuses a three-class target
+    with the engine's one message."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["explain", "--query-index", "200"],
+            ["rank", "--query-index", "200"],
+            ["bench", "--queries", "2"],
+            ["sweep", "--queries", "2"],
+            ["rank", "--queries", "2"],
+            ["augment", "--count", "0", "--out", "aug.lcfc"],
+        ],
+        ids=" ".join,
+    )
+    def test_refused_with_one_message(self, three_classes, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        expected = desired_class_message(models.load_target(three_classes.parent / "target.lcfc"))
+        err = user_error(capsys, argv[:1] + ["--manifest", str(three_classes)] + argv[1:])
+        assert err == f"error: {expected}\n"
+        assert not (tmp_path / "aug.lcfc").exists()
+

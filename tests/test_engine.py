@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from latentcf import engine
-from latentcf.datasets import SynthSpec, generate
+from latentcf import applications, engine
+from latentcf.datasets import AttributedDataset, SynthSpec, generate
 from latentcf.engine import (
     PerturbConfig,
     attribute_preservation,
@@ -28,6 +28,7 @@ from latentcf.errors import (
     InvariantViolation,
     NumericalError,
 )
+from latentcf.metrics import build_methods, run_benchmark
 from latentcf.models import (
     Discriminator,
     GenerativeConfig,
@@ -1168,3 +1169,59 @@ class TestMidSearchMutation:
         x0, a0 = first_query(dataset, target)
         t, g = private_stack(target, gen)
         assert SEARCHES[method](t, g, x0, a0).method == method
+
+
+class TestDesiredClass:
+    """engine.desired_class is the one home of the default desired class:
+    the class not predicted, for a two-class target only."""
+
+    def two_class_target(self):
+        return TargetModel(build_network([5, 2], ["softmax"], np.random.default_rng(0)),
+                           1.0, 1.0, 1.0)
+
+    def test_complement_of_the_prediction(self):
+        target = self.two_class_target()
+        assert engine.desired_class(target, 0) == 1
+        assert engine.desired_class(target, 1) == 0
+        assert np.array_equal(engine.desired_class(target, np.array([0, 1, 1])), [1, 0, 0])
+
+    @pytest.mark.parametrize("two_classes", [True, False])
+    def test_a_given_class_wins(self, two_classes):
+        target = self.two_class_target() if two_classes else small_stack("tanh", 0)[0]
+        assert engine.desired_class(target, 1, desired=1) == 1
+
+    def refusal(self, call):
+        with pytest.raises(ConfigurationError) as exc:
+            call()
+        return str(exc.value)
+
+    def three_class_dataset(self, rng):
+        n = 30
+        return AttributedDataset(
+            instances=rng.uniform(-1.0, 1.0, (n, 5)),
+            attributes=rng.integers(0, 2, (n, 2)).astype(np.float64),
+            labels=np.eye(3)[np.arange(n) % 3],
+            split=np.repeat(np.array([0, 1, 2], dtype=np.int8), 10),
+        )
+
+    def test_every_caller_refuses_three_classes_with_one_message(self, monkeypatch):
+        target, gen, x0, a0 = small_stack("tanh", 0)
+        dataset = self.three_class_dataset(np.random.default_rng(1))
+        message = self.refusal(lambda: engine.desired_class(target, 0))
+        assert "3-class" in message
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched before refusing")
+
+        monkeypatch.setattr(applications, "latent_descent", no_search)
+        calls = [
+            lambda: gradient_sign_attack(target, gen, x0, a0, 0.1),
+            lambda: run_benchmark(dataset, target, gen, build_methods(PerturbConfig())[:1],
+                                  n_queries=1),
+            # Refused before the first search, however many rows are asked for.
+            lambda: applications.augment_with_counterfactuals(
+                dataset, target, gen, 0, PerturbConfig()),
+            lambda: applications.augment_with_counterfactuals(
+                dataset, target, gen, 3, PerturbConfig()),
+        ]
+        assert [self.refusal(call) for call in calls] == [message] * len(calls)

@@ -1,17 +1,20 @@
 """Training-layer checks: classifier, discriminator, autoencoder, checkpoints."""
 
+import re
 import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from latentcf import models
 from latentcf.container import read_container, write_container
 from latentcf.datasets import AttributedDataset, SynthSpec, generate
 from latentcf.errors import (
     ConfigurationError,
     DimensionError,
     FormatError,
+    TrainingError,
     TrainingQualityWarning,
 )
 from latentcf.models import (
@@ -29,7 +32,16 @@ from latentcf.models import (
     train_generative,
     train_target,
 )
-from latentcf.nn import forward, parameter_digest
+from latentcf.nn import (
+    build_network,
+    forward,
+    forward_trace,
+    mean_binary_cross_entropy,
+    mean_cross_entropy,
+    parameter_digest,
+    sgd_step,
+    vjp,
+)
 
 
 def small_spec(**overrides):
@@ -440,3 +452,227 @@ class TestCheckpointCodec:
         write_malformed(checkpoint_paths["target-model"], bad, lambda m, a: (m, _without(a, "b1")))
         with pytest.raises(FormatError, match="no array 'b1'"):
             load_target(bad)
+
+
+# --- one training loop ------------------------------------------------------
+
+
+def reference_epochs(config, n, rng):
+    """Each epoch's minibatches, drawn as the trainers draw them."""
+    for epoch in range(config.epochs):
+        perm = rng.permutation(n)
+        yield epoch, [perm[s : s + config.batch_size] for s in range(0, n, config.batch_size)]
+
+
+def reference_mlp(in_dim, out_dim, config, head, rng):
+    hidden = list(config.hidden_dims)
+    return build_network([in_dim, *hidden, out_dim],
+                         [config.hidden_activation] * len(hidden) + [head], rng)
+
+
+def reference_supervised(x, y, config, head, loss_fn, out_dim):
+    """A classifier or discriminator trained by its own loop over the public
+    forward_trace, vjp and sgd_step: (network, per-epoch mean losses)."""
+    rng = np.random.default_rng(config.seed)
+    net = reference_mlp(x.shape[1], out_dim, config, head, rng)
+    history = []
+    for _, batches in reference_epochs(config, len(x), rng):
+        epoch_loss = 0.0
+        for idx in batches:
+            out, trace = forward_trace(net, x[idx])
+            loss, grad = loss_fn(out, y[idx])
+            sgd_step(net, vjp(net, trace, grad, with_input=False), config.learning_rate)
+            epoch_loss += loss * len(idx)
+        history.append(epoch_loss / len(x))
+    return net, history
+
+
+def reference_generative(x, a, disc_net, config):
+    """The autoencoder trained by its own loop: (encoder, decoder, history)."""
+    k = config.latent_dim
+    rng = np.random.default_rng(config.seed)
+    encoder = reference_mlp(x.shape[1], k, config, "identity", rng)
+    decoder = reference_mlp(k + a.shape[1], x.shape[1], config, config.output_activation, rng)
+    history = []
+    for _, batches in reference_epochs(config, len(x), rng):
+        epoch_loss = 0.0
+        for idx in batches:
+            xb, ab = x[idx], a[idx]
+            codes, enc_trace = forward_trace(encoder, xb)
+            xhat, dec_trace = forward_trace(decoder, np.concatenate([codes, ab], axis=1))
+            diff = xhat - xb
+            dists = np.sqrt((diff * diff).sum(axis=1))
+            loss = float(dists.mean())
+            g_xhat = np.zeros_like(diff)
+            nz = dists > 0
+            g_xhat[nz] = diff[nz] / dists[nz, None] / len(dists)
+            if config.disc_weight > 0:
+                probs, disc_trace = forward_trace(disc_net, xhat)
+                bce, g_probs = mean_binary_cross_entropy(probs, ab)
+                loss += config.disc_weight * bce
+                g_in = vjp(disc_net, disc_trace, g_probs, with_params=False).input_grad
+                g_xhat = g_xhat + config.disc_weight * g_in
+            dec_tape = vjp(decoder, dec_trace, g_xhat)
+            enc_tape = vjp(encoder, enc_trace, dec_tape.input_grad[:, :k], with_input=False)
+            sgd_step(decoder, dec_tape, config.learning_rate)
+            sgd_step(encoder, enc_tape, config.learning_rate)
+            epoch_loss += loss * len(idx)
+        history.append(epoch_loss / len(x))
+    return encoder, decoder, history
+
+
+def net_bits(*nets):
+    return [(l.activation, l.weights.tobytes(), l.bias.tobytes()) for n in nets for l in n.layers]
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.fixture(scope="module")
+def parity_data():
+    # 160 train rows: a batch of 48 leaves a short last batch of 16.
+    return generate(small_spec(n_samples=200, seed=11))
+
+
+def quiet_train(fn, *args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TrainingQualityWarning)
+        return fn(*args)
+
+
+HIDDEN = ("identity", "relu", "tanh", "sigmoid")
+
+
+class TestTrainingLoopParity:
+    """The trainers match their own hand-written loops bit for bit."""
+
+    def config(self, hidden, **kw):
+        return TrainConfig(epochs=3, batch_size=48, learning_rate=0.1, hidden_dims=(7,),
+                           hidden_activation=hidden, **kw)
+
+    @pytest.mark.parametrize("hidden", HIDDEN)
+    def test_target(self, parity_data, hidden):
+        cfg = self.config(hidden, seed=4)
+        model = quiet_train(train_target, parity_data, cfg)
+        x, _, y = parity_data.part("train")
+        net, history = reference_supervised(x, y, cfg, "softmax", mean_cross_entropy, y.shape[1])
+        assert parameter_digest(model.network) == parameter_digest(net)
+        assert net_bits(model.network) == net_bits(net)
+        assert hexes(model.loss_history) == hexes(history) and len(history) == 3
+
+    @pytest.mark.parametrize("hidden", HIDDEN)
+    def test_discriminator(self, parity_data, hidden):
+        cfg = self.config(hidden, seed=5)
+        model = quiet_train(train_discriminator, parity_data, cfg)
+        x, a, _ = parity_data.part("train")
+        net, _ = reference_supervised(x, a, cfg, "sigmoid", mean_binary_cross_entropy,
+                                      a.shape[1])
+        assert net_bits(model.network) == net_bits(net)
+
+    @pytest.mark.parametrize("hidden", HIDDEN)
+    @pytest.mark.parametrize("disc_weight", [0.0, 1.5])
+    @pytest.mark.parametrize("output", ["identity", "sigmoid"])
+    def test_generative(self, parity_data, disc, hidden, disc_weight, output):
+        cfg = GenerativeConfig(latent_dim=3, epochs=3, batch_size=48, learning_rate=0.05,
+                               hidden_dims=(7,), hidden_activation=hidden,
+                               output_activation=output, disc_weight=disc_weight, seed=6)
+        before = parameter_digest(disc.network)
+        model = quiet_train(train_generative, parity_data, disc, cfg)
+        x, a, _ = parity_data.part("train")
+        encoder, decoder, history = reference_generative(x, a, disc.network, cfg)
+        assert parameter_digest(disc.network) == before
+        assert net_bits(model.encoder, model.decoder) == net_bits(encoder, decoder)
+        assert hexes(model.loss_history) == hexes(history) and len(history) == 3
+
+
+def diverge_on_call(monkeypatch, name, nth, seen):
+    """Make models.<name> return a NaN loss on its nth call (from 0); every
+    network passed to forward_trace is recorded in seen, and their digest
+    at the moment of the NaN is stored under seen["digest"]."""
+    real, real_trace, calls = getattr(models, name), models.forward_trace, [0]
+
+    def trace(net, x):
+        seen.setdefault("nets", {})[id(net)] = net
+        return real_trace(net, x)
+
+    def loss(*args):
+        value, grad = real(*args)
+        calls[0] += 1
+        if calls[0] - 1 == nth:
+            seen["digest"] = parameter_digest(*seen["nets"].values())
+            return float("nan"), grad
+        return value, grad
+
+    monkeypatch.setattr(models, "forward_trace", trace)
+    monkeypatch.setattr(models, name, loss)
+
+
+class TestDivergence:
+    """A non-finite batch loss raises TrainingError naming the model and the
+    epoch, before that batch's update is applied."""
+
+    # 160 train rows in batches of 48: four batches an epoch, so call 5 is
+    # the second batch of epoch 1.
+    NTH = 5
+
+    def test_classifier(self, parity_data, monkeypatch):
+        seen = {}
+        diverge_on_call(monkeypatch, "mean_cross_entropy", self.NTH, seen)
+        with pytest.raises(TrainingError, match=r"^classifier loss diverged at epoch 1$"):
+            train_target(parity_data, TrainConfig(epochs=3, batch_size=48))
+        assert parameter_digest(*seen["nets"].values()) == seen["digest"]
+
+    def test_discriminator(self, parity_data, monkeypatch):
+        seen = {}
+        diverge_on_call(monkeypatch, "mean_binary_cross_entropy", self.NTH, seen)
+        with pytest.raises(TrainingError, match=r"^discriminator loss diverged at epoch 1$"):
+            train_discriminator(parity_data, TrainConfig(epochs=3, batch_size=48))
+        assert parameter_digest(*seen["nets"].values()) == seen["digest"]
+
+    @pytest.mark.parametrize("disc_weight", [0.0, 1.0])
+    def test_autoencoder(self, parity_data, disc, monkeypatch, disc_weight):
+        seen = {}
+        diverge_on_call(monkeypatch, "_recon_grad", self.NTH, seen)
+        before = parameter_digest(disc.network)
+        cfg = GenerativeConfig(latent_dim=3, epochs=3, batch_size=48, disc_weight=disc_weight)
+        with pytest.raises(TrainingError, match=r"^autoencoder loss diverged at epoch 1$"):
+            train_generative(parity_data, disc, cfg)
+        # The encoder and decoder, plus the frozen discriminator when it scores.
+        assert len(seen["nets"]) == (3 if disc_weight else 2)
+        assert parameter_digest(*seen["nets"].values()) == seen["digest"]
+        assert parameter_digest(disc.network) == before
+
+    def test_an_infinite_reconstruction_distance(self, parity_data, disc):
+        """No patching: rows far enough out overflow the distance itself."""
+        x = parity_data.instances.copy()
+        x[:, 0] = 1e200
+        huge = AttributedDataset(x, parity_data.attributes, parity_data.labels,
+                                 parity_data.split)
+        cfg = GenerativeConfig(latent_dim=3, epochs=2, batch_size=48, disc_weight=0.0,
+                               hidden_activation="tanh")
+        with np.errstate(over="ignore"), pytest.raises(
+            TrainingError, match=r"^autoencoder loss diverged at epoch 0$"
+        ):
+            train_generative(huge, disc, cfg)
+
+
+class TestQualityWarnings:
+    """The three quality-floor warnings keep their texts."""
+
+    def messages(self, fn, *args):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fn(*args)
+        return [str(w.message) for w in caught if w.category is TrainingQualityWarning]
+
+    def test_texts(self, parity_data, disc):
+        cfg = TrainConfig(epochs=1, batch_size=48, accuracy_floor=1.0)
+        (text,) = self.messages(train_target, parity_data, cfg)
+        assert re.fullmatch(r"classifier dev accuracy \d\.\d{3} below floor 1\.0", text)
+        (text,) = self.messages(train_discriminator, parity_data, cfg)
+        assert re.fullmatch(r"mean per-attribute dev accuracy \d\.\d{3} below floor 1\.0",
+                            text)
+        gcfg = GenerativeConfig(latent_dim=2, epochs=1, batch_size=48, consistency_floor=1.0)
+        (text,) = self.messages(train_generative, parity_data, disc, gcfg)
+        assert re.fullmatch(r"attribute consistency \d\.\d{3} below floor 1\.0", text)
