@@ -56,7 +56,9 @@ from .errors import (
     PartialResultWarning,
     TrainingError,
 )
-from .metrics import alpha_sweep, benchmark_recipe, build_methods, run_benchmark, sweep_to_json
+from .metrics import (
+    SWEEP_WEIGHTS, alpha_sweep, benchmark_recipe, build_methods, run_benchmark, sweep_to_json,
+)
 from .models import (
     _MANIFEST_TRAIN,
     GenerativeConfig,
@@ -390,7 +392,7 @@ def cmd_sweep(args):
     opts = Options(args, "sweep")
     dataset, target, _, gen, _ = _load_stack(opts)
     cfg = _perturb_from(opts)
-    weights = opts.get("weights", (0.0, 0.4, 0.8, 1.5, 3.0), _float_list)
+    weights = opts.get("weights", SWEEP_WEIGHTS, _float_list)
     points = alpha_sweep(
         dataset,
         target,

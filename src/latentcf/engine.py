@@ -201,8 +201,8 @@ def _objective(target, layers, u0, k, desired, distance_weight):
             g[(probs < PROB_FLOOR) | (probs > 1.0 - PROB_FLOOR)] = 0.0
             # One finite check covers both sweeps: a non-finite classifier
             # input gradient stays non-finite through the decoder's.
-            g = _pull_back(tgt_layers, tgt_records, g[None, :], False, True)[1]
-            g = _pull_back(layers, dec_records, g, False, True)[1]
+            g = _pull_back(tgt_layers, tgt_records, g[None, :], False, True)
+            g = _pull_back(layers, dec_records, g, False, True)
             _check_finite(g, "input gradient")
             g = g[0]
             return (

@@ -335,6 +335,10 @@ class SweepPoint:
     mean_latent_perturbation: float
 
 
+# The distance weights ``latentcf sweep`` traces unless --weights says otherwise.
+SWEEP_WEIGHTS = (0.0, 0.4, 0.8, 1.5, 3.0)
+
+
 def alpha_sweep(
     dataset,
     target,

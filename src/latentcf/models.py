@@ -2,12 +2,16 @@
 
 All three ride on the dense-network engine and one minibatch SGD loop,
 ``_fit``; each trainer supplies only a batch closure giving its loss and
-updates. The target classifier is the black box under explanation; after
-training it is only ever queried forward, and its gradients are used solely
-through the counterfactual loss. The discriminator maps instances to
-per-attribute probabilities and stays frozen while the generative model
-trains: its gradient signal flows into the decoder, its parameters never
-move.
+updates. The closures run nn's bare kernels, checking every traced output
+and input gradient finite as nn's checked wrappers would, and each trained
+network's parameters live in one flat buffer (``nn._FlatParams``) that the
+loop steps, and checks finite, once per batch.
+
+The target classifier is the black box under explanation; after training it
+is only ever queried forward, and its gradients are used solely through the
+counterfactual loss. The discriminator maps instances to per-attribute
+probabilities and stays frozen while the generative model trains: its
+gradient signal flows into the decoder, its parameters never move.
 
 The generative model is a deterministic autoencoder whose decoder consumes
 the latent code concatenated with the attribute vector. Training minimizes
@@ -44,13 +48,14 @@ from .errors import (
 from .nn import (
     DenseNetwork,
     Layer,
+    _check_finite,
+    _FlatParams,
+    _pull_back,
+    _trace_layers,
     build_network,
     forward,
-    forward_trace,
     mean_binary_cross_entropy,
     mean_cross_entropy,
-    sgd_step,
-    vjp,
 )
 
 
@@ -192,9 +197,10 @@ def _fit(config, n, rng, batch, what):
     """Minibatch SGD over n rows; returns the per-epoch mean losses.
 
     Each epoch visits the rows in batches of an rng permutation. batch(idx)
-    returns the batch's mean loss and a thunk giving the (network, tape)
-    updates. A non-finite loss raises TrainingError naming what before the
-    thunk runs, so no update is applied from a diverged batch.
+    returns the batch's mean loss and a thunk that fills the parameter
+    gradients of the networks it trains and returns their _FlatParams, each
+    then stepped once. A non-finite loss raises TrainingError naming what
+    before the thunk runs, so no update is applied from a diverged batch.
     """
     history = []
     for epoch in range(config.epochs):
@@ -205,20 +211,33 @@ def _fit(config, n, rng, batch, what):
             loss, updates = batch(idx)
             if not np.isfinite(loss):
                 raise TrainingError(f"{what} loss diverged at epoch {epoch}")
-            for net, tape in updates():
-                sgd_step(net, tape, config.learning_rate)
+            for flat in updates():
+                flat.step(config.learning_rate)
             epoch_loss += loss * len(idx)
         history.append(epoch_loss / n)
     return history
 
 
+def _traced(layers, batch):
+    """The forward kernel with forward_trace's finite check on its output."""
+    out, records = _trace_layers(layers, batch)
+    _check_finite(out, "forward output")
+    return out, records
+
+
 def _supervised(net, x, y, loss_fn):
     """The batch closure of a network fit directly to targets y."""
+    flat = _FlatParams(net)
 
     def batch(idx):
-        out, trace = forward_trace(net, x[idx])
+        out, records = _traced(net.layers, x[idx])
         loss, grad = loss_fn(out, y[idx])
-        return loss, lambda: [(net, vjp(net, trace, grad, with_input=False))]
+
+        def updates():
+            _pull_back(net.layers, records, grad, flat.grad_out, False)
+            return [flat]
+
+        return loss, updates
 
     return batch
 
@@ -285,15 +304,20 @@ def train_discriminator(dataset, config):
     return Discriminator(network=net, attribute_accuracy=per_attr)
 
 
-def _recon_grad(xhat, x):
-    """Mean row-wise euclidean distance and its gradient w.r.t. xhat."""
+def _row_distances(xhat, x):
+    """xhat - x and its row-wise euclidean norms."""
     diff = xhat - x
-    dists = np.sqrt((diff * diff).sum(axis=1))
-    value = float(dists.mean())
+    return diff, np.sqrt((diff * diff).sum(axis=1))
+
+
+def _recon_grad(xhat, x):
+    """Mean row-wise euclidean distance and its gradient w.r.t. xhat; a
+    zero-distance row gets a zero gradient row."""
+    diff, dists = _row_distances(xhat, x)
     grad = np.zeros_like(diff)
-    nz = dists > 0
-    grad[nz] = diff[nz] / dists[nz, None] / len(dists)
-    return value, grad
+    np.divide(diff, dists[:, None], out=grad, where=dists[:, None] > 0)
+    grad /= len(dists)
+    return float(dists.mean()), grad
 
 
 def train_generative(dataset, discriminator, config):
@@ -315,30 +339,33 @@ def train_generative(dataset, discriminator, config):
     encoder = _mlp(d, k, config, "identity", rng)
     decoder = _mlp(k + t, d, config, config.output_activation, rng)
     disc_net = discriminator.network
+    enc_flat, dec_flat = _FlatParams(encoder), _FlatParams(decoder)
 
     def batch(idx):
         xb, ab = x_train[idx], a_train[idx]
-        codes, enc_trace = forward_trace(encoder, xb)
-        xhat, dec_trace = forward_trace(decoder, np.concatenate([codes, ab], axis=1))
+        codes, enc_records = _traced(encoder.layers, xb)
+        xhat, dec_records = _traced(decoder.layers, np.concatenate([codes, ab], axis=1))
         loss, g_xhat = _recon_grad(xhat, xb)
         if config.disc_weight > 0:
-            probs, disc_trace = forward_trace(disc_net, xhat)
+            probs, disc_records = _traced(disc_net.layers, xhat)
             bce, g_probs = mean_binary_cross_entropy(probs, ab)
             loss += config.disc_weight * bce
-            g_disc_in = vjp(disc_net, disc_trace, g_probs, with_params=False).input_grad
+            g_disc_in = _pull_back(disc_net.layers, disc_records, g_probs, False, True)
+            _check_finite(g_disc_in, "input gradient")
             g_xhat = g_xhat + config.disc_weight * g_disc_in
 
         def updates():
-            dec_tape = vjp(decoder, dec_trace, g_xhat)
-            enc_tape = vjp(encoder, enc_trace, dec_tape.input_grad[:, :k], with_input=False)
-            return [(decoder, dec_tape), (encoder, enc_tape)]
+            g_in = _pull_back(decoder.layers, dec_records, g_xhat, dec_flat.grad_out, True)
+            _check_finite(g_in, "input gradient")
+            _pull_back(encoder.layers, enc_records, g_in[:, :k], enc_flat.grad_out, False)
+            return [dec_flat, enc_flat]
 
         return loss, updates
 
     history = _fit(config, len(x_train), rng, batch, "autoencoder")
     codes = forward(encoder, x_train)
     xhat = forward(decoder, np.concatenate([codes, a_train], axis=1))
-    recon_final, _ = _recon_grad(xhat, x_train)
+    recon_final = float(_row_distances(xhat, x_train)[1].mean())
     if t > 0:
         consistency = float(np.mean((forward(disc_net, xhat) >= 0.5) == (a_train == 1.0)))
     else:

@@ -8,9 +8,13 @@ list of layers, :func:`forward_trace` keeps each layer's activations, and
 every gradient auditable against finite differences.
 
 Each loop lives once, in a private batch kernel that checks nothing
-(``_trace_layers`` forward, ``_pull_back`` in reverse); :func:`forward_trace`
-and :func:`vjp` wrap them with the shape and finite checks, and the engine's
-search loop calls the kernels directly after checking its shapes once.
+(``_trace_layers`` forward, ``_pull_back`` in reverse, which writes parameter
+gradients into arrays its caller passes). :func:`forward_trace` and
+:func:`vjp` wrap them with the shape and finite checks. The engine's search
+loop and the trainers in ``models`` call the kernels directly, on networks
+whose shapes they checked or built once. A trainer moves each network's
+parameters into one flat buffer (``_FlatParams``), so a training step is one
+update and one finite check per network.
 
 Shapes follow the convention weights[out, in], bias[out]. Inputs may be a
 single vector [d] or a batch [n, d]; outputs mirror that choice. Parameter
@@ -59,8 +63,8 @@ class DenseNetwork:
 
     Softmax is only permitted on the final layer; every parameter is a
     finite float64. Validation happens at construction; an in-place
-    update via :func:`sgd_step` changes only values, and re-checks that
-    they stay finite.
+    update, by :func:`sgd_step` or a trainer's ``_FlatParams.step``, changes
+    only values, and re-checks that they stay finite.
     """
 
     def __init__(self, layers):
@@ -219,20 +223,24 @@ def _trace_layers(layers, batch):
     return h, records
 
 
-def _pull_back(layers, records, grad, with_params, with_input):
+def _pull_back(layers, records, grad, param_out, with_input):
     """The reverse loop over _trace_layers' records from an output-gradient
-    batch of the output's shape: (param_grads, input_grad), None if off."""
-    param_grads = [None] * len(layers) if with_params else None
+    batch of the output's shape. param_out is False (or None) to skip the
+    parameter gradients, or one (d_weights, d_bias) pair of arrays per layer
+    to write them into, summed over the batch. Returns the input gradient,
+    None when with_input is off."""
     for i in range(len(layers) - 1, -1, -1):
         layer = layers[i]
         h_in, pre, post = records[i]
         d_pre = _activation_vjp(layer.activation, pre, post, grad)
-        if with_params:
-            param_grads[i] = (d_pre.T @ h_in, d_pre.sum(axis=0))
+        if param_out:
+            d_weights, d_bias = param_out[i]
+            np.matmul(d_pre.T, h_in, out=d_weights)
+            np.add.reduce(d_pre, axis=0, out=d_bias)
         if i == 0 and not with_input:
-            return param_grads, None
+            return None
         grad = d_pre @ layer.weights
-    return param_grads, grad
+    return grad
 
 
 def forward_trace(net, x):
@@ -275,7 +283,11 @@ def vjp(net, trace, out_grad, with_params=True, with_input=True):
             f"output gradient has shape {out_grad.shape}, expected "
             f"{out_shape[1:] if trace.single else out_shape}"
         )
-    param_grads, grad = _pull_back(net.layers, trace.layers, grad, with_params, with_input)
+    param_grads = (
+        [(np.empty_like(l.weights), np.empty_like(l.bias)) for l in net.layers]
+        if with_params else None
+    )
+    grad = _pull_back(net.layers, trace.layers, grad, param_grads, with_input)
     if grad is None:
         return GradientTape(param_grads, None)
     _check_finite(grad, "input gradient")
@@ -301,6 +313,42 @@ def sgd_step(net, tape, lr):
         _check_finite(layer.weights, "updated weights")
         _check_finite(layer.bias, "updated bias")
     return net
+
+
+class _FlatParams:
+    """A network's parameters moved into one contiguous float64 buffer.
+
+    From construction on, each layer's weights and bias are views into
+    ``params``. ``grad_out`` holds the matching (d_weights, d_bias) views of
+    the twin buffer ``grads``, to pass to :func:`_pull_back` as its
+    parameter output, so one :meth:`step` updates and checks the whole
+    network.
+    """
+
+    def __init__(self, net):
+        self.layers = net.layers
+        arrays = [a for l in self.layers for a in (l.weights, l.bias)]
+        self.params = np.concatenate([a.ravel() for a in arrays])
+        self.grads = np.empty_like(self.params)
+        ends = np.cumsum([a.size for a in arrays])
+
+        def views(buffer):
+            v = [buffer[e - a.size : e].reshape(a.shape) for a, e in zip(arrays, ends)]
+            return list(zip(v[0::2], v[1::2]))
+
+        for layer, (w, b) in zip(self.layers, views(self.params)):
+            layer.weights, layer.bias = w, b
+        self.grad_out = views(self.grads)
+
+    def step(self, lr):
+        """params -= lr * grads, then one finite check over the buffer; a
+        failure raises sgd_step's NumericalError for the first non-finite
+        layer parameter in layer order."""
+        self.params -= lr * self.grads
+        if not np.isfinite(self.params).all():
+            for layer in self.layers:
+                _check_finite(layer.weights, "updated weights")
+                _check_finite(layer.bias, "updated bias")
 
 
 def cross_entropy(predicted, target):

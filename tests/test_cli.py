@@ -19,7 +19,7 @@ from latentcf.engine import (
     result_to_dict,
 )
 from latentcf.errors import ConfigurationError, TrainingQualityWarning
-from latentcf.metrics import benchmark_recipe
+from latentcf.metrics import SWEEP_WEIGHTS, benchmark_recipe
 from test_models import malformed_checkpoints, write_malformed
 
 
@@ -483,6 +483,18 @@ class TestSweep:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "distance_weight,flipping_ratio,mean_latent_perturbation"
         assert len(json.loads(out.read_text())) == 2
+
+    def test_default_weights(self, workspace, tmp_path):
+        out = tmp_path / "sweep.json"
+        rc = main(
+            [
+                "sweep", "--manifest", str(workspace["manifest"]), "--queries", "2",
+                "--max-iters", "5", "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        points = json.loads(out.read_text())
+        assert [p["distance_weight"] for p in points] == list(SWEEP_WEIGHTS)
 
 
 class TestRank:

@@ -14,6 +14,7 @@ from latentcf.errors import (
     ConfigurationError,
     DimensionError,
     FormatError,
+    NumericalError,
     TrainingError,
     TrainingQualityWarning,
 )
@@ -33,6 +34,7 @@ from latentcf.models import (
     train_target,
 )
 from latentcf.nn import (
+    DenseNetwork,
     build_network,
     forward,
     forward_trace,
@@ -588,13 +590,14 @@ class TestTrainingLoopParity:
 
 def diverge_on_call(monkeypatch, name, nth, seen):
     """Make models.<name> return a NaN loss on its nth call (from 0); every
-    network passed to forward_trace is recorded in seen, and their digest
-    at the moment of the NaN is stored under seen["digest"]."""
-    real, real_trace, calls = getattr(models, name), models.forward_trace, [0]
+    network whose layers pass through models._trace_layers is recorded in
+    seen, and their digest at the moment of the NaN is stored under
+    seen["digest"]."""
+    real, real_trace, calls = getattr(models, name), models._trace_layers, [0]
 
-    def trace(net, x):
-        seen.setdefault("nets", {})[id(net)] = net
-        return real_trace(net, x)
+    def trace(layers, batch):
+        seen.setdefault("nets", {})[id(layers)] = DenseNetwork(layers)
+        return real_trace(layers, batch)
 
     def loss(*args):
         value, grad = real(*args)
@@ -604,7 +607,7 @@ def diverge_on_call(monkeypatch, name, nth, seen):
             return float("nan"), grad
         return value, grad
 
-    monkeypatch.setattr(models, "forward_trace", trace)
+    monkeypatch.setattr(models, "_trace_layers", trace)
     monkeypatch.setattr(models, name, loss)
 
 
@@ -655,6 +658,60 @@ class TestDivergence:
             TrainingError, match=r"^autoencoder loss diverged at epoch 0$"
         ):
             train_generative(huge, disc, cfg)
+
+
+class TestOverflowingUpdate:
+    """An update that leaves a parameter non-finite raises NumericalError at
+    the step, in every trainer. No patching: a feature column of 100 and a
+    learning rate of 1e308 overflow the first update of networks without
+    hidden layers (a hidden layer's saturation would hide it)."""
+
+    @pytest.fixture(scope="class")
+    def loud(self, parity_data):
+        x = parity_data.instances.copy()
+        x[:, 0] = 100.0
+        return AttributedDataset(x, parity_data.attributes, parity_data.labels,
+                                 parity_data.split)
+
+    @pytest.mark.parametrize("trainer", ["target", "discriminator", "generative"])
+    def test_updated_weights(self, loud, disc, trainer):
+        knobs = dict(learning_rate=1e308, hidden_dims=())
+        run = {
+            "target": lambda: train_target(loud, TrainConfig(**knobs)),
+            "discriminator": lambda: train_discriminator(loud, TrainConfig(**knobs)),
+            "generative": lambda: train_generative(
+                loud, disc, GenerativeConfig(latent_dim=3, **knobs)
+            ),
+        }[trainer]
+        with np.errstate(all="ignore"), pytest.raises(
+            NumericalError, match=r"^non-finite values in updated weights$"
+        ):
+            run()
+
+
+def masked_recon_grad(xhat, x):
+    """The reconstruction gradient written with boolean-mask copies."""
+    diff = xhat - x
+    dists = np.sqrt((diff * diff).sum(axis=1))
+    grad = np.zeros_like(diff)
+    nz = dists > 0
+    grad[nz] = diff[nz] / dists[nz, None] / len(dists)
+    return float(dists.mean()), grad
+
+
+class TestReconGrad:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_the_masked_formula_with_a_zero_row(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(9, 5))
+        xhat = x + rng.normal(scale=0.1, size=x.shape)
+        xhat[seed] = x[seed]
+        value, grad = models._recon_grad(xhat, x)
+        ref_value, ref_grad = masked_recon_grad(xhat, x)
+        assert (grad[seed] == 0.0).all()
+        assert np.count_nonzero(np.all(grad == 0.0, axis=1)) == 1
+        assert value.hex() == ref_value.hex()
+        assert grad.tobytes() == ref_grad.tobytes()
 
 
 class TestQualityWarnings:

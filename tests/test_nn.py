@@ -24,7 +24,7 @@ from latentcf.nn import (
     sgd_step,
     vjp,
 )
-from latentcf.nn import _apply_activation
+from latentcf.nn import _apply_activation, _FlatParams, _pull_back, _trace_layers
 
 
 def central_difference(f, x, h=1e-5):
@@ -364,6 +364,51 @@ class TestSgdStep:
         tape = GradientTape([(np.array([[np.inf, 0.0]]), np.zeros(1))], None)
         with pytest.raises(NumericalError):
             sgd_step(net, tape, 1.0)
+
+
+class TestFlatParams:
+    """A trainer's flat-buffer step against sgd_step on the same network."""
+
+    def _pair(self):
+        rng = np.random.default_rng(2)
+        net = build_network([3, 4, 2], ["tanh", "softmax"], rng)
+        return net, net.copy(), rng
+
+    def test_step_matches_sgd_step_bit_for_bit(self):
+        net, ref, rng = self._pair()
+        flat = _FlatParams(net)
+        x, g = rng.normal(size=(5, 3)), rng.normal(size=(5, 2))
+        sgd_step(ref, vjp(ref, forward_trace(ref, x)[1], g, with_input=False), 0.1)
+        _pull_back(net.layers, _trace_layers(net.layers, x)[1], g, flat.grad_out, False)
+        flat.step(0.1)
+        for layer, want in zip(net.layers, ref.layers):
+            assert layer.weights.tobytes() == want.weights.tobytes()
+            assert layer.bias.tobytes() == want.bias.tobytes()
+        # The layers read and write the one buffer.
+        flat.params[:] = 0.0
+        assert not any(l.weights.any() or l.bias.any() for l in net.layers)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ([(0, 1), (1, 0)], "updated bias"),
+            ([(1, 1)], "updated bias"),
+            ([(0, 0), (0, 1)], "updated weights"),
+            ([(1, 0), (1, 1)], "updated weights"),
+        ],
+    )
+    def test_a_non_finite_update_names_the_first_bad_parameter(self, bad, message):
+        """bad lists (layer, 0 for weights or 1 for bias) gradients set to
+        inf; the message is the one sgd_step raises for the same update."""
+        net, ref, _ = self._pair()
+        flat = _FlatParams(net)
+        flat.grads[:] = 0.0
+        for layer, which in bad:
+            flat.grad_out[layer][which].flat[0] = np.inf
+        tape = GradientTape([(w.copy(), b.copy()) for w, b in flat.grad_out], None)
+        for step in (lambda: flat.step(1.0), lambda: sgd_step(ref, tape, 1.0)):
+            with pytest.raises(NumericalError, match=f"^non-finite values in {message}$"):
+                step()
 
 
 class TestLosses:
