@@ -6,7 +6,8 @@ sweep the distance weight, rank attribute interactions, and augment a
 training set with counterfactuals.
 
 Options resolve in three layers: a command-line flag wins, then the named
-section of an INI file passed via --config, then the built-in default.
+section of an INI file passed via --config, then the built-in default. An
+option's argparse action declares it once, as a flag and as an INI key.
 
 Exit codes: 0 success, 1 usage or input error, 2 internal invariant
 violation, 3 partial result (outputs were written but incomplete).
@@ -60,6 +61,7 @@ from .metrics import (
     SWEEP_WEIGHTS, alpha_sweep, benchmark_recipe, build_methods, run_benchmark, sweep_to_json,
 )
 from .models import (
+    _MANIFEST_PATHS,
     _MANIFEST_TRAIN,
     GenerativeConfig,
     TrainConfig,
@@ -89,37 +91,54 @@ _USER_ERRORS = (
 
 
 class Options:
-    """Flag > config-file section > builtin default resolution. A file that
-    does not parse, or a file value its cast rejects, is a ConfigurationError."""
+    """Flag > config-file section > builtin default resolution. The --config
+    section is checked in full on construction, against the command's
+    argparse actions: each key must be a long flag (--config aside), and its
+    value must pass that flag's type (_ini_bool for a yes/no flag) and
+    choices. Anything else is a ConfigurationError naming the file."""
 
-    def __init__(self, args, section):
+    def __init__(self, args):
         self.args = vars(args)
         self.path = self.args.get("config")
         self.file = {}
-        if self.path:
-            cp = configparser.ConfigParser()
-            with open(self.path, encoding="utf-8") as fh:
-                try:
-                    cp.read_file(fh)
-                    if cp.has_section(section):
-                        self.file = dict(cp[section])
-                except (configparser.Error, UnicodeDecodeError) as exc:
-                    raise ConfigurationError(f"{self.path}: {exc}") from exc
+        if not self.path:
+            return
+        section = args.command
+        cp = configparser.ConfigParser()
+        with open(self.path, encoding="utf-8") as fh:
+            try:
+                cp.read_file(fh)
+                items = dict(cp[section]) if cp.has_section(section) else {}
+            except (configparser.Error, UnicodeDecodeError) as exc:
+                raise ConfigurationError(f"{self.path}: {exc}") from exc
+        actions = _ini_actions(section)
+        for name, raw in items.items():
+            action = actions.get(name)
+            if action is None:
+                raise ConfigurationError(f"{self.path}: [{section}] has no option {name!r}")
+            yes_no = isinstance(action, argparse.BooleanOptionalAction)
+            try:
+                value = _ini_bool(raw) if yes_no else (action.type or str)(raw)
+                if action.choices is not None and value not in action.choices:
+                    raise ValueError("not one of " + ", ".join(action.choices))
+            except ValueError as exc:
+                raise ConfigurationError(f"{self.path}: {name} = {raw!r}: {exc}") from exc
+            self.file[action.dest] = value
 
-    def get(self, key, builtin=None, cast=str):
+    def get(self, key, builtin=None):
         value = self.args.get(key)
-        if value is not None:
-            return value
-        name = key.replace("_", "-")
-        raw = self.file.get(name)
-        if raw is None:
-            return builtin
-        if cast is bool:
-            cast = _ini_bool
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise ConfigurationError(f"{self.path}: {name} = {raw!r}: {exc}") from exc
+        return self.file.get(key, builtin) if value is None else value
+
+
+def _ini_actions(command):
+    """A command's argparse actions by long flag (a yes/no flag's positive
+    one) without the dashes, --config and --help aside."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        action.option_strings[0][2:]: action
+        for action in sub.choices[command]._actions
+        if action.dest not in ("config", "help")
+    }
 
 
 def _ini_bool(text):
@@ -138,63 +157,59 @@ def _float_list(text):
 
 
 def _perturb_from(opts):
-    profile = opts.get("profile", "text")
-    if profile not in ("text", "image"):
-        raise ConfigurationError(f"profile must be text or image, got {profile!r}")
-    cfg = PerturbConfig.image_defaults() if profile == "image" else PerturbConfig.text_defaults()
-    for key, attr, cast in (
-        ("alpha", "distance_weight", float),
-        ("code_step", "code_step", float),
-        ("attr_step", "attr_step", float),
-        ("decay", "step_decay", float),
-        ("max_iters", "max_iters", int),
+    image = opts.get("profile") == "image"
+    cfg = PerturbConfig.image_defaults() if image else PerturbConfig.text_defaults()
+    for key, attr in (
+        ("alpha", "distance_weight"),
+        ("code_step", "code_step"),
+        ("attr_step", "attr_step"),
+        ("decay", "step_decay"),
+        ("max_iters", "max_iters"),
     ):
-        setattr(cfg, attr, opts.get(key, getattr(cfg, attr), cast))
-    cfg.optimize_attributes = not opts.get("freeze_attributes", False, bool)
-    cfg.desired = opts.get("desired", cfg.desired, int)
+        setattr(cfg, attr, opts.get(key, getattr(cfg, attr)))
+    cfg.optimize_attributes = not opts.get("freeze_attributes", False)
+    cfg.desired = opts.get("desired", cfg.desired)
     cfg.validate()
     return cfg
 
 
 def _load_stack(opts, row=None, with_dataset=True):
-    """The manifest's dataset and its three models. Given a row, only that
-    dataset row is read; a row outside the dataset is out of range. Without
-    the dataset, no dataset container is opened and None stands in for it."""
+    """(dataset, target, generative model, manifest with its paths resolved);
+    the discriminator is not read. Given a row, only that dataset row is
+    read; a row outside the dataset is out of range. Without the dataset, no
+    dataset container is opened and None stands in for it."""
     manifest_path = opts.get("manifest")
     if manifest_path is None:
         raise ConfigurationError("--manifest is required")
     manifest = load_manifest(manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
-
-    def resolve(key):
-        p = manifest[key]
-        return p if os.path.isabs(p) else os.path.join(base, p)
-
+    for key in _MANIFEST_PATHS:
+        manifest[key] = os.path.join(base, manifest[key])
     if not with_dataset:
         dataset = None
     elif row is None:
-        dataset = load_dataset(resolve("dataset"))
+        dataset = load_dataset(manifest["dataset"])
     else:
         try:
-            dataset = load_dataset(resolve("dataset"), rows=(row, row + 1))
+            dataset = load_dataset(manifest["dataset"], rows=(row, row + 1))
         except IndexError:
             raise ConfigurationError(f"query index {row} out of range") from None
-    target = load_target(resolve("target"))
-    disc = load_discriminator(resolve("discriminator"))
-    gen = load_generative(resolve("generative"))
-    return dataset, target, disc, gen, manifest
+    target = load_target(manifest["target"])
+    gen = load_generative(manifest["generative"])
+    return dataset, target, gen, manifest
 
 
 def _query_stack(opts):
     """The target, the generative model and the instance to explain as
     (target, gen, x0, a0, query index): dataset row --query-index, read on
     its own, or the instance in --instance-file (query index -1), which
-    reads no dataset. The one-source rule is checked before any file is read."""
-    qi = opts.get("query_index", cast=int)
+    reads no dataset; the discriminator labels an instance given without
+    attributes. The one-source rule is checked before any file is read."""
+    qi = opts.get("query_index")
     path = opts.get("instance_file")
     if (qi is None) == (path is None):
         raise ConfigurationError("give exactly one of --query-index or --instance-file")
-    dataset, target, disc, gen, _ = _load_stack(opts, row=qi, with_dataset=path is None)
+    dataset, target, gen, manifest = _load_stack(opts, row=qi, with_dataset=path is None)
     if qi is not None:
         # The dataset holds row qi alone.
         return target, gen, dataset.instances[0], dataset.attributes[0], qi
@@ -210,7 +225,7 @@ def _query_stack(opts):
     if "attributes" in payload:
         a0 = np.asarray(payload["attributes"], dtype=np.float64)
     else:
-        a0 = disc.predict(x0)
+        a0 = load_discriminator(manifest["discriminator"]).predict(x0)
     return target, gen, x0, a0, -1
 
 
@@ -224,28 +239,28 @@ def _write_out(opts, key, text):
 
 
 def cmd_gen_data(args):
-    opts = Options(args, "gen-data")
+    opts = Options(args)
     # Defaults reproduce the stock benchmark dataset.
     stock = benchmark_recipe().spec
     generator = opts.get("generator", stock.generator)
     spec = SynthSpec(
         generator=generator,
-        n_features=opts.get("features", stock.n_features, int),
-        n_attributes=opts.get("attributes", stock.n_attributes, int),
-        n_samples=opts.get("samples", stock.n_samples, int),
-        seed=opts.get("seed", stock.seed, int),
-        n_classes=opts.get("classes", stock.n_classes, int),
-        noise=opts.get("noise", stock.noise, float),
-        shift=opts.get("shift", stock.shift, float),
-        margin=opts.get("margin", stock.margin, float),
-        n_styles=opts.get("styles", stock.n_styles, int),
-        style_leak=opts.get("style_leak", stock.style_leak, float),
+        n_features=opts.get("features", stock.n_features),
+        n_attributes=opts.get("attributes", stock.n_attributes),
+        n_samples=opts.get("samples", stock.n_samples),
+        seed=opts.get("seed", stock.seed),
+        n_classes=opts.get("classes", stock.n_classes),
+        noise=opts.get("noise", stock.noise),
+        shift=opts.get("shift", stock.shift),
+        margin=opts.get("margin", stock.margin),
+        n_styles=opts.get("styles", stock.n_styles),
+        style_leak=opts.get("style_leak", stock.style_leak),
         # The echo channel only exists for blobs, so glyphs default to none.
-        label_echo=opts.get("label_echo", stock.label_echo if generator == "blobs" else 0.0, float),
-        label_attributes=opts.get("label_attributes", stock.label_attributes, _int_list),
-        attribute_prob=opts.get("attribute_prob", stock.attribute_prob, float),
-        train_frac=opts.get("train_frac", stock.train_frac, float),
-        dev_frac=opts.get("dev_frac", stock.dev_frac, float),
+        label_echo=opts.get("label_echo", stock.label_echo if generator == "blobs" else 0.0),
+        label_attributes=opts.get("label_attributes", stock.label_attributes),
+        attribute_prob=opts.get("attribute_prob", stock.attribute_prob),
+        train_frac=opts.get("train_frac", stock.train_frac),
+        dev_frac=opts.get("dev_frac", stock.dev_frac),
     )
     ds = generate(spec)
     out = opts.get("out", "dataset.lcfc")
@@ -260,37 +275,40 @@ def cmd_gen_data(args):
 
 
 def cmd_train(args):
-    opts = Options(args, "train")
+    opts = Options(args)
     data_path = opts.get("data")
     if data_path is None:
         raise ConfigurationError("--data is required")
-    dataset = load_dataset(data_path)
-    out_dir = opts.get("out_dir", "artifacts")
-    os.makedirs(out_dir, exist_ok=True)
     # The builtins are the config classes' own defaults; latent_dim has none.
     tdef, gdef = TrainConfig(), GenerativeConfig(latent_dim=8)
-    seed = opts.get("seed", tdef.seed, int)
+    seed = opts.get("seed", tdef.seed)
     tcfg = TrainConfig(
-        epochs=opts.get("epochs", tdef.epochs, int),
-        batch_size=opts.get("batch_size", tdef.batch_size, int),
-        learning_rate=opts.get("lr", tdef.learning_rate, float),
-        hidden_dims=opts.get("hidden", tdef.hidden_dims, _int_list),
+        epochs=opts.get("epochs", tdef.epochs),
+        batch_size=opts.get("batch_size", tdef.batch_size),
+        learning_rate=opts.get("lr", tdef.learning_rate),
+        hidden_dims=opts.get("hidden", tdef.hidden_dims),
         hidden_activation=opts.get("activation", tdef.hidden_activation),
         seed=seed,
     )
-    target = train_target(dataset, tcfg)
-    disc = train_discriminator(dataset, dataclasses.replace(tcfg, seed=seed + 1))
+    dcfg = dataclasses.replace(tcfg, seed=seed + 1)
     gcfg = GenerativeConfig(
-        latent_dim=opts.get("latent", gdef.latent_dim, int),
-        epochs=opts.get("gen_epochs", gdef.epochs, int),
-        batch_size=opts.get("batch_size", gdef.batch_size, int),
-        learning_rate=opts.get("gen_lr", tcfg.learning_rate, float),
-        hidden_dims=opts.get("hidden", gdef.hidden_dims, _int_list),
+        latent_dim=opts.get("latent", gdef.latent_dim),
+        epochs=opts.get("gen_epochs", gdef.epochs),
+        batch_size=opts.get("batch_size", gdef.batch_size),
+        learning_rate=opts.get("gen_lr", tcfg.learning_rate),
+        hidden_dims=opts.get("hidden", gdef.hidden_dims),
         hidden_activation=opts.get("activation", gdef.hidden_activation),
         output_activation=opts.get("output_activation", gdef.output_activation),
-        disc_weight=opts.get("disc_weight", gdef.disc_weight, float),
+        disc_weight=opts.get("disc_weight", gdef.disc_weight),
         seed=seed + 2,
     )
+    for cfg in (tcfg, dcfg, gcfg):
+        cfg.validate()
+    dataset = load_dataset(data_path)
+    out_dir = opts.get("out_dir", "artifacts")
+    os.makedirs(out_dir, exist_ok=True)
+    target = train_target(dataset, tcfg)
+    disc = train_discriminator(dataset, dcfg)
     gen = train_generative(dataset, disc, gcfg)
     paths = {
         "dataset": os.path.relpath(os.path.abspath(data_path), os.path.abspath(out_dir)),
@@ -337,7 +355,7 @@ def cmd_train(args):
 
 
 def cmd_explain(args):
-    opts = Options(args, "explain")
+    opts = Options(args)
     target, gen, x0, a0, qi = _query_stack(opts)
     cfg = _perturb_from(opts)
     predicted = target.predict(x0)
@@ -366,21 +384,21 @@ def cmd_explain(args):
 
 
 def cmd_bench(args):
-    opts = Options(args, "bench")
-    dataset, target, _, gen, _ = _load_stack(opts)
+    opts = Options(args)
+    dataset, target, gen, _ = _load_stack(opts)
     cfg = _perturb_from(opts)
     stock = benchmark_recipe()
-    methods = build_methods(cfg, epsilon=opts.get("epsilon", stock.epsilon, float))
+    methods = build_methods(cfg, epsilon=opts.get("epsilon", stock.epsilon))
     report = run_benchmark(
         dataset,
         target,
         gen,
         methods,
-        n_queries=opts.get("queries", stock.n_queries, int),
-        seed=int(opts.get("seed", 0, int)),
-        desired_class=opts.get("desired_class", cast=int),
+        n_queries=opts.get("queries", stock.n_queries),
+        seed=opts.get("seed", 0),
+        desired_class=opts.get("desired_class"),
     )
-    include_timing = opts.get("include_timing", True, bool)
+    include_timing = opts.get("include_timing", True)
     csv = report.to_csv(include_timing=include_timing)
     print(csv, end="")
     _write_out(opts, "out", report.to_json(include_timing=include_timing))
@@ -389,18 +407,18 @@ def cmd_bench(args):
 
 
 def cmd_sweep(args):
-    opts = Options(args, "sweep")
-    dataset, target, _, gen, _ = _load_stack(opts)
+    opts = Options(args)
+    dataset, target, gen, _ = _load_stack(opts)
     cfg = _perturb_from(opts)
-    weights = opts.get("weights", SWEEP_WEIGHTS, _float_list)
+    weights = opts.get("weights", SWEEP_WEIGHTS)
     points = alpha_sweep(
         dataset,
         target,
         gen,
         cfg,
         weights,
-        n_queries=int(opts.get("queries", 100, int)),
-        seed=int(opts.get("seed", 0, int)),
+        n_queries=opts.get("queries", 100),
+        seed=opts.get("seed", 0),
     )
     print("distance_weight,flipping_ratio,mean_latent_perturbation")
     for p in points:
@@ -410,10 +428,10 @@ def cmd_sweep(args):
 
 
 def cmd_rank(args):
-    opts = Options(args, "rank")
+    opts = Options(args)
     names_opt = opts.get("names")
     names = [n.strip() for n in names_opt.split(",")] if names_opt else None
-    exclude = opts.get("exclude", (), _int_list)
+    exclude = opts.get("exclude", ())
     results_path = opts.get("results")
     if results_path is not None:
         results = read_results_jsonl(results_path)
@@ -426,9 +444,9 @@ def cmd_rank(args):
     else:
         if opts.get("manifest") is None:
             raise ConfigurationError("give --results or --manifest")
-        n_queries = opts.get("queries", cast=int)
+        n_queries = opts.get("queries")
         if n_queries is not None:
-            dataset, target, _, gen, _ = _load_stack(opts)
+            dataset, target, gen, _ = _load_stack(opts)
             cfg = _perturb_from(opts)
             report = run_benchmark(
                 dataset,
@@ -436,7 +454,7 @@ def cmd_rank(args):
                 gen,
                 build_methods(cfg)[:1],
                 n_queries=n_queries,
-                seed=opts.get("seed", 0, int),
+                seed=opts.get("seed", 0),
                 desired_class=cfg.desired,
                 keep_results=True,
             )
@@ -455,11 +473,11 @@ def cmd_rank(args):
 
 
 def cmd_augment(args):
-    opts = Options(args, "augment")
-    dataset, target, _, gen, manifest = _load_stack(opts)
+    opts = Options(args)
+    dataset, target, gen, manifest = _load_stack(opts)
     cfg = _perturb_from(opts)
-    n_aug = int(opts.get("count", 100, int))
-    seed = int(opts.get("seed", 0, int))
+    n_aug = opts.get("count", 100)
+    seed = opts.get("seed", 0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         augmented = augment_with_counterfactuals(dataset, target, gen, n_aug, cfg, seed=seed)
@@ -470,12 +488,12 @@ def cmd_augment(args):
     save_dataset(out, augmented)
     added = augmented.metadata.get("augmented_tail", 0)
     print(f"wrote {out}: {added} counterfactual rows appended")
-    n_compare = opts.get("compare", cast=int)
+    n_compare = opts.get("compare")
     if n_compare is not None:
         train = manifest.get("train", {})
         tcfg = TrainConfig(**{key: train[key] for key in _MANIFEST_TRAIN if key in train})
         comp = retrain_comparison(
-            dataset, augmented, tcfg, seeds=list(range(int(n_compare)))
+            dataset, augmented, tcfg, seeds=list(range(n_compare))
         )
         print(f"base test accuracy      {comp.base_mean:.4f} +/- {comp.base_std:.4f}")
         print(f"augmented test accuracy {comp.augmented_mean:.4f} +/- {comp.augmented_std:.4f}")

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line front end, in process."""
 
+import argparse
 import json
 import warnings
 
@@ -124,6 +125,23 @@ class TestTrain:
     def test_missing_data_flag(self, capsys):
         assert main(["train"]) == 1
         assert "required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--latent", "0", "latent_dim"), ("--disc-weight", "nan", "disc_weight"),
+         ("--gen-lr", "-1", "learning_rate")],
+    )
+    def test_settings_refused_before_any_model_trains(self, workspace, tmp_path, capsys,
+                                                      monkeypatch, flag, value, field):
+        def untrained(*args):
+            raise AssertionError("train_target ran")
+
+        monkeypatch.setattr(cli, "train_target", untrained)
+        out = tmp_path / "art"
+        err = user_error(capsys, ["train", "--data", str(workspace["data"]),
+                                  "--out-dir", str(out), flag, value])
+        assert field in err
+        assert not out.exists()
 
 
 class TestExplain:
@@ -384,6 +402,17 @@ def absolute_manifest(workspace):
     return manifest
 
 
+def explain_reading(key, manifest, workspace, tmp_path):
+    """An explain argv that reads the manifest's `key` file. The
+    discriminator is read only to label an instance given without
+    attributes; --query-index reads the other three."""
+    if key != "discriminator":
+        return ["explain", "--manifest", str(manifest), "--query-index", "0"]
+    instance = tmp_path / "bare.json"
+    instance.write_text(json.dumps({"instance": list(load_dataset(workspace["data"]).instances[0])}))
+    return ["explain", "--manifest", str(manifest), "--instance-file", str(instance)]
+
+
 def user_error(capsys, argv):
     """Run the CLI, assert exit 1 with one error line and no traceback, and
     return that stderr."""
@@ -604,25 +633,80 @@ class TestConfigLayers:
         assert ds.instances.shape == (120, 10)
         assert ds.metadata["spec"]["seed"] == 7
 
+    GEN_DATA = ["gen-data"]
+    # rank --results reads none of the search options.
+    RANK = ["rank", "--results", "missing.jsonl"]
+
     @pytest.mark.parametrize(
-        "text",
+        "text, argv, message",
         [
-            "[gen-data]\nfeatures = forty\n",
-            "[gen-data]\nlabel-attributes = 0,one\n",
-            "features = 10\n",
-            "[gen-data]\nfeatures = 10\nfeatures = 12\n",
-            "[gen-data]\nnoise = %(missing)s\n",
+            ("[gen-data]\nfeatures = forty\n", GEN_DATA, "features = 'forty': invalid literal"),
+            ("[gen-data]\nlabel-attributes = 0,one\n", GEN_DATA, "label-attributes = '0,one'"),
+            ("features = 10\n", GEN_DATA, "no section headers"),
+            ("[gen-data]\nfeatures = 10\nfeatures = 12\n", GEN_DATA, "already exists"),
+            ("[gen-data]\nnoise = %(missing)s\n", GEN_DATA, "Bad value substitution"),
+            ("[gen-data]\nsampels = 50\n", GEN_DATA, "[gen-data] has no option 'sampels'"),
+            ("[gen-data]\nmax-iters = 50\n", GEN_DATA, "[gen-data] has no option 'max-iters'"),
+            ("[gen-data]\nconfig = other.ini\n", GEN_DATA, "[gen-data] has no option 'config'"),
+            ("[gen-data]\nhelp = yes\n", GEN_DATA, "[gen-data] has no option 'help'"),
+            ("[gen-data]\ngenerator = cubes\n", GEN_DATA,
+             "generator = 'cubes': not one of blobs, glyphs"),
+            ("[rank]\nalpha = fast\n", RANK, "alpha = 'fast': could not convert"),
+            ("[rank]\nno-freeze-attributes = yes\n", RANK,
+             "[rank] has no option 'no-freeze-attributes'"),
         ],
-        ids=["bad-int", "bad-list", "no-section-header", "repeated-key", "interpolation"],
+        ids=["bad-int", "bad-list", "no-section-header", "repeated-key", "interpolation",
+             "unknown-key", "other-commands-key", "config-key", "help-key", "outside-choices",
+             "option-this-path-never-reads", "negated-flag-key"],
     )
-    def test_malformed_file_is_a_user_error(self, tmp_path, capsys, text):
+    def test_malformed_file_is_a_user_error(self, tmp_path, capsys, monkeypatch, text, argv,
+                                            message):
+        monkeypatch.chdir(tmp_path)
         ini = tmp_path / "bad.ini"
         ini.write_text(text)
-        rc = main(["gen-data", "--config", str(ini), "--out", str(tmp_path / "x.lcfc")])
+        rc = main([argv[0], "--config", str(ini), *argv[1:], "--out", "x.out"])
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith(f"error: {ini}: ") and "Traceback" not in err
-        assert not (tmp_path / "x.lcfc").exists()
+        assert message in err
+        assert not (tmp_path / "x.out").exists()
+
+    # Flag text for each option type; a new type must be added here.
+    FLAG_TEXT = {None: "some-text", int: "3", float: "0.25", cli._int_list: "0,2",
+                 cli._float_list: "0.5,1"}
+
+    @pytest.mark.parametrize("command",
+                             ["gen-data", "train", "explain", "bench", "sweep", "rank", "augment"])
+    def test_file_values_resolve_like_flags(self, tmp_path, command):
+        parser = build_parser()
+        ini = tmp_path / "c.ini"
+        for key, action in cli._ini_actions(command).items():
+            if isinstance(action, argparse.BooleanOptionalAction):
+                cases = [("yes", [f"--{key}"]), ("off", [f"--no-{key}"])]
+            else:
+                text = action.choices[-1] if action.choices else self.FLAG_TEXT[action.type]
+                cases = [(text, [f"--{key}", text])]
+            for file_text, flags in cases:
+                ini.write_text(f"[{command}]\n{key} = {file_text}\n")
+                from_file = cli.Options(parser.parse_args([command, "--config", str(ini)]))
+                from_flag = cli.Options(parser.parse_args([command, *flags]))
+                value = from_flag.get(action.dest)
+                assert value is not None and from_file.get(action.dest) == value, key
+
+    def test_default_section(self, tmp_path):
+        """[DEFAULT] keys fill the command's section, which beats them, and
+        are checked like its own keys; without that section none is read."""
+        ini = tmp_path / "c.ini"
+
+        def options(text):
+            ini.write_text(text)
+            return cli.Options(build_parser().parse_args(["gen-data", "--config", str(ini)]))
+
+        opts = options("[DEFAULT]\nseed = 5\nfeatures = 10\n[gen-data]\nfeatures = 12\n")
+        assert (opts.get("seed"), opts.get("features")) == (5, 12)
+        with pytest.raises(ConfigurationError, match=r"\[gen-data\] has no option 'max-iters'"):
+            options("[DEFAULT]\nmax-iters = 5\n[gen-data]\n")
+        assert options("[DEFAULT]\nseed = 5\nmax-iters = 5\n[train]\n").get("seed") is None
 
     @pytest.mark.parametrize("text, code", [("ture", 1), ("off", 0), ("Yes", 0)])
     def test_file_booleans_are_checked(self, workspace, tmp_path, capsys, text, code):
@@ -714,7 +798,7 @@ class TestInputErrors:
         manifest[key] = str(bad)
         path = tmp_path / "m.json"
         path.write_text(json.dumps(manifest))
-        err = user_error(capsys, ["explain", "--manifest", str(path), "--query-index", "0"])
+        err = user_error(capsys, explain_reading(key, path, workspace, tmp_path))
         assert "bad.lcfc" in err
 
     @pytest.fixture(scope="class")
@@ -850,8 +934,17 @@ class TestUnreadableContainers:
         manifest[key] = str(junk)
         path = tmp_path / "m.json"
         path.write_text(json.dumps(manifest))
-        err = user_error(capsys, ["explain", "--manifest", str(path), "--query-index", "0"])
+        err = user_error(capsys, explain_reading(key, path, workspace, tmp_path))
         assert f"junk-{key}.lcfc: bad magic" in err
+
+    def test_query_index_reads_no_discriminator(self, workspace, tmp_path):
+        junk = tmp_path / "junk.lcfc"
+        junk.write_bytes(b"garbage")
+        manifest = {**absolute_manifest(workspace), "discriminator": str(junk)}
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        assert main(["explain", "--manifest", str(path), "--query-index", "0",
+                     "--max-iters", "20"]) == 0
 
     def test_train_data(self, tmp_path, capsys):
         junk = tmp_path / "junk-data.lcfc"
