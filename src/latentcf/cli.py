@@ -92,10 +92,11 @@ _USER_ERRORS = (
 
 class Options:
     """Flag > config-file section > builtin default resolution. The --config
-    section is checked in full on construction, against the command's
-    argparse actions: each key must be a long flag (--config aside), and its
-    value must pass that flag's type (_ini_bool for a yes/no flag) and
-    choices. Anything else is a ConfigurationError naming the file."""
+    section (its [DEFAULT] keys included, or those alone when the file has
+    no section for the command) is checked in full on construction, against
+    the command's argparse actions: each key must be a long flag (--config
+    aside), and its value must pass that flag's type (_ini_bool for a yes/no
+    flag) and choices. Anything else is a ConfigurationError naming the file."""
 
     def __init__(self, args):
         self.args = vars(args)
@@ -108,7 +109,7 @@ class Options:
         with open(self.path, encoding="utf-8") as fh:
             try:
                 cp.read_file(fh)
-                items = dict(cp[section]) if cp.has_section(section) else {}
+                items = dict(cp[section if cp.has_section(section) else cp.default_section])
             except (configparser.Error, UnicodeDecodeError) as exc:
                 raise ConfigurationError(f"{self.path}: {exc}") from exc
         actions = _ini_actions(section)
@@ -396,7 +397,7 @@ def cmd_bench(args):
         methods,
         n_queries=opts.get("queries", stock.n_queries),
         seed=opts.get("seed", 0),
-        desired_class=opts.get("desired_class"),
+        desired_class=opts.get("desired_class", cfg.desired),
     )
     include_timing = opts.get("include_timing", True)
     csv = report.to_csv(include_timing=include_timing)
@@ -419,6 +420,7 @@ def cmd_sweep(args):
         weights,
         n_queries=opts.get("queries", 100),
         seed=opts.get("seed", 0),
+        desired_class=cfg.desired,
     )
     print("distance_weight,flipping_ratio,mean_latent_perturbation")
     for p in points:

@@ -11,13 +11,14 @@ each evaluation then runs ``nn``'s bare layer kernels, still checking both
 outputs and the gradient reaching the latent point finite.
 
 Three baselines share the result type so they can run under one benchmark
-harness. Every iterative search runs one loop (``_search``: evaluate, stop,
-step, result, frozen-model check) and differs from the others only in its
-frame and its step rule. The random-direction walk steps the same latent
-point at random; the input-space descent walks the instance itself, with
-no decoder in the objective, and encodes its latent fields after the clock.
-A one-shot signed-gradient attack keeps code of its own. Results serialize
-to JSON lines; square instances can be dumped as PGM images for eyeballing.
+harness. Every search runs one loop (``_search``: evaluate, stop, step,
+result, frozen-model check) and differs from the others only in its frame
+and its step rule. The random-direction walk steps the same latent point at
+random; the input-space descent walks the instance itself, with no decoder
+in the objective, and encodes its latent fields after the clock; the
+signed-gradient attack is that walk cut to one step along the gradient's
+sign. Results serialize to JSON lines; square instances can be dumped as
+PGM images for eyeballing.
 """
 
 from __future__ import annotations
@@ -35,10 +36,7 @@ from .errors import (
     require_finite,
 )
 from .models import LatentPoint, encode
-from .nn import (
-    PROB_FLOOR, _check_finite, _clamp_probabilities, _pull_back, _trace_layers, cross_entropy,
-    forward, forward_trace, vjp,
-)
+from .nn import PROB_FLOOR, _check_finite, _clamp_probabilities, _pull_back, _trace_layers
 
 
 @dataclass
@@ -414,54 +412,44 @@ def _unit_direction(rng, dim):
 def gradient_sign_attack(target, gen, x0, a0, epsilon, desired=None, clip=None, query_index=-1):
     """Baseline: one signed-gradient step on the instance itself.
 
-    Moves every feature by epsilon against the sign of the cross-entropy
-    gradient toward the desired class. epsilon == 0 returns the instance
-    unchanged. The timed region covers only the attack; the latent fields
-    are filled in afterwards by encoding, so latent-space bookkeeping does
-    not distort the speed comparison.
+    Input-space descent cut to one step with no distance term: the step
+    moves every feature by epsilon against the sign of the cross-entropy
+    gradient toward the desired class, then clips when clip is set. An
+    instance already classified as desired comes back unchanged with zero
+    iterations; epsilon == 0 returns it unchanged too. desired, when None,
+    defaults as ``desired_class`` says.
     """
     require_finite("epsilon", epsilon)
-    x0 = np.asarray(x0, dtype=np.float64)
-    frozen = _frozen_snapshot(target, gen)
-    t0 = time.perf_counter_ns()
-    probs, probs_trace = forward_trace(target.network, x0)
-    desired = desired_class(target, int(np.argmax(probs)), desired)
-    onehot = np.zeros(target.network.output_dim)
-    onehot[desired] = 1.0
-    loss_before, g_probs = cross_entropy(probs, onehot)
-    g_x = vjp(target.network, probs_trace, g_probs, with_params=False).input_grad
-    x_adv = x0 - epsilon * np.sign(g_x)
-    if clip is not None:
-        x_adv = np.clip(x_adv, clip[0], clip[1])
-    probs_after = forward(target.network, x_adv)
-    loss_after, _ = cross_entropy(probs_after, onehot)
-    elapsed = _micros_since(t0)
-    predicted = int(np.argmax(probs_after))
-    result = CounterfactualResult(
-        sample=x_adv,
-        latent=encode(gen, x_adv, a0),
-        origin=encode(gen, x0, a0),
-        flipped=predicted == desired,
-        iterations=1,
-        predicted_class=predicted,
-        desired_class=desired,
-        loss_trace=[(loss_before, loss_before, 0.0), (loss_after, loss_after, 0.0)],
-        wall_time_micros=elapsed,
-        method="gradient-sign",
-        query_index=query_index,
-    )
-    _check_frozen(frozen, target, gen, "gradient-sign")
-    return result
+    if desired is None:
+        x0 = _instance_start(target, gen, x0, a0)[1]
+        desired = desired_class(target, target.predict(x0))
+    config = PerturbConfig(distance_weight=0.0, code_step=epsilon, step_decay=1.0, max_iters=1,
+                           desired=desired, clip=clip)
+    return _search(target, gen, x0, a0, config, "gradient-sign", query_index, _instance_start,
+                   _instance_step(config, np.sign))
 
 
 def _instance_start(target, gen, x0, a0):
-    """Input-space descent's frame: no decoder, the instance as the
-    iterate, and encodings for the latent fields."""
+    """The instance-space frame: no decoder, the instance (checked to be a
+    vector of the target's input width) as the iterate, and encodings for
+    the latent fields."""
     x0 = np.asarray(x0, dtype=np.float64)
     d = target.network.input_dim
     if x0.shape != (d,):
         raise DimensionError(f"instance has shape {x0.shape}, expected ({d},)")
     return [], x0, x0.size, lambda x, _: (encode(gen, x, a0), encode(gen, x0, a0))
+
+
+def _instance_step(config, direction):
+    """The instance-space step rule: x moves by the step size against
+    direction(gradient), then is clipped when config.clip is set."""
+
+    def step(x, _, n, grads):
+        x -= step_size(config.code_step, config.step_decay, n) * direction(grads()[0])
+        if config.clip is not None:
+            np.clip(x, config.clip[0], config.clip[1], out=x)
+
+    return step
 
 
 def input_space_descent(target, gen, x0, a0, config, query_index=-1):
@@ -473,12 +461,7 @@ def input_space_descent(target, gen, x0, a0, config, query_index=-1):
     original instance. With config.clip set, every step ends by clipping
     the iterate. The latent fields come from encoding after the clock.
     """
-
-    def step(x, _, n, grads):
-        x -= step_size(config.code_step, config.step_decay, n) * grads()[0]
-        if config.clip is not None:
-            np.clip(x, config.clip[0], config.clip[1], out=x)
-
+    step = _instance_step(config, lambda g: g)
     return _search(target, gen, x0, a0, config, "input-descent", query_index, _instance_start, step)
 
 

@@ -30,7 +30,9 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError, NumericalError
 
-ACTIVATIONS = ("identity", "relu", "tanh", "sigmoid", "softmax")
+# Softmax only ends a network; the others may also sit on a hidden layer.
+HIDDEN_ACTIVATIONS = ("identity", "relu", "tanh", "sigmoid")
+ACTIVATIONS = HIDDEN_ACTIVATIONS + ("softmax",)
 
 # Probabilities are clamped into [PROB_FLOOR, 1 - PROB_FLOOR] before any log.
 PROB_FLOOR = 1e-12

@@ -143,6 +143,22 @@ class TestTrain:
         assert field in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "extra, ini",
+        [(["--activation", "foo"], None), (["--activation", "foo", "--hidden", ""], None),
+         ([], "[train]\nactivation = softmax\nhidden =\n")],
+        ids=["flag", "flag-no-hidden", "file-no-hidden"],
+    )
+    def test_unknown_hidden_activation_refused(self, workspace, tmp_path, capsys, extra, ini):
+        out = tmp_path / "art"
+        argv = ["train", "--data", str(workspace["data"]), "--out-dir", str(out), *extra]
+        if ini is not None:
+            (tmp_path / "c.ini").write_text(ini)
+            argv += ["--config", str(tmp_path / "c.ini")]
+        err = user_error(capsys, argv)
+        assert "hidden_activation must be one of identity, relu, tanh, sigmoid" in err
+        assert not out.exists()
+
 
 class TestExplain:
     def test_query_index_prints_attribute_moves(self, workspace, capsys, tmp_path):
@@ -380,6 +396,24 @@ class TestBench:
             )
             assert rc == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_desired_flag_sets_the_desired_class(self, workspace, tmp_path):
+        """--desired, the search option, pins the harness's class as
+        --desired-class does; the report records it either way."""
+        reports = {}
+        for flag in ("--desired", "--desired-class"):
+            path = tmp_path / f"{flag}.json"
+            rc = main(
+                [
+                    "bench", "--manifest", str(workspace["manifest"]),
+                    "--queries", "4", "--seed", "2", "--max-iters", "20",
+                    flag, "0", "--no-include-timing", "--out", str(path),
+                ]
+            )
+            assert rc == 0
+            reports[flag] = path.read_bytes()
+        assert reports["--desired"] == reports["--desired-class"]
+        assert json.loads(reports["--desired"])["config"]["desired_class"] == 0
 
     def test_missing_manifest_flag(self, capsys):
         assert main(["bench"]) == 1
@@ -706,7 +740,21 @@ class TestConfigLayers:
         assert (opts.get("seed"), opts.get("features")) == (5, 12)
         with pytest.raises(ConfigurationError, match=r"\[gen-data\] has no option 'max-iters'"):
             options("[DEFAULT]\nmax-iters = 5\n[gen-data]\n")
-        assert options("[DEFAULT]\nseed = 5\nmax-iters = 5\n[train]\n").get("seed") is None
+        # Without the command's section, [DEFAULT] alone is read and checked.
+        assert options("[DEFAULT]\nseed = 5\n[train]\nepochs = 2\n").get("seed") == 5
+        assert options("[DEFAULT]\nseed = 5\n").get("seed") == 5
+        with pytest.raises(ConfigurationError, match=r"\[gen-data\] has no option 'max-iters'"):
+            options("[DEFAULT]\nseed = 5\nmax-iters = 5\n[train]\n")
+        with pytest.raises(ConfigurationError, match=r"seed = 'five'"):
+            options("[DEFAULT]\nseed = five\n")
+
+    def test_default_section_alone_sets_the_dataset_seed(self, tmp_path):
+        ini = tmp_path / "c.ini"
+        ini.write_text("[DEFAULT]\nseed = 5\nsamples = 100\n")
+        out = tmp_path / "d.lcfc"
+        assert main(["gen-data", "--config", str(ini), "--out", str(out)]) == 0
+        spec = load_dataset(out).metadata["spec"]
+        assert (spec["seed"], spec["n_samples"]) == (5, 100)
 
     @pytest.mark.parametrize("text, code", [("ture", 1), ("off", 0), ("Yes", 0)])
     def test_file_booleans_are_checked(self, workspace, tmp_path, capsys, text, code):
@@ -997,4 +1045,22 @@ class TestThreeClassesNeedADesiredClass:
         err = user_error(capsys, argv[:1] + ["--manifest", str(three_classes)] + argv[1:])
         assert err == f"error: {expected}\n"
         assert not (tmp_path / "aug.lcfc").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "--queries", "2"],
+            ["sweep", "--queries", "2", "--weights", "0.8"],
+            ["rank", "--queries", "2"],
+        ],
+        ids=" ".join,
+    )
+    def test_desired_flag_is_honoured(self, three_classes, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out.txt"
+        rc = main(argv[:1] + ["--manifest", str(three_classes)] + argv[1:]
+                  + ["--desired", "2", "--max-iters", "5", "--out", str(out)])
+        assert rc == 0, capsys.readouterr().err
+        if argv[0] == "bench":
+            assert json.loads(out.read_text())["config"]["desired_class"] == 2
 

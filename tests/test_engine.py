@@ -378,16 +378,24 @@ class TestGradientWork:
         ] * res.iterations
 
     @pytest.mark.parametrize(
-        "step, max_iters, flips", [(0.02, 50, True), (0.001, 5, False)],
-        ids=["flips", "out-of-budget"],
+        "method, step, max_iters, flips",
+        [
+            ("input-descent", 0.02, 50, True),
+            ("input-descent", 0.001, 5, False),
+            ("gradient-sign", 3.0, 1, True),
+            ("gradient-sign", 0.001, 1, False),
+        ],
+        ids=["descent-flips", "descent-out-of-budget", "sign-flips", "sign-out-of-budget"],
     )
-    def test_input_descent_traces_the_target_alone(
-        self, target, gen, dataset, monkeypatch, step, max_iters, flips
+    def test_instance_searches_trace_the_target_alone(
+        self, target, gen, dataset, monkeypatch, method, step, max_iters, flips
     ):
-        """Input-space descent runs the same loop with no decoder: per
-        evaluation one target trace, per step one input-only pull-back
-        through it, none after the last evaluation, and none of the checked
-        nn wrappers."""
+        """Input-space descent and the sign attack run the same loop with no
+        decoder: per evaluation one target trace, per step one input-only
+        pull-back through it, none after the last evaluation, and none of
+        the checked nn wrappers, which engine does not even import."""
+        for name in ("forward", "forward_trace", "vjp", "cross_entropy"):
+            assert not hasattr(engine, name), name
         traced, pulled = [], []
         real_trace, real_pull = engine._trace_layers, engine._pull_back
 
@@ -399,20 +407,18 @@ class TestGradientWork:
             pulled.append((layers, with_params, with_input))
             return real_pull(layers, records, grad, with_params, with_input)
 
-        def refused(*args, **kwargs):
-            raise AssertionError("a checked nn wrapper inside the search")
-
         monkeypatch.setattr(engine, "_trace_layers", counting_trace)
         monkeypatch.setattr(engine, "_pull_back", counting_pull)
-        for name in ("forward_trace", "vjp", "cross_entropy"):
-            monkeypatch.setattr(engine, name, refused)
         x0, a0 = first_query(dataset, target)
-        cfg = PerturbConfig.text_defaults(
-            desired=1, code_step=step, step_decay=1.0, max_iters=max_iters
-        )
-        res = input_space_descent(target, gen, x0, a0, cfg)
+        if method == "gradient-sign":
+            res = gradient_sign_attack(target, gen, x0, a0, step, desired=1)
+        else:
+            cfg = PerturbConfig.text_defaults(
+                desired=1, code_step=step, step_decay=1.0, max_iters=max_iters
+            )
+            res = input_space_descent(target, gen, x0, a0, cfg)
         assert res.flipped == flips
-        assert res.iterations >= 2
+        assert res.iterations >= min(2, max_iters)
         evals = len(res.loss_trace)
         assert traced == [[], target.network.layers] * evals
         assert pulled == [(target.network.layers, False, True), ([], False, True)] * res.iterations
@@ -824,18 +830,61 @@ class TestGradientSign:
         assert np.array_equal(res.sample, x0)
         assert not res.flipped
 
-    def test_step_is_signed_gradient_times_epsilon(self):
+    @staticmethod
+    def class_one_stack():
+        """A two-class target that puts its instance in class 1."""
         gen = identity_gen(3)
         target = linear_target(np.array([[1.0, -2.0, 0.5], [-1.0, 1.0, 2.0]]), [0.2, -0.2])
         x0 = np.array([0.3, 0.8, -0.5])
-        res = gradient_sign_attack(target, gen, x0, np.zeros(0), 0.25, desired=1)
+        assert target.predict(x0) == 1
+        return target, gen, x0
+
+    def test_step_is_signed_gradient_times_epsilon(self):
+        target, gen, x0 = self.class_one_stack()
+        res = gradient_sign_attack(target, gen, x0, np.zeros(0), 0.25, desired=0)
         probs = forward(target.network, x0)
-        onehot = np.array([0.0, 1.0])
+        onehot = np.array([1.0, 0.0])
         _, g_probs = cross_entropy(probs, onehot)
         g_x = vjp(target.network, forward_trace(target.network, x0)[1], g_probs).input_grad
         assert_allclose(res.sample, x0 - 0.25 * np.sign(g_x), atol=0)
         assert_allclose(np.abs(res.sample - x0).max(), 0.25, atol=1e-15)
         assert res.iterations == 1
+        assert len(res.loss_trace) == 2
+
+    def test_already_desired_instance_is_not_stepped(self):
+        target, gen, x0 = self.class_one_stack()
+        res = gradient_sign_attack(target, gen, x0, np.zeros(0), 0.25, desired=1)
+        assert np.array_equal(res.sample, x0)
+        assert res.flipped and res.iterations == 0
+        assert len(res.loss_trace) == 1
+
+    @pytest.mark.parametrize("desired", [-1, 2])
+    def test_desired_out_of_range_rejected(self, desired):
+        target, gen, x0 = self.class_one_stack()
+        with pytest.raises(ConfigurationError, match="out of range"):
+            gradient_sign_attack(target, gen, x0, np.zeros(0), 0.25, desired=desired)
+
+    @pytest.mark.parametrize("clip", [(1.0, 0.0), (0.0, 0.0), (np.nan, 1.0)])
+    def test_bad_clip_rejected(self, clip):
+        target, gen, x0 = self.class_one_stack()
+        with pytest.raises(ConfigurationError, match="clip"):
+            gradient_sign_attack(target, gen, x0, np.zeros(0), 0.25, desired=0, clip=clip)
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 3), (2, 3)])
+    def test_instance_shape_is_checked(self, shape):
+        target, gen, _ = self.class_one_stack()
+        for desired in (None, 0):
+            with pytest.raises(DimensionError, match="instance has shape"):
+                gradient_sign_attack(target, gen, np.zeros(shape), np.zeros(0), 0.25, desired)
+
+    @pytest.mark.parametrize("clip", [None, (-0.4, 0.4)])
+    def test_trace_distance_is_the_distance_moved(self, clip):
+        target, gen, x0 = self.class_one_stack()
+        res = gradient_sign_attack(target, gen, x0, np.zeros(0), 0.25, desired=0, clip=clip)
+        assert [entry[2] for entry in res.loss_trace] == [
+            0.0, float(np.sqrt(((res.sample - x0) ** 2).sum()))
+        ]
+        assert res.loss_trace[-1][2] > 0.0
 
     def test_clip_bounds_respected(self):
         gen = identity_gen(2)

@@ -34,6 +34,7 @@ from latentcf.models import (
     train_target,
 )
 from latentcf.nn import (
+    HIDDEN_ACTIVATIONS,
     DenseNetwork,
     build_network,
     forward,
@@ -126,6 +127,16 @@ class TestTargetTraining:
             TrainConfig(learning_rate=0.0).validate()
         with pytest.raises(ConfigurationError):
             TrainConfig(accuracy_floor=1.5).validate()
+
+    @pytest.mark.parametrize("activation", ["foo", "softmax", "Tanh"])
+    def test_hidden_activation_must_be_a_hidden_one(self, activation):
+        for cfg in (TrainConfig(hidden_activation=activation),
+                    GenerativeConfig(latent_dim=2, hidden_activation=activation)):
+            with pytest.raises(ConfigurationError, match="hidden_activation"):
+                cfg.validate()
+        for ok in HIDDEN_ACTIVATIONS:
+            TrainConfig(hidden_activation=ok).validate()
+            GenerativeConfig(latent_dim=2, hidden_activation=ok).validate()
 
     @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf])
     def test_non_finite_learning_rate_is_refused(self, lr):
