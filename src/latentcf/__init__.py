@@ -21,6 +21,7 @@ from .datasets import AttributedDataset, SynthSpec, generate, load_dataset, save
 from .engine import (
     CounterfactualLoss,
     CounterfactualResult,
+    LossTrace,
     PerturbConfig,
     attribute_preservation,
     counterfactual_loss,

@@ -386,6 +386,14 @@ def cmd_explain(args):
 
 def cmd_bench(args):
     opts = Options(args)
+    # Either flag pins the harness's desired class; two different ones are refused.
+    desired = opts.get("desired")
+    pinned = opts.get("desired_class", desired)
+    if desired is not None and pinned != desired:
+        raise ConfigurationError(
+            f"--desired {desired} and --desired-class {pinned} name different classes; "
+            "give one of them"
+        )
     dataset, target, gen, _ = _load_stack(opts)
     cfg = _perturb_from(opts)
     stock = benchmark_recipe()
@@ -397,7 +405,7 @@ def cmd_bench(args):
         methods,
         n_queries=opts.get("queries", stock.n_queries),
         seed=opts.get("seed", 0),
-        desired_class=opts.get("desired_class", cfg.desired),
+        desired_class=pinned,
     )
     include_timing = opts.get("include_timing", True)
     csv = report.to_csv(include_timing=include_timing)

@@ -17,14 +17,19 @@ and its step rule. The random-direction walk steps the same latent point at
 random; the input-space descent walks the instance itself, with no decoder
 in the objective, and encodes its latent fields after the clock; the
 signed-gradient attack is that walk cut to one step along the gradient's
-sign. Results serialize to JSON lines; square instances can be dumped as
-PGM images for eyeballing.
+sign. Every result keeps its loss trace, one (total, prediction term,
+distance term) triple per evaluation, as a read-only ``LossTrace`` over one
+flat float64 buffer: 24 bytes an evaluation, where a list of float tuples
+took 144. Results serialize to JSON lines; square instances can be dumped
+as PGM images for eyeballing.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import isqrt
 
@@ -112,13 +117,68 @@ class CounterfactualLoss:
     attr_grad: np.ndarray | None = None
 
 
+class LossTrace(Sequence):
+    """A read-only sequence of (total, prediction term, distance term)
+    triples, stored as one flat float64 ``array('d')`` of 3 floats each.
+
+    It reads as a list of 3-tuples of floats does: len, truthiness,
+    indexing (negative included), slicing (to a LossTrace), iteration and
+    equality with any list or tuple of triples, in either direction.
+    """
+
+    __slots__ = ("_flat",)
+
+    def __init__(self, flat):
+        """Wrap flat, an ``array('d')`` of 3 floats per entry, without copying."""
+        if not isinstance(flat, array) or flat.typecode != "d" or len(flat) % 3:
+            raise ValueError("a loss trace needs an array('d') of 3 floats per entry")
+        self._flat = flat
+
+    @classmethod
+    def of(cls, entries):
+        """A LossTrace holding a copy of entries, an iterable of triples."""
+        flat = array("d")
+        for entry in entries:
+            if len(entry) != 3:
+                raise ValueError(f"a loss trace entry holds 3 numbers, got {len(entry)}")
+            flat.extend(entry)
+        return cls(flat)
+
+    def __len__(self):
+        return len(self._flat) // 3
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return LossTrace.of(self[i] for i in range(len(self))[index])
+        i = 3 * range(len(self))[index]
+        return tuple(self._flat[i:i + 3])
+
+    def __iter__(self):
+        values = iter(self._flat)
+        return zip(values, values, values)
+
+    def __eq__(self, other):
+        if isinstance(other, LossTrace):
+            return self._flat == other._flat
+        if isinstance(other, (list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"LossTrace({list(self)!r})"
+
+
 @dataclass
 class CounterfactualResult:
     """Outcome of one search, shared across all methods.
 
     loss_trace holds one (total, prediction term, distance term) triple per
-    objective evaluation; wall_time_micros is the whole-search wall time at
-    microsecond resolution.
+    objective evaluation: a ``LossTrace`` from a search or from
+    ``read_results_jsonl``, though ``result_to_dict`` takes any sequence of
+    triples, a plain list included. wall_time_micros is the whole-search
+    wall time at microsecond resolution.
     """
 
     sample: np.ndarray
@@ -128,7 +188,7 @@ class CounterfactualResult:
     iterations: int
     predicted_class: int
     desired_class: int
-    loss_trace: list
+    loss_trace: LossTrace
     wall_time_micros: int
     method: str
     query_index: int = -1
@@ -309,8 +369,10 @@ def _search(target, gen, x0, a0, config, method, query_index, start, step):
     blocks views into that one buffer. Each round evaluates it and stops
     once it is classified as desired or the budget is spent; otherwise
     step(code, attributes, n, grads) moves the blocks in place, grads()
-    being the evaluation's lazy backward. The frozen-model check follows
-    finish, the last model call.
+    being the evaluation's lazy backward. Each evaluation's three loss
+    values go onto one flat ``array('d')`` through its bound append, which
+    becomes the result's ``LossTrace`` after the clock. The frozen-model
+    check follows finish, the last model call.
     """
     config.validate()
     desired = _require_desired(target, config)
@@ -320,11 +382,14 @@ def _search(target, gen, x0, a0, config, method, query_index, start, step):
     evaluate = _objective(target, layers, u0, k, desired, config.distance_weight)
     u = u0.copy()
     code, attributes = u[:k], u[k:]
-    trace = []
+    flat = array("d")
+    push = flat.append
     n = 0
     while True:
         total, pred_term, dist_term, probs, sample, grads = evaluate(u)
-        trace.append((total, pred_term, dist_term))
+        push(total)
+        push(pred_term)
+        push(dist_term)
         predicted = int(probs.argmax())
         if predicted == desired or n >= config.max_iters:
             break
@@ -340,7 +405,7 @@ def _search(target, gen, x0, a0, config, method, query_index, start, step):
         iterations=n,
         predicted_class=predicted,
         desired_class=desired,
-        loss_trace=trace,
+        loss_trace=LossTrace(flat),
         wall_time_micros=elapsed,
         method=method,
         query_index=query_index,
@@ -510,7 +575,7 @@ def result_to_dict(result):
         "attributes": result.latent.attributes.tolist(),
         "origin_code": result.origin.code.tolist(),
         "origin_attributes": result.origin.attributes.tolist(),
-        "loss_trace": [[float(v) for v in entry] for entry in result.loss_trace],
+        "loss_trace": [list(map(float, entry)) for entry in result.loss_trace],
     }
 
 
@@ -529,7 +594,7 @@ def result_from_dict(d):
         iterations=d["iterations"],
         predicted_class=d["predicted_class"],
         desired_class=d["desired_class"],
-        loss_trace=[tuple(entry) for entry in d["loss_trace"]],
+        loss_trace=LossTrace.of(d["loss_trace"]),
         wall_time_micros=d["wall_time_micros"],
         method=d["method"],
         query_index=d["query_index"],
@@ -557,8 +622,9 @@ _RESULT_FIELDS = {
         ("an array of numbers", is_number_list),
     ),
     "loss_trace": (
-        "a list of number arrays",
-        lambda v: isinstance(v, list) and all(map(is_number_list, v)),
+        "a non-empty list of 3-number arrays",
+        lambda v: isinstance(v, list) and len(v) > 0
+        and all(is_number_list(e) and len(e) == 3 for e in v),
     ),
 }
 

@@ -415,6 +415,19 @@ class TestBench:
         assert reports["--desired"] == reports["--desired-class"]
         assert json.loads(reports["--desired"])["config"]["desired_class"] == 0
 
+    def test_desired_flags_naming_different_classes_are_refused(self, workspace, tmp_path,
+                                                                capsys):
+        """Both flags with different values would drop one of them; equal
+        values pin the class as either flag alone does."""
+        argv = ["bench", "--manifest", str(workspace["manifest"]), "--queries", "4",
+                "--seed", "2", "--max-iters", "20", "--no-include-timing"]
+        out = tmp_path / "r.json"
+        err = user_error(capsys, argv + ["--desired", "0", "--desired-class", "1",
+                                         "--out", str(out)])
+        assert "--desired 0 and --desired-class 1" in err and not out.exists()
+        assert main(argv + ["--desired", "1", "--desired-class", "1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["desired_class"] == 1
+
     def test_missing_manifest_flag(self, capsys):
         assert main(["bench"]) == 1
         assert "manifest" in capsys.readouterr().err
@@ -872,6 +885,9 @@ class TestInputErrors:
             (lambda r: {**r, "iterations": True}, "'iterations' must be an integer"),
             (lambda r: {**r, "method": None}, "'method' must be a string"),
             (lambda r: {**r, "loss_trace": [[1.0], "x"]}, "'loss_trace' must be"),
+            (lambda r: {**r, "loss_trace": [[1.0]]}, "'loss_trace' must be"),
+            (lambda r: {**r, "loss_trace": [[1.0, 2.0]]}, "'loss_trace' must be"),
+            (lambda r: {**r, "loss_trace": []}, "'loss_trace' must be"),
             (lambda r: {**r, "origin_attributes": [0.0]}, "differ in length"),
         ],
     )

@@ -1,6 +1,8 @@
 """Search-loop checks: objective, descent, baselines, result persistence."""
 
 import dataclasses
+import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from numpy.testing import assert_allclose
 from latentcf import applications, engine
 from latentcf.datasets import AttributedDataset, SynthSpec, generate
 from latentcf.engine import (
+    LossTrace,
     PerturbConfig,
     attribute_preservation,
     counterfactual_loss,
@@ -1088,6 +1091,79 @@ class TestResultPersistence:
         with pytest.raises(NumericalError):
             write_pgm(path, np.array([0.0, 1.0, bad, 0.5]))
         assert not path.exists()
+
+
+class TestLossTrace:
+    """A result's loss trace reads as the list of float triples it replaces."""
+
+    ENTRIES = [(1.0, 0.5, 0.25), (2.0, 1.5, 0.5), (3.0, 2.5, 0.75)]
+
+    def trace(self):
+        return LossTrace.of(self.ENTRIES)
+
+    @pytest.mark.parametrize("i", range(-3, 3))
+    def test_indexing(self, i):
+        assert self.trace()[i] == self.ENTRIES[i]
+
+    @pytest.mark.parametrize("i", [3, 4, -4, -7])
+    def test_index_past_either_end(self, i):
+        with pytest.raises(IndexError):
+            self.trace()[i]
+
+    @pytest.mark.parametrize(
+        "part", [slice(None, -1), slice(1, None), slice(None, None, -1), slice(0, 3, 2),
+                 slice(5, 9), slice(2, 1)],
+    )
+    def test_slices(self, part):
+        sliced = self.trace()[part]
+        assert isinstance(sliced, LossTrace)
+        assert sliced == self.ENTRIES[part]
+        assert len(sliced) == len(self.ENTRIES[part])
+
+    def test_truthiness(self):
+        assert not LossTrace.of([]) and len(LossTrace.of([])) == 0
+        assert LossTrace.of(self.ENTRIES[:1]) and self.trace()
+
+    def test_iteration_yields_triples_of_python_floats(self):
+        entries = list(self.trace())
+        assert entries == self.ENTRIES
+        for entry in entries + [self.trace()[-1]]:
+            assert type(entry) is tuple and len(entry) == 3
+            assert all(type(v) is float for v in entry)
+
+    def test_equality_with_a_list_of_tuples_both_ways(self):
+        trace = self.trace()
+        assert trace == self.ENTRIES and self.ENTRIES == trace
+        assert trace == LossTrace.of(self.ENTRIES)
+        changed = self.ENTRIES[:2] + [(3.0, 2.5, 0.5)]
+        for other in (changed, self.ENTRIES[:2], [], LossTrace.of(changed)):
+            assert trace != other and other != trace
+
+    def test_as_an_array(self):
+        assert bits(self.trace()) == bits(self.ENTRIES)
+
+    def test_entries_hold_three_numbers(self):
+        with pytest.raises(ValueError, match="3 numbers"):
+            LossTrace.of([(1.0, 2.0)])
+        for flat in (array("d", [1.0]), array("f", [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0]):
+            with pytest.raises(ValueError, match="3 floats per entry"):
+                LossTrace(flat)
+
+    def test_a_budget_exhausted_walk_keeps_at_most_32_bytes_per_entry(self):
+        target, gen = stubborn_target(4), identity_gen(4)
+        x0, a0 = np.full(4, 0.1), np.zeros(0)
+        cfg = PerturbConfig(code_step=0.7, max_iters=500, desired=1)
+        latent_random_search(target, gen, x0, a0, cfg, rng=np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = latent_random_search(target, gen, x0, a0, cfg, rng=rng)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert (res.flipped, res.iterations, len(res.loss_trace)) == (False, 500, 501)
+        assert held <= 32 * len(res.loss_trace)
 
 
 def private_stack(target, gen):
