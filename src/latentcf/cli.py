@@ -38,7 +38,7 @@ from .applications import (
     mean_attribute_ranking,
     retrain_comparison,
 )
-from .container import is_number_list
+from .container import _rewrite_text, is_number_list
 from .datasets import SynthSpec, generate, load_dataset, save_dataset
 from .engine import (
     PerturbConfig,
@@ -234,8 +234,7 @@ def _write_out(opts, key, text):
     """Write text to the file the option names, when it names one."""
     path = opts.get(key)
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _rewrite_text(path, text)
         print(f"wrote {path}")
 
 

@@ -18,6 +18,11 @@ writable, aligned, C-contiguous and share no memory with each other.
 A read can take a row range on the leading axis that all of a container's
 arrays share; it then reads only those rows' bytes. `explain --query-index`
 and `rank --query-index` read the one dataset row they explain this way.
+
+The package's text outputs (results JSONL, reports, CSV, manifests, PGM
+images) are written here too, by `_rewrite_text`, which rewrites a file in
+place rather than truncating it; containers still truncate (see
+`write_container`).
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import struct
 
 import numpy as np
@@ -63,6 +69,33 @@ def require_field(record, key, what, ok, where):
     if not ok(record[key]):
         raise FormatError(f"{where} field {key!r} must be {what}")
     return record[key]
+
+
+def _rewrite_text(path, text, encoding="utf-8"):
+    """Write text to path in place, the way every text output is written.
+
+    The whole text is encoded first. The path is opened without O_TRUNC
+    (mode 0o666 before the umask, as open(path, "w") would create it), every
+    byte is written over the old ones, and a regular file is then cut to the
+    new length; a device such as /dev/null is not cut. On ext4 with
+    auto_da_alloc, truncating a file that holds data to zero length makes
+    its close force block allocation and writeback, a flush per write;
+    overwriting and cutting the tail does not. A symlink is written through,
+    and the file keeps its inode and mode, so a hard link sees the new text.
+    A rewrite cut short before the final ftruncate can leave the old file's
+    tail after the new text; the results-JSONL and manifest readers refuse
+    a tail cut mid-record.
+    """
+    data = memoryview(text.encode(encoding))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        written = 0
+        while written < len(data):
+            written += os.write(fd, data[written:])
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _dtype_code(arr):
@@ -105,6 +138,10 @@ def write_container(path, kind, meta, arrays):
         [MAGIC, struct.pack("<H", FORMAT_VERSION), b"\x00\x00", struct.pack("<Q", len(header)), header]
         + chunks
     )
+    # Truncated, unlike the text outputs (_rewrite_text): format v1 has no
+    # checksum, so an in-place rewrite cut short before its final ftruncate
+    # could leave one checkpoint's header over a mix of two payloads, and
+    # that file would load without error.
     with open(path, "wb") as fh:
         fh.write(blob)
     return len(blob)

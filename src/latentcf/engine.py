@@ -22,6 +22,12 @@ distance term) triple per evaluation, as a read-only ``LossTrace`` over one
 flat float64 buffer: 24 bytes an evaluation, where a list of float tuples
 took 144. Results serialize to JSON lines; square instances can be dumped
 as PGM images for eyeballing.
+
+Both files are rewritten in place (container._rewrite_text): opened without
+O_TRUNC, overwritten, then cut to the new length. On ext4 with
+auto_da_alloc, truncating a file that still holds data to zero length makes
+its close force block allocation and writeback, and that flush cost an
+`explain --out` more than its search.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from math import isqrt
 
 import numpy as np
 
-from .container import is_int, is_number_list, require_field
+from .container import _rewrite_text, is_int, is_number_list, require_field
 from .errors import (
     ConfigurationError, DimensionError, FormatError, InvariantViolation, NumericalError,
     require_finite,
@@ -602,11 +608,15 @@ def result_from_dict(d):
 
 
 def write_results_jsonl(path, results):
-    """One JSON object per result, keys sorted, floats at full precision."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in results:
-            fh.write(json.dumps(result_to_dict(r), sort_keys=True))
-            fh.write("\n")
+    """One JSON object per result, keys sorted, floats at full precision.
+
+    The file is rewritten in place (container._rewrite_text), not truncated:
+    on ext4 with auto_da_alloc, truncating a file that holds data makes its
+    close flush, which cost an explain --out more than its search. A symlink
+    is written through and the file keeps its inode and mode.
+    """
+    _rewrite_text(path, "".join(json.dumps(result_to_dict(r), sort_keys=True) + "\n"
+                                for r in results))
 
 
 # Each field of a results-JSONL record, with what it must be.
@@ -638,7 +648,10 @@ def read_results_jsonl(path):
             if not line.strip():
                 continue
             where = f"{path}:{number}"
-            record = json.loads(line)
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"{where}: not JSON: {exc.msg}") from None
             if not isinstance(record, dict):
                 raise FormatError(f"{where}: a result must be a JSON object")
             for key, (what, ok) in _RESULT_FIELDS.items():
@@ -666,8 +679,5 @@ def write_pgm(path, flat, lo=0.0, hi=1.0):
         raise NumericalError("non-finite values in a PGM instance")
     levels = np.clip((flat - lo) / (hi - lo), 0.0, 1.0)
     pixels = np.round(levels * 255).astype(int).reshape(side, side)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"P2\n{side} {side}\n255\n")
-        for row in pixels:
-            fh.write(" ".join(str(v) for v in row))
-            fh.write("\n")
+    rows = "".join(" ".join(str(v) for v in row) + "\n" for row in pixels)
+    _rewrite_text(path, f"P2\n{side} {side}\n255\n{rows}", encoding="ascii")

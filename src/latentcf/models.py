@@ -36,7 +36,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .container import is_int, is_number, read_container, require_field, write_container
+from .container import (
+    _rewrite_text, is_int, is_number, read_container, require_field, write_container,
+)
 from .errors import (
     ConfigurationError,
     DimensionError,
@@ -495,9 +497,7 @@ def load_generative(path):
 
 def save_manifest(path, entries):
     """Write the artifact manifest tying a dataset to its trained models."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(entries, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _rewrite_text(path, json.dumps(entries, sort_keys=True, indent=2) + "\n")
 
 
 # The manifest keys every command resolves to a file.

@@ -7,6 +7,7 @@ the conftest hook, then asserts.
 """
 
 import dataclasses
+import gc
 import time
 import warnings
 
@@ -74,6 +75,10 @@ def stack(recipe):
 def timed_report(recipe, stack):
     dataset, target, _, gen = stack
     methods = build_methods(recipe.perturb, epsilon=recipe.epsilon)
+    # Collect first, so that a full collection owed by earlier allocations
+    # (tens of ms in a whole-suite run) does not land inside one method's
+    # timed pass and inflate that method's mean per query.
+    gc.collect()
     t0 = time.perf_counter()
     report = run_benchmark(
         dataset,

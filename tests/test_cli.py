@@ -2,6 +2,8 @@
 
 import argparse
 import json
+import os
+import stat
 import warnings
 
 import numpy as np
@@ -233,6 +235,49 @@ class TestExplain:
         )
         assert rc == 1
         assert "square" in capsys.readouterr().err
+
+
+class TestExplainOutRewrite:
+    """explain --out rewrites its file in place: through a symlink, keeping
+    the inode and mode, and with no ftruncate on a device."""
+
+    def explain(self, workspace, out, max_iters):
+        assert main(["explain", "--manifest", str(workspace["manifest"]), "--query-index",
+                     "201", "--max-iters", str(max_iters), "--out", str(out)]) == 0
+
+    def test_a_symlink_is_written_through(self, workspace, tmp_path):
+        target, link = tmp_path / "r.jsonl", tmp_path / "link.jsonl"
+        self.explain(workspace, target, 60)
+        link.symlink_to(target.name)
+        self.explain(workspace, link, 0)
+        assert link.is_symlink() and os.readlink(link) == target.name
+        (result,) = read_results_jsonl(target)
+        assert result.iterations == 0
+
+    def test_a_hard_link_sees_the_new_record_and_the_mode_is_kept(self, workspace, tmp_path):
+        path, other = tmp_path / "r.jsonl", tmp_path / "other.jsonl"
+        self.explain(workspace, path, 60)
+        path.chmod(0o640)
+        os.link(path, other)
+        inode = path.stat().st_ino
+        self.explain(workspace, path, 0)
+        assert path.stat().st_ino == inode and other.stat().st_nlink == 2
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert other.read_bytes() == path.read_bytes()
+        (result,) = read_results_jsonl(other)
+        assert result.iterations == 0
+
+    def test_dev_null_takes_no_ftruncate(self, workspace, monkeypatch):
+        cut = []
+        real_ftruncate = os.ftruncate
+
+        def recording_ftruncate(fd, length):
+            cut.append(fd)
+            return real_ftruncate(fd, length)
+
+        monkeypatch.setattr(os, "ftruncate", recording_ftruncate)
+        self.explain(workspace, os.devnull, 60)
+        assert cut == []
 
 
 def stack_of(workspace):

@@ -1,6 +1,7 @@
 """Search-loop checks: objective, descent, baselines, result persistence."""
 
 import dataclasses
+import os
 import tracemalloc
 from array import array
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from latentcf import applications, engine
+from latentcf import applications, cli, engine
 from latentcf.datasets import AttributedDataset, SynthSpec, generate
 from latentcf.engine import (
     LossTrace,
@@ -41,6 +42,7 @@ from latentcf.models import (
     TrainConfig,
     decode,
     encode,
+    save_manifest,
     train_discriminator,
     train_generative,
     train_target,
@@ -1061,6 +1063,7 @@ class TestResultPersistence:
             ('{"method": "x"}', "no 'flipped' field"),
             ('{"sample": [1], "code": "x"}', "no 'method' field"),
             (good.replace('"flipped": ', '"flipped": "yes", "was": '), "'flipped' must be"),
+            (good[: len(good) // 2], "not JSON: "),
         ]:
             path.write_text(good + bad + "\n")
             with pytest.raises(FormatError, match=f"results.jsonl:2: .*{message}"):
@@ -1091,6 +1094,57 @@ class TestResultPersistence:
         with pytest.raises(NumericalError):
             write_pgm(path, np.array([0.0, 1.0, bad, 0.5]))
         assert not path.exists()
+
+
+def rewrite_writers(target, gen, dataset):
+    """Each text writer as write(path, n): a larger n writes a longer file."""
+    x0, a0 = first_query(dataset, target)
+    cfg = PerturbConfig.text_defaults(desired=1)
+    results = [latent_descent(target, gen, x0, a0, cfg, query_index=i) for i in range(3)]
+    return {
+        "results": lambda path, n: write_results_jsonl(path, results[:n]),
+        "pgm": lambda path, n: write_pgm(path, np.linspace(0.0, 1.0, (n + 1) ** 2)),
+        "manifest": lambda path, n: save_manifest(path, {"dataset": "d" * n}),
+        "cli-out": lambda path, n: cli._write_out({"out": str(path)}, "out", "report\n" * n),
+    }
+
+
+class TestRewriteInPlace:
+    """Every text output is rewritten in place: no O_TRUNC, the new bytes
+    over the old ones, and the file cut to the new length."""
+
+    WRITERS = ("results", "pgm", "manifest", "cli-out")
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_short_text_over_a_longer_file_equals_a_fresh_write(
+        self, target, gen, dataset, tmp_path, writer
+    ):
+        write = rewrite_writers(target, gen, dataset)[writer]
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        write(fresh, 1)
+        write(reused, 3)
+        assert reused.stat().st_size > fresh.stat().st_size
+        write(reused, 1)
+        assert reused.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_opens_without_truncation(self, target, gen, dataset, tmp_path, monkeypatch, writer):
+        write = rewrite_writers(target, gen, dataset)[writer]
+        path = tmp_path / "out"
+        write(path, 3)
+        opened = []
+        real_open = os.open
+
+        def recording_open(file, flags, *args, **kwargs):
+            opened.append((os.fspath(file), flags))
+            return real_open(file, flags, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        write(path, 1)
+        flags = [f for name, f in opened if name == str(path)]
+        assert len(flags) == 1
+        assert flags[0] & os.O_TRUNC == 0
+        assert flags[0] & (os.O_WRONLY | os.O_CREAT) == os.O_WRONLY | os.O_CREAT
 
 
 class TestLossTrace:
