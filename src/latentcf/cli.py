@@ -38,7 +38,7 @@ from .applications import (
     mean_attribute_ranking,
     retrain_comparison,
 )
-from .container import _rewrite_text, is_number_list
+from .container import _rewrite_text, is_number_list, read_json
 from .datasets import SynthSpec, generate, load_dataset, save_dataset
 from .engine import (
     PerturbConfig,
@@ -214,8 +214,7 @@ def _query_stack(opts):
     if qi is not None:
         # The dataset holds row qi alone.
         return target, gen, dataset.instances[0], dataset.attributes[0], qi
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     if not isinstance(payload, dict) or "instance" not in payload:
         raise ConfigurationError(f"{path} must be a JSON object with an 'instance' field")
     for key in ("instance", "attributes"):

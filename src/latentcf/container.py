@@ -71,6 +71,18 @@ def require_field(record, key, what, ok, where):
     return record[key]
 
 
+def read_json(path):
+    """The JSON document in the UTF-8 file at path, or FormatError naming
+    path when the file is not UTF-8 or does not parse."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8: {exc.reason}") from None
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: not JSON: {exc.msg}") from None
+
+
 def _rewrite_text(path, text, encoding="utf-8"):
     """Write text to path in place, the way every text output is written.
 

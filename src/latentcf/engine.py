@@ -6,9 +6,10 @@ weighted distance term anchoring the point to its encoding of the original
 instance. Both the latent code and the attribute vector move, each with its
 own geometrically decaying step size, and the classifier plus the
 autoencoder stay frozen throughout (checked against an exact parameter
-snapshot taken before each search). Shapes are checked once per search;
-each evaluation then runs ``nn``'s bare layer kernels, still checking both
-outputs and the gradient reaching the latent point finite.
+snapshot taken before each search). Shapes are checked and the decoder and
+the classifier bound to ``nn``'s layer kernels once per search
+(``nn._bind``); each evaluation then runs the bound kernels, still checking
+both outputs and the gradient reaching the latent point finite.
 
 Three baselines share the result type so they can run under one benchmark
 harness. Every search runs one loop (``_search``: evaluate, stop, step,
@@ -33,6 +34,7 @@ its close force block allocation and writeback, and that flush cost an
 from __future__ import annotations
 
 import json
+import math
 import time
 from array import array
 from collections.abc import Sequence
@@ -47,7 +49,7 @@ from .errors import (
     require_finite,
 )
 from .models import LatentPoint, encode
-from .nn import PROB_FLOOR, _check_finite, _clamp_probabilities, _pull_back, _trace_layers
+from .nn import _bind, _check_finite, _clamp_probabilities
 
 
 @dataclass
@@ -234,55 +236,55 @@ def _objective(target, layers, u0, k, desired, distance_weight):
     """The search objective around the origin vector u0, code in its first
     k entries and attributes after, which the caller has checked to chain
     through layers (the decoder's, or none) into the classifier and must
-    not write to. ``evaluate(u)``, for a float64 vector of u0's shape, runs
-    the layers and the classifier once on the bare layer kernels, checks
-    both outputs finite, and returns (total, prediction term, distance
-    term, probabilities, sample, grads); grads() pulls the loss back
-    through both, input only, checks the gradient reaching u finite and
-    returns (code_grad, attr_grad), so a caller that stops at the value
-    pays for no backward.
+    not write to. Both layer lists are bound to their kernels once, here.
+    ``evaluate(u)``, for a float64 vector of u0's shape, runs the layers and
+    the classifier once over the bound kernels, checks both outputs finite,
+    and returns (total, prediction term, distance term, probabilities,
+    sample, grads); grads() pulls the loss back through both, input only,
+    checks the gradient reaching u finite and returns (code_grad,
+    attr_grad), so a caller that stops at the value pays for no backward.
+    grads() is valid until the next evaluate().
     """
-    tgt_layers = target.network.layers
-    onehot = np.zeros(target.network.output_dim)
-    onehot[desired] = 1.0
+    dec_trace, dec_pull = _bind(layers)
+    tgt_trace, tgt_pull = _bind(target.network.layers)
+    # nn.cross_entropy's gradient, -onehot / clamped, from one negated row.
+    neg_onehot = np.zeros((1, target.network.output_dim))
+    neg_onehot[0, desired] = -1.0
 
     def evaluate(u):
-        samples, dec_records = _trace_layers(layers, u[None, :])
+        samples, dec_records = dec_trace(u[None, :])
         _check_finite(samples, "forward output")
-        probs, tgt_records = _trace_layers(tgt_layers, samples)
+        probs, tgt_records = tgt_trace(samples)
         _check_finite(probs, "forward output")
-        probs = probs[0]
         clamped = _clamp_probabilities(probs)
-        pred_term = float(-(onehot * np.log(clamped)).sum())
+        # nn.cross_entropy's value: the one-hot sum adds only signed zeros.
+        pred_term = -float(np.log(clamped)[0, desired])
+        # nn.l2_distance's value for each block, from one squared difference.
         diff = u - u0
-        code_diff, attr_diff = diff[:k], diff[k:]
-        code_dist, attr_dist = _norm(code_diff), _norm(attr_diff)
+        sq = diff * diff
+        code_dist = math.sqrt(np.add.reduce(sq[:k]))
+        attr_dist = math.sqrt(np.add.reduce(sq[k:]))
         dist_term = code_dist + attr_dist
 
         def grads():
-            # nn.cross_entropy's gradient: flat outside the clamp.
-            g = -onehot / clamped
-            g[(probs < PROB_FLOOR) | (probs > 1.0 - PROB_FLOOR)] = 0.0
+            # Flat outside the clamp; probs is finite, so the clamp moved
+            # exactly the entries outside it.
+            g = neg_onehot / clamped
+            g[clamped != probs] = 0.0
             # One finite check covers both sweeps: a non-finite classifier
             # input gradient stays non-finite through the decoder's.
-            g = _pull_back(tgt_layers, tgt_records, g[None, :], False, True)
-            g = _pull_back(layers, dec_records, g, False, True)
+            g = dec_pull(dec_records, tgt_pull(tgt_records, g))
             _check_finite(g, "input gradient")
             g = g[0]
             return (
-                g[:k] + distance_weight * _unit(code_diff, code_dist),
-                g[k:] + distance_weight * _unit(attr_diff, attr_dist),
+                g[:k] + distance_weight * _unit(diff[:k], code_dist),
+                g[k:] + distance_weight * _unit(diff[k:], attr_dist),
             )
 
-        return (pred_term + distance_weight * dist_term, pred_term, dist_term, probs,
+        return (pred_term + distance_weight * dist_term, pred_term, dist_term, probs[0],
                 samples[0], grads)
 
     return evaluate
-
-
-def _norm(diff):
-    # nn.l2_distance's value, from a difference already taken.
-    return float(np.sqrt((diff * diff).sum()))
 
 
 def _unit(diff, dist):

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .container import (
-    _rewrite_text, is_int, is_number, read_container, require_field, write_container,
+    _rewrite_text, is_int, is_number, read_container, read_json, require_field, write_container,
 )
 from .errors import (
     ConfigurationError,
@@ -521,8 +521,7 @@ def load_manifest(path):
     and ``train``, when present, an object whose _MANIFEST_TRAIN fields, when
     present, have the listed types.
     """
-    with open(path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = read_json(path)
     if not isinstance(manifest, dict):
         raise FormatError(f"{path}: manifest must be a JSON object")
     where = f"{path}: manifest"

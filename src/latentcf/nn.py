@@ -7,14 +7,19 @@ list of layers, :func:`forward_trace` keeps each layer's activations, and
 :func:`vjp` is a hand-rolled chain-rule sweep over that trace, which keeps
 every gradient auditable against finite differences.
 
-Each loop lives once, in a private batch kernel that checks nothing
-(``_trace_layers`` forward, ``_pull_back`` in reverse, which writes parameter
-gradients into arrays its caller passes). :func:`forward_trace` and
-:func:`vjp` wrap them with the shape and finite checks. The engine's search
-loop and the trainers in ``models`` call the kernels directly, on networks
-whose shapes they checked or built once. A trainer moves each network's
-parameters into one flat buffer (``_FlatParams``), so a training step is one
-update and one finite check per network.
+Each activation is implemented once, as a (forward, vjp) kernel pair in one
+table (``_KERNELS``). The loops live in private batch kernels that check
+nothing (``_trace_layers`` forward, ``_pull_back`` in reverse, which writes
+parameter gradients into arrays its caller passes). :func:`forward_trace`
+and :func:`vjp` wrap them with the shape and finite checks, and the trainers
+in ``models`` call them directly, on networks whose shapes they built. A
+caller that runs one layer list many times binds it once instead
+(``_bind``): per layer, (weights.T, bias, forward) and (weights, vjp)
+tuples, run by a bound copy of the forward loop and of the input-only
+reverse loop, so no evaluation looks an activation up by name. The engine's
+search binds the decoder and the classifier once per search. A trainer
+moves each network's parameters into one flat buffer (``_FlatParams``), so
+a training step is one update and one finite check per network.
 
 Shapes follow the convention weights[out, in], bias[out]. Inputs may be a
 single vector [d] or a batch [n, d]; outputs mirror that choice. Parameter
@@ -156,45 +161,39 @@ def build_network(dims, activations, rng):
     return DenseNetwork(layers)
 
 
-def _apply_activation(name, pre):
-    if name == "identity":
-        return pre
-    if name == "relu":
-        return np.maximum(pre, 0.0)
-    if name == "tanh":
-        return np.tanh(pre)
-    if name == "sigmoid":
-        # e = exp(-|pre|) never overflows; the output is 1 / (1 + e) where
-        # pre >= 0 and e / (1 + e) elsewhere, worked in place on one array.
-        out = np.abs(pre)
-        np.negative(out, out=out)
-        np.exp(out, out=out)
-        den = out + 1.0
-        np.divide(out, den, out=out)
-        np.divide(1.0, den, out=out, where=pre >= 0)
-        return out
-    if name == "softmax":
-        # The ufunc reductions ndarray.max and .sum call, without their wrappers.
-        ex = np.exp(pre - np.maximum.reduce(pre, axis=1, keepdims=True))
-        return ex / np.add.reduce(ex, axis=1, keepdims=True)
-    raise ConfigurationError(f"unknown activation {name!r}")
+def _sigmoid(pre):
+    # e = exp(-|pre|) never overflows; the output is 1 / (1 + e) where
+    # pre >= 0 and e / (1 + e) elsewhere, worked in place on one array.
+    out = np.abs(pre)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    den = out + 1.0
+    np.divide(out, den, out=out)
+    np.divide(1.0, den, out=out, where=pre >= 0)
+    return out
 
 
-def _activation_vjp(name, pre, post, grad):
-    """Pull an output-side gradient back through one activation."""
-    if name == "identity":
-        return grad
-    if name == "relu":
-        return grad * (pre > 0)
-    if name == "tanh":
-        return grad * (1.0 - post * post)
-    if name == "sigmoid":
-        return grad * post * (1.0 - post)
-    if name == "softmax":
-        # Row-wise Jacobian-vector product: p * (g - <g, p>).
-        inner = np.add.reduce(grad * post, axis=1, keepdims=True)
-        return post * (grad - inner)
-    raise ConfigurationError(f"unknown activation {name!r}")
+def _softmax(pre):
+    # The ufunc reductions ndarray.max and .sum call, without their wrappers.
+    ex = np.exp(pre - np.maximum.reduce(pre, axis=1, keepdims=True))
+    return ex / np.add.reduce(ex, axis=1, keepdims=True)
+
+
+def _softmax_vjp(pre, post, grad):
+    # Row-wise Jacobian-vector product: p * (g - <g, p>).
+    inner = np.add.reduce(grad * post, axis=1, keepdims=True)
+    return post * (grad - inner)
+
+
+# Each activation's one implementation: name -> (forward(pre), vjp(pre,
+# post, grad)), the vjp pulling an output-side gradient back through it.
+_KERNELS = {
+    "identity": (lambda pre: pre, lambda pre, post, grad: grad),
+    "relu": (lambda pre: np.maximum(pre, 0.0), lambda pre, post, grad: grad * (pre > 0)),
+    "tanh": (np.tanh, lambda pre, post, grad: grad * (1.0 - post * post)),
+    "sigmoid": (_sigmoid, lambda pre, post, grad: grad * post * (1.0 - post)),
+    "softmax": (_softmax, _softmax_vjp),
+}
 
 
 def _as_batch(x, expected_dim, what):
@@ -207,7 +206,8 @@ def _as_batch(x, expected_dim, what):
 
 
 def _check_finite(arr, what):
-    if not np.isfinite(arr).all():
+    # The reduction ndarray.all calls, without its wrapper.
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise NumericalError(f"non-finite values in {what}")
 
 
@@ -219,7 +219,7 @@ def _trace_layers(layers, batch):
     for layer in layers:
         pre = h @ layer.weights.T
         pre += layer.bias
-        post = _apply_activation(layer.activation, pre)
+        post = _KERNELS[layer.activation][0](pre)
         records.append((h, pre, post))
         h = post
     return h, records
@@ -234,7 +234,7 @@ def _pull_back(layers, records, grad, param_out, with_input):
     for i in range(len(layers) - 1, -1, -1):
         layer = layers[i]
         h_in, pre, post = records[i]
-        d_pre = _activation_vjp(layer.activation, pre, post, grad)
+        d_pre = _KERNELS[layer.activation][1](pre, post, grad)
         if param_out:
             d_weights, d_bias = param_out[i]
             np.matmul(d_pre.T, h_in, out=d_weights)
@@ -243,6 +243,38 @@ def _pull_back(layers, records, grad, param_out, with_input):
             return None
         grad = d_pre @ layer.weights
     return grad
+
+
+def _bind(layers):
+    """Bind a layer list that will not change to its kernels once, for a
+    caller that runs it many times on C-contiguous batches [n, w]: (trace,
+    pull). trace(batch) is _trace_layers over per-layer (weights.T, bias,
+    forward) tuples; pull(records, grad) is _pull_back's input-only sweep
+    over per-layer (weights, vjp) tuples. Neither checks anything, and an
+    empty list binds the identity. Their products call np.dot, which skips
+    the matmul ufunc's dispatch; on C-contiguous batches it makes the BLAS
+    call @ makes, so the bits match _trace_layers' (the engine's parity
+    tests compare them)."""
+    forward = [(l.weights.T, l.bias, _KERNELS[l.activation][0]) for l in layers]
+    backward = [(l.weights, _KERNELS[l.activation][1]) for l in reversed(layers)]
+    dot = np.dot
+
+    def trace(h):
+        records = []
+        for weights_t, bias, activation in forward:
+            pre = dot(h, weights_t)
+            pre += bias
+            post = activation(pre)
+            records.append((h, pre, post))
+            h = post
+        return h, records
+
+    def pull(records, grad):
+        for (weights, vjp), (_, pre, post) in zip(backward, reversed(records)):
+            grad = dot(vjp(pre, post, grad), weights)
+        return grad
+
+    return trace, pull
 
 
 def forward_trace(net, x):

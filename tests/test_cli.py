@@ -957,7 +957,25 @@ class TestInputErrors:
             argv = ["explain", "--manifest", str(path), "--query-index", "0"]
         else:
             argv = ["explain", "--manifest", str(workspace["manifest"]), "--instance-file", str(path)]
-        user_error(capsys, argv)
+        assert f"{path}: not UTF-8" in user_error(capsys, argv)
+
+    def test_manifest_with_a_torn_tail_names_its_file(self, workspace, tmp_path, capsys):
+        # What a rewrite cut short leaves: the new text, then the old tail.
+        text = json.dumps(absolute_manifest(workspace))
+        path = tmp_path / "torn.json"
+        path.write_text(text + "\n" + text[len(text) // 2 :])
+        err = user_error(capsys, ["explain", "--manifest", str(path), "--query-index", "0"])
+        assert f"{path}: not JSON: Extra data" in err
+
+    @pytest.mark.parametrize("command", ["explain", "rank"])
+    def test_instance_file_cut_mid_array_names_its_file(self, workspace, tmp_path, capsys,
+                                                        command):
+        text = json.dumps({"instance": [0.25] * 12})
+        path = tmp_path / "cut.json"
+        path.write_text(text[: text.index("]") - 3])
+        err = user_error(capsys, [command, "--manifest", str(workspace["manifest"]),
+                                  "--instance-file", str(path)])
+        assert f"{path}: not JSON: Expecting ',' delimiter" in err
 
     @pytest.mark.parametrize(
         "payload, message",

@@ -345,6 +345,33 @@ class TestLatentDescent:
         assert res.wall_time_micros >= 1
 
 
+def count_bound_kernels(monkeypatch):
+    """Wrap engine._bind so that each bound trace and pull records its layer
+    list when called: (bound, traced, pulled). bound gets each list bound,
+    traced each list run forward, and pulled one (layers, input-gradient
+    shape) per input-only pull-back."""
+    bound, traced, pulled = [], [], []
+    real_bind = engine._bind
+
+    def bind(layers):
+        bound.append(layers)
+        trace, pull = real_bind(layers)
+
+        def counting_trace(batch):
+            traced.append(layers)
+            return trace(batch)
+
+        def counting_pull(records, grad):
+            g = pull(records, grad)
+            pulled.append((layers, g.shape))
+            return g
+
+        return counting_trace, counting_pull
+
+    monkeypatch.setattr(engine, "_bind", bind)
+    return bound, traced, pulled
+
+
 class TestGradientWork:
     @pytest.mark.parametrize(
         "step, max_iters, flips", [(0.01, 50, True), (0.001, 5, False)],
@@ -353,22 +380,11 @@ class TestGradientWork:
     def test_one_trace_per_network_and_input_only_vjps(
         self, target, gen, dataset, monkeypatch, step, max_iters, flips
     ):
-        """Each evaluation runs the forward kernel on decoder then target
-        once; each step pulls back through both records without parameter
-        gradients, and the final evaluation pays no backward at all."""
-        traced, pulled = [], []
-        real_trace, real_pull = engine._trace_layers, engine._pull_back
-
-        def counting_trace(layers, batch):
-            traced.append(layers)
-            return real_trace(layers, batch)
-
-        def counting_pull(layers, records, grad, with_params, with_input):
-            pulled.append((layers, with_params, with_input))
-            return real_pull(layers, records, grad, with_params, with_input)
-
-        monkeypatch.setattr(engine, "_trace_layers", counting_trace)
-        monkeypatch.setattr(engine, "_pull_back", counting_pull)
+        """The search binds the decoder and the target once; each evaluation
+        then runs the bound forward kernels on decoder then target once;
+        each step pulls back through both records to the input, and the
+        final evaluation pays no backward at all."""
+        bound, traced, pulled = count_bound_kernels(monkeypatch)
         x0, a0 = first_query(dataset, target)
         cfg = PerturbConfig.text_defaults(
             desired=1, code_step=step, attr_step=step, step_decay=1.0, max_iters=max_iters
@@ -377,9 +393,11 @@ class TestGradientWork:
         assert res.flipped == flips
         assert res.iterations >= 2
         evals = len(res.loss_trace)
+        assert bound == [gen.decoder.layers, target.network.layers]
         assert traced == [gen.decoder.layers, target.network.layers] * evals
         assert pulled == [
-            (target.network.layers, False, True), (gen.decoder.layers, False, True)
+            (target.network.layers, (1, gen.decoder.output_dim)),
+            (gen.decoder.layers, (1, gen.decoder.input_dim)),
         ] * res.iterations
 
     @pytest.mark.parametrize(
@@ -396,24 +414,14 @@ class TestGradientWork:
         self, target, gen, dataset, monkeypatch, method, step, max_iters, flips
     ):
         """Input-space descent and the sign attack run the same loop with no
-        decoder: per evaluation one target trace, per step one input-only
-        pull-back through it, none after the last evaluation, and none of
-        the checked nn wrappers, which engine does not even import."""
-        for name in ("forward", "forward_trace", "vjp", "cross_entropy"):
+        decoder: per evaluation one bound target trace, per step one
+        input-only pull-back through it, none after the last evaluation,
+        and none of the checked nn wrappers or unbound kernels, which
+        engine does not even import."""
+        for name in ("forward", "forward_trace", "vjp", "cross_entropy", "_trace_layers",
+                     "_pull_back"):
             assert not hasattr(engine, name), name
-        traced, pulled = [], []
-        real_trace, real_pull = engine._trace_layers, engine._pull_back
-
-        def counting_trace(layers, batch):
-            traced.append(layers)
-            return real_trace(layers, batch)
-
-        def counting_pull(layers, records, grad, with_params, with_input):
-            pulled.append((layers, with_params, with_input))
-            return real_pull(layers, records, grad, with_params, with_input)
-
-        monkeypatch.setattr(engine, "_trace_layers", counting_trace)
-        monkeypatch.setattr(engine, "_pull_back", counting_pull)
+        bound, traced, pulled = count_bound_kernels(monkeypatch)
         x0, a0 = first_query(dataset, target)
         if method == "gradient-sign":
             res = gradient_sign_attack(target, gen, x0, a0, step, desired=1)
@@ -425,8 +433,10 @@ class TestGradientWork:
         assert res.flipped == flips
         assert res.iterations >= min(2, max_iters)
         evals = len(res.loss_trace)
+        assert bound == [[], target.network.layers]
         assert traced == [[], target.network.layers] * evals
-        assert pulled == [(target.network.layers, False, True), ([], False, True)] * res.iterations
+        width = (1, target.network.input_dim)
+        assert pulled == [(target.network.layers, width), ([], width)] * res.iterations
 
 
 # --- the parent formulation, from public nn functions only ------------------
@@ -522,13 +532,16 @@ def bits(*arrays):
 HIDDEN = ("identity", "relu", "tanh", "sigmoid")
 
 
-def small_stack(hidden, seed, saturate=False):
-    """A seeded 5-feature stack: encoder to a 3-dim code, decoder from the
-    code plus 2 attributes, and a 3-class softmax target, each with one
-    hidden layer of the given activation and random biases. saturate scales
-    the target's output layer until its probabilities sit at the clamp."""
+def small_stack(hidden, seed, saturate=False, features=5, width=4, classes=3,
+                decoder_out="identity", decoder_gain=1.0):
+    """A seeded stack, 5 features by default: encoder to a 3-dim code,
+    decoder from the code plus 2 attributes to the features through
+    decoder_out, and a 3-class softmax target, each with one hidden layer
+    of width units of the given activation and random biases. saturate
+    scales the target's output layer until its probabilities sit at the
+    clamp; decoder_gain scales every decoder weight."""
     rng = np.random.default_rng(seed)
-    d, k, t = 5, 3, 2
+    d, k, t = features, 3, 2
 
     def net(dims, out):
         built = build_network(dims, [hidden, out], rng)
@@ -537,14 +550,16 @@ def small_stack(hidden, seed, saturate=False):
         return built
 
     gen = GenerativeModel(
-        encoder=net([d, 4, k], "identity"),
-        decoder=net([k + t, 4, d], "identity"),
+        encoder=net([d, width, k], "identity"),
+        decoder=net([k + t, width, d], decoder_out),
         latent_dim=k,
         attribute_dim=t,
         final_recon_error=0.0,
         attribute_consistency=1.0,
     )
-    target_net = net([d, 4, 3], "softmax")
+    for layer in gen.decoder.layers:
+        layer.weights *= decoder_gain
+    target_net = net([d, width, classes], "softmax")
     if saturate:
         target_net.layers[-1].weights *= 1e4
         target_net.layers[-1].bias *= 1e4
@@ -554,55 +569,68 @@ def small_stack(hidden, seed, saturate=False):
     return target, gen, x0, a0
 
 
-STACKS = [(hidden, False) for hidden in HIDDEN] + [("tanh", True)]
-STACK_IDS = [f"{hidden}{'-saturated' if sat else ''}" for hidden, sat in STACKS]
+STACKS = {
+    **{hidden: dict(hidden=hidden, seed=i) for i, hidden in enumerate(HIDDEN)},
+    "tanh-saturated": dict(hidden="tanh", seed=2, saturate=True),
+    # Glyph-shaped: a 144-pixel sigmoid-output decoder feeding a tanh
+    # classifier. The gain makes its walks flip toward some classes, after
+    # 1 to 34 steps, and run out of budget toward others.
+    **{
+        f"glyph-{classes}class": dict(hidden="tanh", seed=seed, features=144, width=32,
+                                      classes=classes, decoder_out="sigmoid", decoder_gain=10.0)
+        for classes, seed in ((2, 6), (3, 5))
+    },
+}
 
 
-def walk_config(target, gen, x0, a0, **overrides):
+def walk_configs(target, gen, x0, a0, **overrides):
+    """One walk config toward each class that the reconstruction of x0 is
+    not classified as."""
     recon = decode(gen, encode(gen, x0, a0))
     predicted = int(np.argmax(forward(target.network, recon)))
     fields = dict(distance_weight=0.3, code_step=0.4, attr_step=0.3, step_decay=0.97,
-                  max_iters=40, desired=(predicted + 1) % 3)
+                  max_iters=40)
     fields.update(overrides)
-    return PerturbConfig(**fields)
+    return [PerturbConfig(desired=c, **fields)
+            for c in range(target.network.output_dim) if c != predicted]
 
 
 class TestParityWithThePublicComposition:
     """The searches and counterfactual_loss give the same bytes as the same
     objective composed from the public, checked nn functions."""
 
-    @pytest.mark.parametrize("hidden, saturate", STACKS, ids=STACK_IDS)
+    @pytest.mark.parametrize("stack", list(STACKS))
     @pytest.mark.parametrize("frozen", [False, True], ids=["descent", "descent-frozen"])
-    def test_latent_descent(self, hidden, saturate, frozen):
-        target, gen, x0, a0 = small_stack(hidden, HIDDEN.index(hidden), saturate)
-        cfg = walk_config(target, gen, x0, a0, optimize_attributes=not frozen)
-        res = latent_descent(target, gen, x0, a0, cfg)
-        sample, point, origin, trace, n, predicted = reference_walk(
-            target, gen, x0, a0, cfg, reference_descent_step(cfg)
-        )
-        assert res.iterations == n >= 1
-        assert (res.predicted_class, res.flipped) == (predicted, predicted == cfg.desired)
-        assert bits(res.sample, res.latent.code, res.latent.attributes, res.origin.code,
-                    res.origin.attributes, res.loss_trace) == bits(
-            sample, point.code, point.attributes, origin.code, origin.attributes, trace)
+    def test_latent_descent(self, stack, frozen):
+        target, gen, x0, a0 = small_stack(**STACKS[stack])
+        for cfg in walk_configs(target, gen, x0, a0, optimize_attributes=not frozen):
+            res = latent_descent(target, gen, x0, a0, cfg)
+            sample, point, origin, trace, n, predicted = reference_walk(
+                target, gen, x0, a0, cfg, reference_descent_step(cfg)
+            )
+            assert res.iterations == n >= 1
+            assert (res.predicted_class, res.flipped) == (predicted, predicted == cfg.desired)
+            assert bits(res.sample, res.latent.code, res.latent.attributes, res.origin.code,
+                        res.origin.attributes, res.loss_trace) == bits(
+                sample, point.code, point.attributes, origin.code, origin.attributes, trace)
 
-    @pytest.mark.parametrize("hidden, saturate", STACKS, ids=STACK_IDS)
-    def test_latent_random_search(self, hidden, saturate):
-        target, gen, x0, a0 = small_stack(hidden, HIDDEN.index(hidden), saturate)
-        cfg = walk_config(target, gen, x0, a0)
-        res = latent_random_search(target, gen, x0, a0, cfg, rng=np.random.default_rng(3))
-        sample, point, origin, trace, n, predicted = reference_walk(
-            target, gen, x0, a0, cfg, reference_random_step(cfg, np.random.default_rng(3))
-        )
-        assert res.iterations == n >= 1
-        assert res.predicted_class == predicted
-        assert bits(res.sample, res.latent.code, res.latent.attributes, res.loss_trace) == bits(
-            sample, point.code, point.attributes, trace)
+    @pytest.mark.parametrize("stack", list(STACKS))
+    def test_latent_random_search(self, stack):
+        target, gen, x0, a0 = small_stack(**STACKS[stack])
+        for cfg in walk_configs(target, gen, x0, a0):
+            res = latent_random_search(target, gen, x0, a0, cfg, rng=np.random.default_rng(3))
+            sample, point, origin, trace, n, predicted = reference_walk(
+                target, gen, x0, a0, cfg, reference_random_step(cfg, np.random.default_rng(3))
+            )
+            assert res.iterations == n >= 1
+            assert res.predicted_class == predicted
+            assert bits(res.sample, res.latent.code, res.latent.attributes,
+                        res.loss_trace) == bits(sample, point.code, point.attributes, trace)
 
-    @pytest.mark.parametrize("hidden, saturate", STACKS, ids=STACK_IDS)
+    @pytest.mark.parametrize("stack", list(STACKS))
     @pytest.mark.parametrize("where", ["origin", "code-only", "displaced"])
-    def test_counterfactual_loss(self, hidden, saturate, where):
-        target, gen, x0, a0 = small_stack(hidden, HIDDEN.index(hidden), saturate)
+    def test_counterfactual_loss(self, stack, where):
+        target, gen, x0, a0 = small_stack(**STACKS[stack])
         origin = encode(gen, x0, a0)
         rng = np.random.default_rng(11)
         point = origin.copy()
@@ -610,7 +638,7 @@ class TestParityWithThePublicComposition:
             point.code = point.code + rng.normal(0.0, 0.5, point.code.shape)
         if where == "displaced":
             point.attributes = point.attributes + rng.normal(0.0, 0.5, point.attributes.shape)
-        for desired in range(3):
+        for desired in range(target.network.output_dim):
             loss = counterfactual_loss(target, gen, point, origin, desired, 0.7)
             (total, pred, dist), probs, sample, grads = reference_evaluate(
                 target, gen, point, origin, desired, 0.7
@@ -620,7 +648,7 @@ class TestParityWithThePublicComposition:
                 total, pred, dist)
             assert bits(loss.probabilities, loss.sample, loss.code_grad, loss.attr_grad) == bits(
                 probs, sample, code_grad, attr_grad)
-            if saturate:
+            if STACKS[stack].get("saturate"):
                 # At the clamp the prediction term is flat.
                 assert not (0.0 < probs[desired] < 1.0)
             if where == "origin":
@@ -650,31 +678,36 @@ class TestParityWithThePublicComposition:
         with pytest.raises(DimensionError, match="do not chain"):
             counterfactual_loss(target, gen, origin, origin, 1, 0.7)
 
-    @pytest.mark.parametrize("hidden, saturate", STACKS, ids=STACK_IDS)
+    @pytest.mark.parametrize("stack", list(STACKS))
     @pytest.mark.parametrize("clip", [None, (-1.0, 1.0)], ids=["unclipped", "clipped"])
     @pytest.mark.parametrize("budget", [False, True], ids=["flip", "budget"])
-    def test_input_space_descent(self, hidden, saturate, clip, budget):
-        target, gen, x0, a0 = small_stack(hidden, HIDDEN.index(hidden), saturate)
-        runner_up = int(np.argsort(forward(target.network, x0))[-2])
-        cfg = PerturbConfig(distance_weight=0.3, code_step=0.05 if budget else 1.0,
-                            step_decay=0.97, max_iters=3 if budget else 60, desired=runner_up,
-                            clip=clip)
-        res = input_space_descent(target, gen, x0, a0, cfg)
-        sample, trace, n, predicted = reference_input_descent(target, x0, cfg)
-        # The sigmoid stack and the saturated one (flat at the clamp) never flip.
-        assert res.flipped == (not budget and hidden != "sigmoid" and not saturate)
-        assert res.iterations == n >= 1
-        if budget:
-            assert n == cfg.max_iters
-        assert res.predicted_class == predicted
-        latent, origin = encode(gen, sample, a0), encode(gen, x0, a0)
-        assert bits(res.sample, res.latent.code, res.latent.attributes, res.origin.code,
-                    res.origin.attributes, res.loss_trace) == bits(
-            sample, latent.code, latent.attributes, origin.code, origin.attributes, trace)
+    def test_input_space_descent(self, stack, clip, budget):
+        spec = STACKS[stack]
+        target, gen, x0, a0 = small_stack(**spec)
+        ranked = np.argsort(forward(target.network, x0))
+        for desired in ranked[:-1]:
+            cfg = PerturbConfig(distance_weight=0.3, code_step=0.05 if budget else 1.0,
+                                step_decay=0.97, max_iters=3 if budget else 60,
+                                desired=int(desired), clip=clip)
+            res = input_space_descent(target, gen, x0, a0, cfg)
+            sample, trace, n, predicted = reference_input_descent(target, x0, cfg)
+            if desired == ranked[-2]:
+                # Toward the runner-up, the sigmoid stack and the saturated
+                # one (flat at the clamp) never flip.
+                assert res.flipped == (
+                    not budget and spec["hidden"] != "sigmoid" and not spec.get("saturate"))
+            assert res.iterations == n >= 1
+            if budget:
+                assert n == cfg.max_iters
+            assert res.predicted_class == predicted
+            latent, origin = encode(gen, sample, a0), encode(gen, x0, a0)
+            assert bits(res.sample, res.latent.code, res.latent.attributes, res.origin.code,
+                        res.origin.attributes, res.loss_trace) == bits(
+                sample, latent.code, latent.attributes, origin.code, origin.attributes, trace)
 
     def test_consecutive_searches_share_no_memory(self):
         target, gen, x0, a0 = small_stack("relu", 1)
-        cfg = walk_config(target, gen, x0, a0)
+        cfg = walk_configs(target, gen, x0, a0)[0]
         arrays = [x0]
         for _ in range(2):
             res = latent_descent(target, gen, x0, a0, cfg)
