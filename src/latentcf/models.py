@@ -52,9 +52,8 @@ from .nn import (
     DenseNetwork,
     Layer,
     _check_finite,
+    _bind,
     _FlatParams,
-    _pull_back,
-    _trace_layers,
     build_network,
     forward,
     mean_binary_cross_entropy,
@@ -230,9 +229,9 @@ def _fit(config, n, rng, batch, what):
     return history
 
 
-def _traced(layers, batch):
-    """The forward kernel with forward_trace's finite check on its output."""
-    out, records = _trace_layers(layers, batch)
+def _traced(trace, batch):
+    """A bound forward kernel with forward_trace's finite check on its output."""
+    out, records = trace(batch)
     _check_finite(out, "forward output")
     return out, records
 
@@ -240,13 +239,15 @@ def _traced(layers, batch):
 def _supervised(net, x, y, loss_fn):
     """The batch closure of a network fit directly to targets y."""
     flat = _FlatParams(net)
+    # Bound after _FlatParams moved the parameters; steps update them in place.
+    trace, pull = _bind(net.layers)
 
     def batch(idx):
-        out, records = _traced(net.layers, x[idx])
+        out, records = _traced(trace, x[idx])
         loss, grad = loss_fn(out, y[idx])
 
         def updates():
-            _pull_back(net.layers, records, grad, flat.grad_out, False)
+            pull(records, grad, flat.grad_out, False)
             return [flat]
 
         return loss, updates
@@ -352,24 +353,28 @@ def train_generative(dataset, discriminator, config):
     decoder = _mlp(k + t, d, config, config.output_activation, rng)
     disc_net = discriminator.network
     enc_flat, dec_flat = _FlatParams(encoder), _FlatParams(decoder)
+    # Bound after _FlatParams moved the parameters; steps update them in place.
+    enc_trace, enc_pull = _bind(encoder.layers)
+    dec_trace, dec_pull = _bind(decoder.layers)
+    disc_trace, disc_pull = _bind(disc_net.layers)
 
     def batch(idx):
         xb, ab = x_train[idx], a_train[idx]
-        codes, enc_records = _traced(encoder.layers, xb)
-        xhat, dec_records = _traced(decoder.layers, np.concatenate([codes, ab], axis=1))
+        codes, enc_records = _traced(enc_trace, xb)
+        xhat, dec_records = _traced(dec_trace, np.concatenate([codes, ab], axis=1))
         loss, g_xhat = _recon_grad(xhat, xb)
         if config.disc_weight > 0:
-            probs, disc_records = _traced(disc_net.layers, xhat)
+            probs, disc_records = _traced(disc_trace, xhat)
             bce, g_probs = mean_binary_cross_entropy(probs, ab)
             loss += config.disc_weight * bce
-            g_disc_in = _pull_back(disc_net.layers, disc_records, g_probs, False, True)
+            g_disc_in = disc_pull(disc_records, g_probs)
             _check_finite(g_disc_in, "input gradient")
             g_xhat = g_xhat + config.disc_weight * g_disc_in
 
         def updates():
-            g_in = _pull_back(decoder.layers, dec_records, g_xhat, dec_flat.grad_out, True)
+            g_in = dec_pull(dec_records, g_xhat, dec_flat.grad_out)
             _check_finite(g_in, "input gradient")
-            _pull_back(encoder.layers, enc_records, g_in[:, :k], enc_flat.grad_out, False)
+            enc_pull(enc_records, g_in[:, :k], enc_flat.grad_out, False)
             return [dec_flat, enc_flat]
 
         return loss, updates

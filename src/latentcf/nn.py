@@ -8,18 +8,18 @@ list of layers, :func:`forward_trace` keeps each layer's activations, and
 every gradient auditable against finite differences.
 
 Each activation is implemented once, as a (forward, vjp) kernel pair in one
-table (``_KERNELS``). The loops live in private batch kernels that check
-nothing (``_trace_layers`` forward, ``_pull_back`` in reverse, which writes
-parameter gradients into arrays its caller passes). :func:`forward_trace`
-and :func:`vjp` wrap them with the shape and finite checks, and the trainers
-in ``models`` call them directly, on networks whose shapes they built. A
-caller that runs one layer list many times binds it once instead
-(``_bind``): per layer, (weights.T, bias, forward) and (weights, vjp)
-tuples, run by a bound copy of the forward loop and of the input-only
-reverse loop, so no evaluation looks an activation up by name. The engine's
-search binds the decoder and the classifier once per search. A trainer
-moves each network's parameters into one flat buffer (``_FlatParams``), so
-a training step is one update and one finite check per network.
+table (``_KERNELS``). ``_bind`` binds a layer list to those kernels once and
+returns its two loops as closures that check nothing: the forward pass,
+keeping each layer's (input, pre-activation, output), and the reverse
+sweep, which writes parameter gradients into arrays its caller passes. A
+caller that runs one layer list many times, such as the engine's search
+(once per search, for the decoder and the classifier), keeps the bound
+pair; ``_trace_layers`` and ``_pull_back`` bind and run once.
+:func:`forward_trace` and :func:`vjp` wrap those with the shape and finite
+checks, and the trainers in ``models`` call them directly, on networks
+whose shapes they built. A trainer moves each network's parameters into one
+flat buffer (``_FlatParams``), so a training step is one update and one
+finite check per network.
 
 Shapes follow the convention weights[out, in], bias[out]. Inputs may be a
 single vector [d] or a batch [n, d]; outputs mirror that choice. Parameter
@@ -163,14 +163,16 @@ def build_network(dims, activations, rng):
 
 def _sigmoid(pre):
     # e = exp(-|pre|) never overflows; the output is 1 / (1 + e) where
-    # pre >= 0 and e / (1 + e) elsewhere, worked in place on one array.
-    out = np.abs(pre)
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    den = out + 1.0
-    np.divide(out, den, out=out)
-    np.divide(1.0, den, out=out, where=pre >= 0)
-    return out
+    # pre >= 0 and e / (1 + e) elsewhere. As 0 <= e <= 1, and e == 1 at
+    # pre == +-0, the numerator is max(e, sign(pre)): no masked ufunc loop,
+    # and two arrays the shape of pre, the numerator and e, then 1 + e.
+    out = np.sign(pre)
+    e = np.abs(pre)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.maximum(e, out, out=out)
+    e += 1.0
+    return np.divide(out, e, out=out)
 
 
 def _softmax(pre):
@@ -211,70 +213,59 @@ def _check_finite(arr, what):
         raise NumericalError(f"non-finite values in {what}")
 
 
-def _trace_layers(layers, batch):
-    """The forward loop over a float64 batch [n, d] of the first layer's
-    width: (output batch, one (input, pre-activation, output) per layer)."""
-    records = []
-    h = batch
-    for layer in layers:
-        pre = h @ layer.weights.T
-        pre += layer.bias
-        post = _KERNELS[layer.activation][0](pre)
-        records.append((h, pre, post))
-        h = post
-    return h, records
-
-
-def _pull_back(layers, records, grad, param_out, with_input):
-    """The reverse loop over _trace_layers' records from an output-gradient
-    batch of the output's shape. param_out is False (or None) to skip the
-    parameter gradients, or one (d_weights, d_bias) pair of arrays per layer
-    to write them into, summed over the batch. Returns the input gradient,
-    None when with_input is off."""
-    for i in range(len(layers) - 1, -1, -1):
-        layer = layers[i]
-        h_in, pre, post = records[i]
-        d_pre = _KERNELS[layer.activation][1](pre, post, grad)
-        if param_out:
-            d_weights, d_bias = param_out[i]
-            np.matmul(d_pre.T, h_in, out=d_weights)
-            np.add.reduce(d_pre, axis=0, out=d_bias)
-        if i == 0 and not with_input:
-            return None
-        grad = d_pre @ layer.weights
-    return grad
-
-
 def _bind(layers):
-    """Bind a layer list that will not change to its kernels once, for a
-    caller that runs it many times on C-contiguous batches [n, w]: (trace,
-    pull). trace(batch) is _trace_layers over per-layer (weights.T, bias,
-    forward) tuples; pull(records, grad) is _pull_back's input-only sweep
-    over per-layer (weights, vjp) tuples. Neither checks anything, and an
-    empty list binds the identity. Their products call np.dot, which skips
-    the matmul ufunc's dispatch; on C-contiguous batches it makes the BLAS
-    call @ makes, so the bits match _trace_layers' (the engine's parity
-    tests compare them)."""
+    """Bind a layer list to its kernels once: (trace, pull), closures over
+    per-layer (weights.T, bias, forward) and (weights, vjp) tuples that
+    check nothing. Bind again after a layer's arrays are replaced (an
+    in-place update needs no rebinding).
+
+    trace(batch) is the forward loop over a float64 batch [n, d] of the
+    first layer's width: (output batch, one (input, pre-activation, output)
+    per layer). pull(records, grad, param_out=None, with_input=True) is the
+    reverse loop over those records from an output-gradient batch of the
+    output's shape. param_out is None (or False) to skip the parameter
+    gradients, or one (d_weights, d_bias) pair of arrays per layer to write
+    them into, summed over the batch. It returns the input gradient, None
+    when with_input is off.
+    """
     forward = [(l.weights.T, l.bias, _KERNELS[l.activation][0]) for l in layers]
-    backward = [(l.weights, _KERNELS[l.activation][1]) for l in reversed(layers)]
-    dot = np.dot
+    backward = [(l.weights, _KERNELS[l.activation][1]) for l in layers]
 
     def trace(h):
         records = []
         for weights_t, bias, activation in forward:
-            pre = dot(h, weights_t)
+            pre = h @ weights_t
             pre += bias
             post = activation(pre)
             records.append((h, pre, post))
             h = post
         return h, records
 
-    def pull(records, grad):
-        for (weights, vjp), (_, pre, post) in zip(backward, reversed(records)):
-            grad = dot(vjp(pre, post, grad), weights)
+    def pull(records, grad, param_out=None, with_input=True):
+        for i in range(len(backward) - 1, -1, -1):
+            weights, vjp = backward[i]
+            h_in, pre, post = records[i]
+            d_pre = vjp(pre, post, grad)
+            if param_out:
+                d_weights, d_bias = param_out[i]
+                np.matmul(d_pre.T, h_in, out=d_weights)
+                np.add.reduce(d_pre, axis=0, out=d_bias)
+            if i == 0 and not with_input:
+                return None
+            grad = d_pre @ weights
         return grad
 
     return trace, pull
+
+
+def _trace_layers(layers, batch):
+    """_bind(layers)'s trace, run once."""
+    return _bind(layers)[0](batch)
+
+
+def _pull_back(layers, records, grad, param_out, with_input):
+    """_bind(layers)'s pull, run once."""
+    return _bind(layers)[1](records, grad, param_out, with_input)
 
 
 def forward_trace(net, x):

@@ -348,8 +348,8 @@ class TestLatentDescent:
 def count_bound_kernels(monkeypatch):
     """Wrap engine._bind so that each bound trace and pull records its layer
     list when called: (bound, traced, pulled). bound gets each list bound,
-    traced each list run forward, and pulled one (layers, input-gradient
-    shape) per input-only pull-back."""
+    traced each list run forward, and pulled one (layers, with_params,
+    with_input) per pull-back."""
     bound, traced, pulled = [], [], []
     real_bind = engine._bind
 
@@ -361,10 +361,9 @@ def count_bound_kernels(monkeypatch):
             traced.append(layers)
             return trace(batch)
 
-        def counting_pull(records, grad):
-            g = pull(records, grad)
-            pulled.append((layers, g.shape))
-            return g
+        def counting_pull(records, grad, param_out=None, with_input=True):
+            pulled.append((layers, bool(param_out), with_input))
+            return pull(records, grad, param_out, with_input)
 
         return counting_trace, counting_pull
 
@@ -382,8 +381,8 @@ class TestGradientWork:
     ):
         """The search binds the decoder and the target once; each evaluation
         then runs the bound forward kernels on decoder then target once;
-        each step pulls back through both records to the input, and the
-        final evaluation pays no backward at all."""
+        each step pulls back through both records without parameter
+        gradients, and the final evaluation pays no backward at all."""
         bound, traced, pulled = count_bound_kernels(monkeypatch)
         x0, a0 = first_query(dataset, target)
         cfg = PerturbConfig.text_defaults(
@@ -396,8 +395,7 @@ class TestGradientWork:
         assert bound == [gen.decoder.layers, target.network.layers]
         assert traced == [gen.decoder.layers, target.network.layers] * evals
         assert pulled == [
-            (target.network.layers, (1, gen.decoder.output_dim)),
-            (gen.decoder.layers, (1, gen.decoder.input_dim)),
+            (target.network.layers, False, True), (gen.decoder.layers, False, True)
         ] * res.iterations
 
     @pytest.mark.parametrize(
@@ -435,8 +433,7 @@ class TestGradientWork:
         evals = len(res.loss_trace)
         assert bound == [[], target.network.layers]
         assert traced == [[], target.network.layers] * evals
-        width = (1, target.network.input_dim)
-        assert pulled == [(target.network.layers, width), ([], width)] * res.iterations
+        assert pulled == [(target.network.layers, False, True), ([], False, True)] * res.iterations
 
 
 # --- the parent formulation, from public nn functions only ------------------

@@ -601,14 +601,19 @@ class TestTrainingLoopParity:
 
 def diverge_on_call(monkeypatch, name, nth, seen):
     """Make models.<name> return a NaN loss on its nth call (from 0); every
-    network whose layers pass through models._trace_layers is recorded in
-    seen, and their digest at the moment of the NaN is stored under
-    seen["digest"]."""
-    real, real_trace, calls = getattr(models, name), models._trace_layers, [0]
+    network whose layers run through a trace that models._bind returns is
+    recorded in seen, and their digest at the moment of the NaN is stored
+    under seen["digest"]."""
+    real, real_bind, calls = getattr(models, name), models._bind, [0]
 
-    def trace(layers, batch):
-        seen.setdefault("nets", {})[id(layers)] = DenseNetwork(layers)
-        return real_trace(layers, batch)
+    def bind(layers):
+        real_trace, pull = real_bind(layers)
+
+        def trace(batch):
+            seen.setdefault("nets", {})[id(layers)] = DenseNetwork(layers)
+            return real_trace(batch)
+
+        return trace, pull
 
     def loss(*args):
         value, grad = real(*args)
@@ -618,7 +623,7 @@ def diverge_on_call(monkeypatch, name, nth, seen):
             return float("nan"), grad
         return value, grad
 
-    monkeypatch.setattr(models, "_trace_layers", trace)
+    monkeypatch.setattr(models, "_bind", bind)
     monkeypatch.setattr(models, name, loss)
 
 
