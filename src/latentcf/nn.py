@@ -12,14 +12,14 @@ table (``_KERNELS``). ``_bind`` binds a layer list to those kernels once and
 returns its two loops as closures that check nothing: the forward pass,
 keeping each layer's (input, pre-activation, output), and the reverse
 sweep, which writes parameter gradients into arrays its caller passes. A
-caller that runs one layer list many times, such as the engine's search
-(once per search, for the decoder and the classifier), keeps the bound
-pair; ``_trace_layers`` and ``_pull_back`` bind and run once.
-:func:`forward_trace` and :func:`vjp` wrap those with the shape and finite
-checks, and the trainers in ``models`` call them directly, on networks
-whose shapes they built. A trainer moves each network's parameters into one
-flat buffer (``_FlatParams``), so a training step is one update and one
-finite check per network.
+caller that runs one layer list many times keeps the bound pair: the
+engine's search binds the decoder and the classifier once per search, and
+the trainers in ``models`` bind each network once per training run, on
+networks whose shapes they checked or built. :func:`forward_trace` and
+:func:`vjp` bind and run once, with the shape and finite checks. A trainer
+moves each network's parameters into one flat buffer (``_FlatParams``)
+before it binds, so a training step is one update and one finite check per
+network.
 
 Shapes follow the convention weights[out, in], bias[out]. Inputs may be a
 single vector [d] or a batch [n, d]; outputs mirror that choice. Parameter
@@ -258,16 +258,6 @@ def _bind(layers):
     return trace, pull
 
 
-def _trace_layers(layers, batch):
-    """_bind(layers)'s trace, run once."""
-    return _bind(layers)[0](batch)
-
-
-def _pull_back(layers, records, grad, param_out, with_input):
-    """_bind(layers)'s pull, run once."""
-    return _bind(layers)[1](records, grad, param_out, with_input)
-
-
 def forward_trace(net, x):
     """Evaluate the network on a vector [d] or batch [n, d], keeping a trace.
 
@@ -276,7 +266,7 @@ def forward_trace(net, x):
     through this evaluation without running the network again.
     """
     batch, single = _as_batch(x, net.input_dim, "input")
-    h, records = _trace_layers(net.layers, batch)
+    h, records = _bind(net.layers)[0](batch)
     _check_finite(h, "forward output")
     return (h[0] if single else h), Trace(records, single)
 
@@ -312,7 +302,7 @@ def vjp(net, trace, out_grad, with_params=True, with_input=True):
         [(np.empty_like(l.weights), np.empty_like(l.bias)) for l in net.layers]
         if with_params else None
     )
-    grad = _pull_back(net.layers, trace.layers, grad, param_grads, with_input)
+    grad = _bind(net.layers)[1](trace.layers, grad, param_grads, with_input)
     if grad is None:
         return GradientTape(param_grads, None)
     _check_finite(grad, "input gradient")
@@ -345,7 +335,7 @@ class _FlatParams:
 
     From construction on, each layer's weights and bias are views into
     ``params``. ``grad_out`` holds the matching (d_weights, d_bias) views of
-    the twin buffer ``grads``, to pass to :func:`_pull_back` as its
+    the twin buffer ``grads``, to pass to a bound pull (``_bind``) as its
     parameter output, so one :meth:`step` updates and checks the whole
     network.
     """

@@ -414,10 +414,9 @@ class TestGradientWork:
         """Input-space descent and the sign attack run the same loop with no
         decoder: per evaluation one bound target trace, per step one
         input-only pull-back through it, none after the last evaluation,
-        and none of the checked nn wrappers or unbound kernels, which
-        engine does not even import."""
-        for name in ("forward", "forward_trace", "vjp", "cross_entropy", "_trace_layers",
-                     "_pull_back"):
+        and none of the checked nn wrappers, which engine does not even
+        import."""
+        for name in ("forward", "forward_trace", "vjp", "cross_entropy"):
             assert not hasattr(engine, name), name
         bound, traced, pulled = count_bound_kernels(monkeypatch)
         x0, a0 = first_query(dataset, target)

@@ -24,7 +24,7 @@ from latentcf.nn import (
     sgd_step,
     vjp,
 )
-from latentcf.nn import _KERNELS, _FlatParams, _pull_back, _trace_layers
+from latentcf.nn import _KERNELS, _FlatParams, _bind
 
 
 def central_difference(f, x, h=1e-5):
@@ -379,7 +379,8 @@ class TestFlatParams:
         flat = _FlatParams(net)
         x, g = rng.normal(size=(5, 3)), rng.normal(size=(5, 2))
         sgd_step(ref, vjp(ref, forward_trace(ref, x)[1], g, with_input=False), 0.1)
-        _pull_back(net.layers, _trace_layers(net.layers, x)[1], g, flat.grad_out, False)
+        trace, pull = _bind(net.layers)
+        pull(trace(x)[1], g, flat.grad_out, False)
         flat.step(0.1)
         for layer, want in zip(net.layers, ref.layers):
             assert layer.weights.tobytes() == want.weights.tobytes()
