@@ -12,10 +12,10 @@ option's argparse action declares it once, as a flag and as an INI key.
 Exit codes: 0 success, 1 usage or input error, 2 internal invariant
 violation, 3 partial result (outputs were written but incomplete).
 
-Error policy (_USER_ERRORS): the package's typed errors, OSError, and a
-file that is not UTF-8 or not JSON print one ``error:`` line and exit 1.
-Anything else, KeyError and TypeError included, is a bug and keeps its
-traceback.
+Error policy (_USER_ERRORS): the package's typed errors and OSError print
+one ``error:`` line and exit 1; each text reader reports a file that is not
+UTF-8 or does not parse as a typed error naming it. Anything else, KeyError
+and TypeError included, is a bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import argparse
 import configparser
 import dataclasses
 import functools
-import json
 import os
 import sys
 import warnings
@@ -85,8 +84,6 @@ _USER_ERRORS = (
     NumericalError,
     TrainingError,
     OSError,
-    json.JSONDecodeError,
-    UnicodeDecodeError,
 )
 
 
@@ -134,10 +131,9 @@ class Options:
 def _ini_actions(command):
     """A command's argparse actions by long flag (a yes/no flag's positive
     one) without the dashes, --config and --help aside."""
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     return {
         action.option_strings[0][2:]: action
-        for action in sub.choices[command]._actions
+        for action in _command_parsers()[command]._actions
         if action.dest not in ("config", "help")
     }
 
@@ -159,7 +155,7 @@ def _float_list(text):
 
 def _perturb_from(opts):
     image = opts.get("profile") == "image"
-    cfg = PerturbConfig.image_defaults() if image else PerturbConfig.text_defaults()
+    cfg = PerturbConfig.image_defaults() if image else PerturbConfig()
     for key, attr in (
         ("alpha", "distance_weight"),
         ("code_step", "code_step"),
@@ -338,7 +334,7 @@ def cmd_train(args):
             for key in ("distance_weight", "code_step", "attr_step", "step_decay", "max_iters")
         }
         for name, c in (
-            ("text", PerturbConfig.text_defaults()),
+            ("text", PerturbConfig()),
             ("image", PerturbConfig.image_defaults()),
         )
     }
@@ -618,8 +614,29 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _command_parsers():
+    """Each command's parser in build_parser(), by command name."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _parse(argv):
+    """argv as build_parser() parses it, but a command's arguments are
+    scanned once, by that command's parser alone; any other argv (empty,
+    -h, --version, an unknown command) goes to the top-level parser."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _command_parsers().get(argv[0]) if argv else None
+    if parser is None:
+        return build_parser().parse_args(argv)
+    args, extras = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        build_parser().error("unrecognized arguments: " + " ".join(extras))
+    return args
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     # The parser outlives this call, so the command is looked up by name
     # here: a cmd_* function rebound since the parser was built (say, by a
     # wrapper that times it) still takes effect.

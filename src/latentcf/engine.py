@@ -74,7 +74,7 @@ class PerturbConfig:
 
     @classmethod
     def text_defaults(cls, **overrides):
-        """Defaults tuned for tabular data: the field defaults above."""
+        """``PerturbConfig()``, with each override checked to name a field."""
         return _replace(cls(), overrides)
 
     @classmethod
@@ -642,14 +642,19 @@ _RESULT_FIELDS = {
 
 
 def read_results_jsonl(path):
-    """Read results back; a line that is not a JSON object holding every
-    _RESULT_FIELDS field with its type raises FormatError("path:line: ...")."""
+    """Read results back; a line that is not UTF-8, or not a JSON object
+    holding every _RESULT_FIELDS field with its type, raises
+    FormatError("path:line: ...")."""
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
+    with open(path, "rb") as fh:
+        for number, raw in enumerate(fh, 1):
+            where = f"{path}:{number}"
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{where}: not UTF-8: {exc.reason}") from None
             if not line.strip():
                 continue
-            where = f"{path}:{number}"
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:

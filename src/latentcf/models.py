@@ -21,11 +21,13 @@ scored by the frozen discriminator on the reconstruction.
 Checkpoints (container kinds in _CHECKPOINTS) store a network field's layer
 i as arrays ``{prefix}w{i}``/``{prefix}b{i}`` and its activations as the meta
 list ``activations``, or ``{field}_activations`` when prefixed (the encoder's
-``enc_``, the decoder's ``dec_``); every other field is a meta value. Loading
-raises FormatError, naming file and field, when meta is not an object, an
-activations list, a layer array or a meta field is missing, a value has the
-wrong JSON type for its annotation, or a generative model's latent_dim and
-attribute_dim disagree with its encoder output and decoder input widths.
+``enc_``, the decoder's ``dec_``); a list field is a 1-D float64 array of
+its own name, read bit for bit with no decimal parsing; every other field is
+a meta value. Loading raises FormatError, naming file and field, when meta
+is not an object, an activations list, an array or a meta field is missing,
+a list array is not 1-D float64, a value has the wrong JSON type for its
+annotation, or a generative model's latent_dim and attribute_dim disagree
+with its encoder output and decoder input widths.
 """
 
 from __future__ import annotations
@@ -404,7 +406,7 @@ def train_generative(dataset, discriminator, config):
 
 
 # Each checkpoint kind: its model class and the array-name prefix of each of
-# its network fields. Every other field of the class is metadata.
+# its network fields. Every other field of the class but a list is metadata.
 _CHECKPOINTS = {
     "target-model": (TargetModel, {"network": ""}),
     "discriminator": (Discriminator, {"network": ""}),
@@ -415,7 +417,6 @@ _CHECKPOINTS = {
 _META_TYPES = {
     "float": ("a number", is_number),
     "int": ("an integer", is_int),
-    "list": ("a list", lambda v: isinstance(v, list)),
 }
 
 
@@ -429,6 +430,9 @@ def _save_model(path, kind, model):
     for f in fields(cls):
         value = getattr(model, f.name)
         prefix = networks.get(f.name)
+        if f.type == "list":
+            arrays[f.name] = np.array(value, dtype=np.float64)
+            continue
         if prefix is None:
             meta[f.name] = value
             continue
@@ -448,6 +452,14 @@ def _load_model(path, kind):
     values = {}
     for f in fields(cls):
         prefix = networks.get(f.name)
+        if f.type == "list":
+            arr = arrays.get(f.name)
+            if arr is None:
+                raise FormatError(f"{path}: {kind} has no array {f.name!r}")
+            if arr.ndim != 1 or arr.dtype != np.float64:
+                raise FormatError(f"{path}: {kind} array {f.name!r} must be 1-D float64")
+            values[f.name] = arr.tolist()
+            continue
         if prefix is None:
             values[f.name] = require_field(meta, f.name, *_META_TYPES[f.type], where)
             continue

@@ -148,7 +148,7 @@ class TestMeanRanking:
 
 class TestAugmentation:
     def test_appended_rows_are_flipped_train_rows(self, dataset, target, gen):
-        cfg = PerturbConfig.text_defaults()
+        cfg = PerturbConfig()
         out = augment_with_counterfactuals(dataset, target, gen, 25, cfg, seed=3)
         m = out.metadata["augmented_tail"]
         assert m == 25
@@ -164,14 +164,14 @@ class TestAugmentation:
 
     def test_zero_rows_is_a_no_op_with_a_tag(self, dataset, target, gen):
         out = augment_with_counterfactuals(
-            dataset, target, gen, 0, PerturbConfig.text_defaults(), seed=3
+            dataset, target, gen, 0, PerturbConfig(), seed=3
         )
         assert out.metadata["augmented_tail"] == 0
         assert np.array_equal(out.instances, dataset.instances)
         assert out.instances is not dataset.instances
 
     def test_same_seed_same_rows(self, dataset, target, gen):
-        cfg = PerturbConfig.text_defaults()
+        cfg = PerturbConfig()
         a = augment_with_counterfactuals(dataset, target, gen, 10, cfg, seed=4)
         b = augment_with_counterfactuals(dataset, target, gen, 10, cfg, seed=4)
         assert np.array_equal(a.instances, b.instances)
@@ -181,13 +181,13 @@ class TestAugmentation:
         n_train = len(dataset.indices("train"))
         with pytest.warns(PartialResultWarning, match="flipped"):
             out = augment_with_counterfactuals(
-                dataset, target, gen, n_train + 50, PerturbConfig.text_defaults(), seed=3
+                dataset, target, gen, n_train + 50, PerturbConfig(), seed=3
             )
         assert out.metadata["augmented_tail"] <= n_train
 
     def test_strip_recovers_the_original(self, dataset, target, gen):
         out = augment_with_counterfactuals(
-            dataset, target, gen, 15, PerturbConfig.text_defaults(), seed=3
+            dataset, target, gen, 15, PerturbConfig(), seed=3
         )
         back = strip_augmentation(out)
         assert np.array_equal(back.instances, dataset.instances)
@@ -202,7 +202,7 @@ class TestAugmentation:
     def test_negative_count_rejected(self, dataset, target, gen):
         with pytest.raises(ConfigurationError):
             augment_with_counterfactuals(
-                dataset, target, gen, -1, PerturbConfig.text_defaults()
+                dataset, target, gen, -1, PerturbConfig()
             )
 
     def test_multiclass_needs_a_pinned_class(self):
@@ -217,11 +217,11 @@ class TestAugmentation:
         target3 = linear_target(np.zeros((3, 4)), np.zeros(3))
         with pytest.raises(ConfigurationError):
             augment_with_counterfactuals(
-                ds, target3, identity_gen(4), 5, PerturbConfig.text_defaults()
+                ds, target3, identity_gen(4), 5, PerturbConfig()
             )
 
     def test_pinned_class_skips_rows_already_there(self, dataset, target, gen):
-        cfg = PerturbConfig.text_defaults(desired=1)
+        cfg = PerturbConfig(desired=1)
         out = augment_with_counterfactuals(dataset, target, gen, 10, cfg, seed=3)
         n = dataset.instances.shape[0]
         assert (np.argmax(out.labels[n:], axis=1) == 1).all()
@@ -230,7 +230,7 @@ class TestAugmentation:
 class TestRetrainComparison:
     def test_matches_numpy_aggregation(self, dataset, target, gen):
         aug = augment_with_counterfactuals(
-            dataset, target, gen, 20, PerturbConfig.text_defaults(), seed=3
+            dataset, target, gen, 20, PerturbConfig(), seed=3
         )
         cfg = TrainConfig(epochs=25, batch_size=64, learning_rate=0.05)
         report = retrain_comparison(dataset, aug, cfg, seeds=(0, 1, 2))

@@ -325,8 +325,7 @@ class TestQueryRowRead:
         """latent_descent on the fully loaded row, as the CLI configures it."""
         ds, target, gen = stack_of(workspace)
         x0, a0 = ds.instances[row], ds.attributes[row]
-        cfg = PerturbConfig.text_defaults(max_iters=60, distance_weight=1.5,
-                                          optimize_attributes=not freeze)
+        cfg = PerturbConfig(max_iters=60, distance_weight=1.5, optimize_attributes=not freeze)
         cfg.desired = 1 - int(target.predict(x0))
         return latent_descent(target, gen, x0, a0, cfg, query_index=row)
 
@@ -854,16 +853,16 @@ class TestParser:
         assert exc.value.code == 2
 
     def test_consecutive_calls_get_independent_namespaces(self, tmp_path, monkeypatch, capsys):
-        # main reuses one parser per process; no call may see another's flags.
-        parser = build_parser()
+        # main reuses one parser per command per process; no call may see
+        # another's flags.
         seen = []
-        real_parse = parser.parse_args
+        for parser in cli._command_parsers().values():
+            def recording_parse(argv, namespace, real_parse=parser.parse_known_args):
+                args, extras = real_parse(argv, namespace)
+                seen.append(args)
+                return args, extras
 
-        def recording_parse(argv):
-            seen.append(real_parse(argv))
-            return seen[-1]
-
-        monkeypatch.setattr(parser, "parse_args", recording_parse)
+            monkeypatch.setattr(parser, "parse_known_args", recording_parse)
         small = tmp_path / "small.lcfc"
         assert main(["gen-data", "--out", str(small), "--samples", "150", "--features", "10",
                      "--seed", "9", "--label-attributes", "0"]) == 0
@@ -883,6 +882,65 @@ class TestParser:
             120, None, None, None)
         assert load_dataset(small).instances.shape == (150, 10)
         assert load_dataset(plain).instances.shape == (120, 32)
+
+    COMMANDS = ["gen-data", "train", "explain", "bench", "sweep", "rank", "augment"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_flag_parses_as_the_top_level_parser_would(self, command):
+        """main parses a command's argv with that command's parser alone; the
+        Namespace, its attribute order included, is the one the top-level
+        parser gives."""
+        flags, negated = ["--config", "c.ini"], []
+        for key, action in cli._ini_actions(command).items():
+            if isinstance(action, argparse.BooleanOptionalAction):
+                flags.append(f"--{key}")
+                negated.append(f"--no-{key}")
+            else:
+                text = action.choices[-1] if action.choices else TestConfigLayers.FLAG_TEXT[
+                    action.type]
+                flags += [f"--{key}", text]
+        for argv in ([command], [command, *flags], [command, *flags, *negated]):
+            want = build_parser().parse_args(argv)
+            got = cli._parse(argv)
+            assert list(vars(got).items()) == list(vars(want).items())
+            assert got.command == command
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["-h"],
+            ["--version"],
+            ["bogus"],
+            ["bogus", "--seed", "1"],
+            ["--seed", "1"],
+            ["explain", "--bogus"],
+            ["explain", "--manifest", "m.json", "extra", "--query-index", "0", "--also"],
+            ["explain", "--version"],
+            ["rank", "--", "x"],
+            ["explain", "--query-index", "zero"],
+            ["gen-data", "--generator", "cubes"],
+            ["gen-data", "--label-attributes", "0,one"],
+            ["train", "--epochs"],
+            ["bench", "-h"],
+        ],
+    )
+    def test_refusals_and_help_match_the_top_level_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as want:
+            build_parser().parse_args(argv)
+        want_out = capsys.readouterr()
+        with pytest.raises(SystemExit) as got:
+            main(argv)
+        assert got.value.code == want.value.code
+        assert capsys.readouterr() == want_out
+
+    def test_unrecognized_arguments_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["explain", "--manifest", "m.json", "--bogus"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith("latentcf: error: unrecognized arguments: --bogus\n")
+        assert err.startswith("usage: latentcf [-h] [--version]")
 
 
 class TestInputErrors:
@@ -949,15 +1007,27 @@ class TestInputErrors:
         path.write_text("".join(json.dumps({**r, "flipped": True}) + "\n" for r in (record, longer)))
         assert "number of attributes" in user_error(capsys, ["rank", "--results", str(path)])
 
-    @pytest.mark.parametrize("read_as", ["manifest", "instance-file"])
-    def test_file_that_is_not_utf8(self, workspace, tmp_path, capsys, read_as):
-        path = tmp_path / "latin1.json"
-        path.write_bytes(b'{"instance": "\xe9"}')
+    @pytest.mark.parametrize("read_as", ["manifest", "instance-file", "results", "config"])
+    def test_file_that_is_not_utf8(self, workspace, record, tmp_path, capsys, read_as):
+        path = tmp_path / "latin1.txt"
+        manifest = str(workspace["manifest"])
         if read_as == "manifest":
+            path.write_bytes(b'{"instance": "\xe9"}')
             argv = ["explain", "--manifest", str(path), "--query-index", "0"]
+            named = f"{path}: not UTF-8: invalid continuation byte"
+        elif read_as == "instance-file":
+            path.write_bytes(b'{"instance": "\xe9"}')
+            argv = ["explain", "--manifest", manifest, "--instance-file", str(path)]
+            named = f"{path}: not UTF-8: invalid continuation byte"
+        elif read_as == "results":
+            path.write_bytes(json.dumps(record).encode() + b'\n{"method": "\xe9"}\n')
+            argv = ["rank", "--results", str(path)]
+            named = f"{path}:2: not UTF-8: invalid continuation byte"
         else:
-            argv = ["explain", "--manifest", str(workspace["manifest"]), "--instance-file", str(path)]
-        assert f"{path}: not UTF-8" in user_error(capsys, argv)
+            path.write_bytes(b"[explain]\nout = \xe9\n")
+            argv = ["explain", "--config", str(path), "--manifest", manifest, "--query-index", "0"]
+            named = f"{path}: 'utf-8' codec can't decode"
+        assert named in user_error(capsys, argv)
 
     def test_manifest_with_a_torn_tail_names_its_file(self, workspace, tmp_path, capsys):
         # What a rewrite cut short leaves: the new text, then the old tail.

@@ -246,7 +246,7 @@ class TestLatentDescent:
         x0, a0 = first_query(dataset, target, predicted=0)
         recon = decode(gen, encode(gen, x0, a0))
         pred = int(np.argmax(forward(target.network, recon)))
-        cfg = PerturbConfig.text_defaults(desired=pred, clip=None)
+        cfg = PerturbConfig(desired=pred, clip=None)
         res = latent_descent(target, gen, x0, a0, cfg)
         assert res.flipped and res.iterations == 0
         assert len(res.loss_trace) == 1
@@ -315,23 +315,23 @@ class TestLatentDescent:
 
     def test_attribute_freeze_keeps_attributes(self, target, gen, dataset):
         x0, a0 = first_query(dataset, target)
-        cfg = PerturbConfig.text_defaults(desired=1, optimize_attributes=False)
+        cfg = PerturbConfig(desired=1, optimize_attributes=False)
         res = latent_descent(target, gen, x0, a0, cfg)
         assert np.array_equal(res.latent.attributes, a0)
 
     def test_models_stay_frozen(self, target, gen, dataset):
         x0, a0 = first_query(dataset, target)
         before = parameter_digest(target.network, gen.encoder, gen.decoder)
-        latent_descent(target, gen, x0, a0, PerturbConfig.text_defaults(desired=1))
+        latent_descent(target, gen, x0, a0, PerturbConfig(desired=1))
         assert parameter_digest(target.network, gen.encoder, gen.decoder) == before
 
     def test_desired_is_required_and_checked(self, target, gen, dataset):
         x0, a0 = first_query(dataset, target)
         with pytest.raises(ConfigurationError):
-            latent_descent(target, gen, x0, a0, PerturbConfig.text_defaults())
+            latent_descent(target, gen, x0, a0, PerturbConfig())
         with pytest.raises(ConfigurationError):
             latent_descent(
-                target, gen, x0, a0, PerturbConfig.text_defaults(desired=5)
+                target, gen, x0, a0, PerturbConfig(desired=5)
             )
 
     def test_trace_is_consistent(self):
@@ -385,7 +385,7 @@ class TestGradientWork:
         gradients, and the final evaluation pays no backward at all."""
         bound, traced, pulled = count_bound_kernels(monkeypatch)
         x0, a0 = first_query(dataset, target)
-        cfg = PerturbConfig.text_defaults(
+        cfg = PerturbConfig(
             desired=1, code_step=step, attr_step=step, step_decay=1.0, max_iters=max_iters
         )
         res = latent_descent(target, gen, x0, a0, cfg)
@@ -423,7 +423,7 @@ class TestGradientWork:
         if method == "gradient-sign":
             res = gradient_sign_attack(target, gen, x0, a0, step, desired=1)
         else:
-            cfg = PerturbConfig.text_defaults(
+            cfg = PerturbConfig(
                 desired=1, code_step=step, step_decay=1.0, max_iters=max_iters
             )
             res = input_space_descent(target, gen, x0, a0, cfg)
@@ -775,7 +775,7 @@ class TestNonFiniteSearch:
     )
     def test_both_latent_searches_raise(self, kind, descent_message):
         target, gen, x0, a0 = overflow_stack(kind)
-        cfg = PerturbConfig.text_defaults(desired=1, max_iters=50)
+        cfg = PerturbConfig(desired=1, max_iters=50)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match=descent_message):
                 latent_descent(target, gen, x0, a0, cfg)
@@ -784,7 +784,7 @@ class TestNonFiniteSearch:
 
     def test_classifier_pull_back_overflow_is_caught(self):
         target, gen, x0, a0 = overflow_stack("classifier-pull-back")
-        cfg = PerturbConfig.text_defaults(desired=1, max_iters=50)
+        cfg = PerturbConfig(desired=1, max_iters=50)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="input gradient"):
                 latent_descent(target, gen, x0, a0, cfg)
@@ -799,7 +799,7 @@ class TestNonFiniteSearch:
     )
     def test_input_descent_raises(self, kind, x0, message):
         target, gen, _, a0 = overflow_stack(kind)
-        cfg = PerturbConfig.text_defaults(desired=1, max_iters=50)
+        cfg = PerturbConfig(desired=1, max_iters=50)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match=message):
                 input_space_descent(target, gen, np.array(x0), a0, cfg)
@@ -812,7 +812,7 @@ class TestNonFiniteSearch:
             target, gen, x0, a0 = overflow_stack(kind)
             for layer in target.network.layers + gen.decoder.layers:
                 layer.weights[np.abs(layer.weights) > 1e300] /= 1e306
-            cfg = PerturbConfig.text_defaults(desired=1, max_iters=5)
+            cfg = PerturbConfig(desired=1, max_iters=5)
             latent_descent(target, gen, x0, a0, cfg)
             latent_random_search(target, gen, x0, a0, cfg, rng=np.random.default_rng(0))
             input_space_descent(target, gen, x0, a0, cfg)
@@ -822,7 +822,7 @@ class TestNonFiniteSearch:
 class TestRandomSearch:
     def test_same_seed_reproduces_the_walk(self, target, gen, dataset):
         x0, a0 = first_query(dataset, target)
-        cfg = PerturbConfig.text_defaults(desired=1, max_iters=30)
+        cfg = PerturbConfig(desired=1, max_iters=30)
         a = latent_random_search(target, gen, x0, a0, cfg, rng=np.random.default_rng(5))
         b = latent_random_search(target, gen, x0, a0, cfg, rng=np.random.default_rng(5))
         assert np.array_equal(a.latent.code, b.latent.code)
@@ -845,7 +845,7 @@ class TestRandomSearch:
         x0, a0 = first_query(dataset, target)
         before = parameter_digest(target.network, gen.encoder, gen.decoder)
         latent_random_search(
-            target, gen, x0, a0, PerturbConfig.text_defaults(desired=1, max_iters=10)
+            target, gen, x0, a0, PerturbConfig(desired=1, max_iters=10)
         )
         assert parameter_digest(target.network, gen.encoder, gen.decoder) == before
 
@@ -958,7 +958,7 @@ class TestGradientSign:
 class TestInputDescent:
     def test_flips_a_separable_query_quickly(self, target, gen, dataset):
         x0, a0 = first_query(dataset, target, predicted=0)
-        cfg = PerturbConfig.text_defaults(desired=1)
+        cfg = PerturbConfig(desired=1)
         res = input_space_descent(target, gen, x0, a0, cfg)
         assert res.flipped
         assert res.iterations <= 50
@@ -1064,7 +1064,7 @@ class TestAttributePreservation:
 class TestResultPersistence:
     def test_jsonl_round_trip_is_exact(self, target, gen, dataset, tmp_path):
         x0, a0 = first_query(dataset, target)
-        cfg = PerturbConfig.text_defaults(desired=1)
+        cfg = PerturbConfig(desired=1)
         results = [
             latent_descent(target, gen, x0, a0, cfg, query_index=3),
             gradient_sign_attack(target, gen, x0, a0, 0.5, desired=1, query_index=4),
@@ -1083,7 +1083,7 @@ class TestResultPersistence:
 
     def test_malformed_jsonl_line_is_named(self, target, gen, dataset, tmp_path):
         x0, a0 = first_query(dataset, target)
-        result = latent_descent(target, gen, x0, a0, PerturbConfig.text_defaults(desired=1))
+        result = latent_descent(target, gen, x0, a0, PerturbConfig(desired=1))
         path = tmp_path / "results.jsonl"
         write_results_jsonl(path, [result])
         good = path.read_text()
@@ -1128,7 +1128,7 @@ class TestResultPersistence:
 def rewrite_writers(target, gen, dataset):
     """Each text writer as write(path, n): a larger n writes a longer file."""
     x0, a0 = first_query(dataset, target)
-    cfg = PerturbConfig.text_defaults(desired=1)
+    cfg = PerturbConfig(desired=1)
     results = [latent_descent(target, gen, x0, a0, cfg, query_index=i) for i in range(3)]
     return {
         "results": lambda path, n: write_results_jsonl(path, results[:n]),
@@ -1339,19 +1339,19 @@ class TestFrozenGuard:
 
 SEARCHES = {
     "latent-descent": lambda t, g, x0, a0: latent_descent(
-        t, g, x0, a0, PerturbConfig.text_defaults(desired=1)
+        t, g, x0, a0, PerturbConfig(desired=1)
     ),
     "latent-descent-frozen": lambda t, g, x0, a0: latent_descent(
-        t, g, x0, a0, PerturbConfig.text_defaults(desired=1, optimize_attributes=False),
+        t, g, x0, a0, PerturbConfig(desired=1, optimize_attributes=False),
         method="latent-descent-frozen",
     ),
     "latent-random": lambda t, g, x0, a0: latent_random_search(
-        t, g, x0, a0, PerturbConfig.text_defaults(desired=1, max_iters=20),
+        t, g, x0, a0, PerturbConfig(desired=1, max_iters=20),
         rng=np.random.default_rng(0),
     ),
     "gradient-sign": lambda t, g, x0, a0: gradient_sign_attack(t, g, x0, a0, 0.5, desired=1),
     "input-descent": lambda t, g, x0, a0: input_space_descent(
-        t, g, x0, a0, PerturbConfig.text_defaults(desired=1)
+        t, g, x0, a0, PerturbConfig(desired=1)
     ),
 }
 

@@ -66,7 +66,7 @@ def gen(dataset):
 
 @pytest.fixture(scope="module")
 def methods():
-    cfg = PerturbConfig.text_defaults(max_iters=60)
+    cfg = PerturbConfig(max_iters=60)
     return build_methods(cfg, epsilon=1.0)
 
 
@@ -126,7 +126,7 @@ class TestBuildMethods:
         ]
 
     def test_params_snapshot(self):
-        cfg = PerturbConfig.text_defaults(max_iters=60)
+        cfg = PerturbConfig(max_iters=60)
         methods = {m.name: m for m in build_methods(cfg, epsilon=2.5)}
         assert methods["latent-descent"].params["max_iters"] == 60
         assert methods["latent-descent-frozen"].params["optimize_attributes"] is False
@@ -202,7 +202,7 @@ class TestRunBenchmark:
 
 class TestAlphaSweep:
     def test_curve_shape_and_determinism(self, dataset, target, gen):
-        cfg = PerturbConfig.text_defaults(max_iters=60)
+        cfg = PerturbConfig(max_iters=60)
         kwargs = dict(n_queries=10, seed=3, desired_class=1)
         a = alpha_sweep(dataset, target, gen, cfg, (0.0, 0.8), **kwargs)
         b = alpha_sweep(dataset, target, gen, cfg, (0.0, 0.8), **kwargs)
@@ -217,7 +217,7 @@ class TestAlphaSweep:
         }
 
     def test_bad_weights_rejected(self, dataset, target, gen):
-        cfg = PerturbConfig.text_defaults()
+        cfg = PerturbConfig()
         with pytest.raises(ConfigurationError):
             alpha_sweep(dataset, target, gen, cfg, ())
         with pytest.raises(ConfigurationError):

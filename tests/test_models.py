@@ -282,14 +282,14 @@ class TestCheckpoints:
         back = load_target(path)
         assert parameter_digest(back.network) == parameter_digest(target.network)
         assert back.test_accuracy == target.test_accuracy
-        assert back.loss_history == target.loss_history
+        assert hexes(back.loss_history) == hexes(target.loss_history)
 
     def test_discriminator_round_trip(self, disc, tmp_path):
         path = tmp_path / "disc.lcfc"
         save_discriminator(path, disc)
         back = load_discriminator(path)
         assert parameter_digest(back.network) == parameter_digest(disc.network)
-        assert back.attribute_accuracy == disc.attribute_accuracy
+        assert hexes(back.attribute_accuracy) == hexes(disc.attribute_accuracy)
 
     def test_generative_round_trip(self, gen, tmp_path):
         path = tmp_path / "gen.lcfc"
@@ -300,6 +300,7 @@ class TestCheckpoints:
         )
         assert back.latent_dim == gen.latent_dim
         assert back.attribute_dim == gen.attribute_dim
+        assert hexes(back.loss_history) == hexes(gen.loss_history)
 
     def test_kind_mixups_rejected(self, target, tmp_path):
         path = tmp_path / "target.lcfc"
@@ -318,10 +319,10 @@ class TestCheckpoints:
 # meta keys and, for one hidden layer, the array names of each kind.
 CHECKPOINT_LAYOUT = {
     "target-model": (
-        ["activations", "dev_accuracy", "loss_history", "test_accuracy", "train_accuracy"],
-        ["w0", "b0", "w1", "b1"],
+        ["activations", "dev_accuracy", "test_accuracy", "train_accuracy"],
+        ["w0", "b0", "w1", "b1", "loss_history"],
     ),
-    "discriminator": (["activations", "attribute_accuracy"], ["w0", "b0", "w1", "b1"]),
+    "discriminator": (["activations"], ["w0", "b0", "w1", "b1", "attribute_accuracy"]),
     "generative-model": (
         [
             "attribute_consistency",
@@ -330,10 +331,17 @@ CHECKPOINT_LAYOUT = {
             "encoder_activations",
             "final_recon_error",
             "latent_dim",
-            "loss_history",
         ],
-        ["enc_w0", "enc_b0", "enc_w1", "enc_b1", "dec_w0", "dec_b0", "dec_w1", "dec_b1"],
+        ["enc_w0", "enc_b0", "enc_w1", "enc_b1", "dec_w0", "dec_b0", "dec_w1", "dec_b1",
+         "loss_history"],
     ),
+}
+
+# Each kind's list field, stored as a 1-D float64 array of its own name.
+CHECKPOINT_LISTS = {
+    "target-model": "loss_history",
+    "discriminator": "attribute_accuracy",
+    "generative-model": "loss_history",
 }
 
 CHECKPOINT_IO = {
@@ -345,7 +353,6 @@ CHECKPOINT_IO = {
 # JSON values each annotation refuses; True stands for "a bool is not a number".
 _NOT_A_NUMBER = ["0.9", True, None, [0.9]]
 _NOT_AN_INT = [8.0, True, "8", None]
-_NOT_A_LIST = ["0.5", 0.5, {"0": 0.5}, None]
 _NOT_ACTIVATIONS = ["tanh", ["tanh", 3], None, {"0": "tanh"}]
 
 CHECKPOINT_META_REFUSES = {
@@ -354,9 +361,8 @@ CHECKPOINT_META_REFUSES = {
         "train_accuracy": _NOT_A_NUMBER,
         "dev_accuracy": _NOT_A_NUMBER,
         "test_accuracy": _NOT_A_NUMBER,
-        "loss_history": _NOT_A_LIST,
     },
-    "discriminator": {"activations": _NOT_ACTIVATIONS, "attribute_accuracy": _NOT_A_LIST},
+    "discriminator": {"activations": _NOT_ACTIVATIONS},
     "generative-model": {
         "encoder_activations": _NOT_ACTIVATIONS,
         "decoder_activations": _NOT_ACTIVATIONS,
@@ -364,8 +370,22 @@ CHECKPOINT_META_REFUSES = {
         "attribute_dim": _NOT_AN_INT,
         "final_recon_error": _NOT_A_NUMBER,
         "attribute_consistency": _NOT_A_NUMBER,
-        "loss_history": _NOT_A_LIST,
     },
+}
+
+# What each list array must not be, as an edit of (meta, arrays, name): a
+# missing, 2-D or non-float64 array, or the list kept as meta text (the
+# layout before list fields became arrays), which also holds a list that is
+# not numbers. float32 and int64 are dtypes the container itself refuses.
+LIST_ARRAY_REFUSES = {
+    "missing": lambda m, a, name: (m, _without(a, name)),
+    "2-D": lambda m, a, name: (m, {**a, name: a[name].reshape(1, -1)}),
+    "int8": lambda m, a, name: (m, {**a, name: a[name].astype(np.int8)}),
+    "float32": lambda m, a, name: (m, {**a, name: a[name].astype(np.float32)}),
+    "int64": lambda m, a, name: (m, {**a, name: a[name].astype(np.int64)}),
+    "meta-list": lambda m, a, name: ({**m, name: a[name].tolist()}, _without(a, name)),
+    "meta-strings": lambda m, a, name: (
+        {**m, name: ["forty", None, {"a": 1}]}, _without(a, name)),
 }
 
 
@@ -397,6 +417,12 @@ def malformed_checkpoints():
                 )
                 for value in values
             )
+    for kind, name in CHECKPOINT_LISTS.items():
+        cases.extend(
+            pytest.param(kind, lambda m, a, name=name, edit=edit: edit(m, a, name),
+                         id=f"{kind}-{name}-{case}")
+            for case, edit in LIST_ARRAY_REFUSES.items()
+        )
     # Sizes that still sum to the decoder input, but split it at the wrong index.
     cases.append(
         pytest.param(
@@ -417,9 +443,20 @@ def malformed_checkpoints():
 
 
 def write_malformed(source, dest, edit):
+    """The container at source, edited, written to dest. An array of a dtype
+    the container cannot store goes in as int8 bytes of the same length
+    whose dtype code (three characters, as '|i1' is) is then forged."""
     kind, meta, arrays = read_container(source)
     meta, arrays = edit(meta, arrays)
+    storable = ("<f8", "|i1")
+    forged = [arr.dtype.str for arr in arrays.values() if arr.dtype.str not in storable]
+    arrays = {name: arr if arr.dtype.str in storable else arr.view(np.int8).ravel()
+              for name, arr in arrays.items()}
     write_container(dest, kind=kind, meta=meta, arrays=arrays)
+    if forged:
+        (code,) = forged
+        blob = dest.read_bytes().replace(b'"dtype":"|i1"', f'"dtype":"{code}"'.encode())
+        dest.write_bytes(blob)
 
 
 @pytest.fixture(scope="module")
@@ -443,10 +480,25 @@ class TestCheckpointCodec:
     @pytest.mark.parametrize("kind", sorted(CHECKPOINT_LAYOUT))
     def test_round_trip_keeps_every_field(self, checkpoint_paths, kind):
         model = CHECKPOINT_IO[kind][1](checkpoint_paths[kind])
-        _, meta, _ = read_container(checkpoint_paths[kind])
+        _, meta, arrays = read_container(checkpoint_paths[kind])
         for key, value in meta.items():
             if not key.endswith("activations"):
                 assert getattr(model, key) == value
+        name = CHECKPOINT_LISTS[kind]
+        assert hexes(getattr(model, name)) == hexes(arrays[name])
+
+    @pytest.mark.parametrize("kind", sorted(CHECKPOINT_LAYOUT))
+    @pytest.mark.parametrize("values", [[-0.0, 1e-310, 1e308, 0.1, -7.25e-5], []],
+                             ids=["edge-floats", "empty"])
+    def test_list_fields_round_trip_bit_for_bit(self, checkpoint_paths, tmp_path, kind, values):
+        save, load = CHECKPOINT_IO[kind]
+        model = load(checkpoint_paths[kind])
+        name = CHECKPOINT_LISTS[kind]
+        setattr(model, name, values)
+        save(tmp_path / "m.lcfc", model)
+        back = getattr(load(tmp_path / "m.lcfc"), name)
+        assert all(type(v) is float for v in back)
+        assert [v.hex() for v in back] == [v.hex() for v in values]
 
     @pytest.mark.parametrize("kind, edit", malformed_checkpoints())
     def test_malformed_checkpoint_is_a_format_error(self, checkpoint_paths, tmp_path, kind, edit):
@@ -465,6 +517,14 @@ class TestCheckpointCodec:
         write_malformed(checkpoint_paths["target-model"], bad, lambda m, a: (m, _without(a, "b1")))
         with pytest.raises(FormatError, match="no array 'b1'"):
             load_target(bad)
+        write_malformed(checkpoint_paths["discriminator"], bad,
+                        lambda m, a: (m, _without(a, "attribute_accuracy")))
+        with pytest.raises(FormatError, match="no array 'attribute_accuracy'"):
+            load_discriminator(bad)
+        write_malformed(checkpoint_paths["generative-model"], bad,
+                        lambda m, a: (m, {**a, "loss_history": a["loss_history"][:, None]}))
+        with pytest.raises(FormatError, match="array 'loss_history' must be 1-D float64"):
+            load_generative(bad)
 
 
 # --- one training loop ------------------------------------------------------
