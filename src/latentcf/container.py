@@ -73,7 +73,8 @@ def require_field(record, key, what, ok, where):
 
 def read_json(path):
     """The JSON document in the UTF-8 file at path, or FormatError naming
-    path when the file is not UTF-8 or does not parse."""
+    path when the file is not UTF-8, does not parse or nests deeper than
+    the recursion limit."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -81,6 +82,8 @@ def read_json(path):
             raise FormatError(f"{path}: not UTF-8: {exc.reason}") from None
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: not JSON: {exc.msg}") from None
+        except RecursionError:
+            raise FormatError(f"{path}: not JSON: nested too deeply") from None
 
 
 def _rewrite_text(path, text, encoding="utf-8"):
@@ -122,41 +125,44 @@ def write_container(path, kind, meta, arrays):
     """Write named arrays plus JSON metadata to path.
 
     arrays is an ordered mapping name -> ndarray (float64 or int8). meta
-    must be JSON-serializable. Returns the number of bytes written.
+    must be JSON-serializable. The preamble and header are written first,
+    then each array's buffer in turn, with no copy of an array that is
+    already contiguous little-endian. Returns the number of bytes written.
     """
     directory = []
-    chunks = []
+    buffers = []
     offset = 0
     for name, arr in arrays.items():
         code = _dtype_code(arr)
-        raw = np.ascontiguousarray(arr, dtype=_DTYPES[code]).tobytes()
+        buf = np.ascontiguousarray(arr, dtype=_DTYPES[code])
         directory.append(
             {
                 "name": name,
                 "shape": list(arr.shape),
                 "dtype": code,
                 "offset": offset,
-                "nbytes": len(raw),
+                "nbytes": buf.nbytes,
             }
         )
-        chunks.append(raw)
-        offset += len(raw)
+        buffers.append(buf)
+        offset += buf.nbytes
     header = json.dumps(
         {"kind": kind, "meta": meta, "arrays": directory},
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
-    blob = b"".join(
-        [MAGIC, struct.pack("<H", FORMAT_VERSION), b"\x00\x00", struct.pack("<Q", len(header)), header]
-        + chunks
-    )
+    # Magic, format version, two reserved zero bytes, header length.
+    preamble = struct.pack("<4sH2xQ", MAGIC, FORMAT_VERSION, len(header))
     # Truncated, unlike the text outputs (_rewrite_text): format v1 has no
     # checksum, so an in-place rewrite cut short before its final ftruncate
     # could leave one checkpoint's header over a mix of two payloads, and
     # that file would load without error.
     with open(path, "wb") as fh:
-        fh.write(blob)
-    return len(blob)
+        fh.write(preamble)
+        fh.write(header)
+        for buf in buffers:
+            fh.write(buf.data)
+    return len(preamble) + len(header) + offset
 
 
 def read_container(path, expected_kind=None, rows=None):

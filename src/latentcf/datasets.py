@@ -15,6 +15,10 @@ an attribute discriminator, and a counterfactual search all have signal to
 find. A generator draws instances and attributes only; one rule then labels
 the rows of either family (and writes blobs' label echo). Everything is
 deterministic in the spec seed.
+
+Generators write the instance array in place and draw noise in row blocks.
+A dataset's parts (``AttributedDataset.part``) are read-only: views of its
+arrays where the part's rows are contiguous, copies where they are not.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import numpy as np
 
 from .container import read_container, write_container
 from .errors import ConfigurationError, DimensionError, FormatError
+from .nn import _BLOCK_ROWS
 
 GENERATORS = ("blobs", "glyphs")
 
@@ -174,8 +179,17 @@ class AttributedDataset:
         return np.flatnonzero(self.split == tag)
 
     def part(self, part):
+        """(instances, attributes, labels) of the part's rows, read-only:
+        views of the dataset's arrays when the rows are one contiguous range,
+        as in every generated dataset, else copies. Writing to them raises
+        ValueError; copy a part before changing it."""
         idx = self.indices(part)
-        return self.instances[idx], self.attributes[idx], self.labels[idx]
+        if len(idx) and idx[-1] - idx[0] == len(idx) - 1:
+            idx = slice(idx[0], idx[-1] + 1)
+        arrays = self.instances[idx], self.attributes[idx], self.labels[idx]
+        for arr in arrays:
+            arr.flags.writeable = False
+        return arrays
 
 
 def _all_in(values, allowed):
@@ -214,20 +228,30 @@ def _generate_blobs(spec, rng):
         np.float64
     )
     x = np.zeros((spec.n_samples, spec.n_features))
-    x[:, : spec.n_attributes] += attrs * spec.shift
+    np.multiply(attrs, spec.shift, out=x[:, : spec.n_attributes])
     n_free = spec.n_features - spec.n_attributes
     if spec.n_styles > 0 and n_free > 0:
         styles = rng.standard_normal((spec.n_samples, spec.n_styles))
         mixing = rng.standard_normal((spec.n_styles, n_free)) / np.sqrt(spec.n_styles)
-        x[:, spec.n_attributes :] += styles @ mixing
+        # Written straight into x's zero columns, as the shift was: no
+        # product the size of x.
+        np.matmul(styles, mixing, out=x[:, spec.n_attributes :])
         # Cross-talk: the first style factor bleeds into every attribute
         # coordinate, so those coordinates are not reconstructable from the
         # attribute bits alone.
         if spec.style_leak > 0:
             x[:, : spec.n_attributes] += spec.style_leak * styles[:, [0]]
-    if spec.noise > 0:
-        x += rng.normal(0.0, spec.noise, size=x.shape)
+    _add_noise(x, spec.noise, rng)
     return x, attrs
+
+
+def _add_noise(x, scale, rng):
+    """Add N(0, scale) noise to x in place, drawn block by block in row
+    order: the draws, and so the sums, equal one draw of x's shape."""
+    if scale > 0:
+        for start in range(0, len(x), _BLOCK_ROWS):
+            block = x[start : start + _BLOCK_ROWS]
+            block += rng.normal(0.0, scale, size=block.shape)
 
 
 def _stroke_mask(name, side):
@@ -275,10 +299,9 @@ def _generate_glyphs(spec, rng):
     strokes = glyph_strokes(spec.n_features, spec.n_attributes)
     for i in range(spec.n_attributes):
         on = attrs[:, i] == 1.0
-        x[on] = np.maximum(x[on], 0.95 * strokes[i])
-    if spec.noise > 0:
-        x += rng.normal(0.0, spec.noise, size=x.shape)
-    return np.clip(x, 0.0, 1.0), attrs
+        np.maximum(x, 0.95 * strokes[i], out=x, where=on[:, None])
+    _add_noise(x, spec.noise, rng)
+    return np.clip(x, 0.0, 1.0, out=x), attrs
 
 
 def generate(spec):

@@ -642,9 +642,9 @@ _RESULT_FIELDS = {
 
 
 def read_results_jsonl(path):
-    """Read results back; a line that is not UTF-8, or not a JSON object
-    holding every _RESULT_FIELDS field with its type, raises
-    FormatError("path:line: ...")."""
+    """Read results back; a line that is not UTF-8, nests deeper than the
+    recursion limit, or is not a JSON object holding every _RESULT_FIELDS
+    field with its type, raises FormatError("path:line: ...")."""
     out = []
     with open(path, "rb") as fh:
         for number, raw in enumerate(fh, 1):
@@ -659,6 +659,8 @@ def read_results_jsonl(path):
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{where}: not JSON: {exc.msg}") from None
+            except RecursionError:
+                raise FormatError(f"{where}: not JSON: nested too deeply") from None
             if not isinstance(record, dict):
                 raise FormatError(f"{where}: a result must be a JSON object")
             for key, (what, ok) in _RESULT_FIELDS.items():

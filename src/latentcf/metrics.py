@@ -27,7 +27,7 @@ from .engine import (
 )
 from .errors import ConfigurationError
 from .models import GenerativeConfig, TrainConfig
-from .nn import forward
+from .nn import _by_rows, forward
 
 
 def flipping_ratio(results):
@@ -38,8 +38,10 @@ def flipping_ratio(results):
 
 
 def latent_threshold(gen, instances, scale=1e-3):
-    """Per-coordinate change threshold: scale times the code's train std."""
-    codes = forward(gen.encoder, np.asarray(instances, dtype=np.float64))
+    """Per-coordinate change threshold: scale times the code's train std,
+    the codes encoded in row blocks."""
+    x = np.asarray(instances, dtype=np.float64)
+    (codes,) = _by_rows(lambda xb: (forward(gen.encoder, xb),), (x,))
     return scale * codes.std(axis=0)
 
 
@@ -247,7 +249,8 @@ def _select_queries(dataset, target, n_queries, seed, fixed):
     test_idx = dataset.indices("test")
     if len(test_idx) == 0:
         raise ConfigurationError("dataset has no test split to query")
-    preds = np.argmax(forward(target.network, dataset.instances[test_idx]), axis=1)
+    x_test = dataset.part("test")[0]
+    (preds,) = _by_rows(lambda xb: (np.argmax(forward(target.network, xb), axis=1),), (x_test,))
     desired = np.broadcast_to(desired_class(target, preds, fixed), preds.shape)
     # Only a fixed class can already be predicted; the complement never is.
     mask = preds != desired

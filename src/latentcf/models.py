@@ -18,6 +18,11 @@ the latent code concatenated with the attribute vector. Training minimizes
 mean reconstruction distance plus a weighted attribute-consistency term
 scored by the frozen discriminator on the reconstruction.
 
+Trainers copy one batch at a time out of the read-only split views, and
+whole-split passes (accuracies, the final reconstruction error and attribute
+consistency) run in row blocks of the config's batch_size, reducing their
+per-row values once: working memory does not grow with the number of rows.
+
 Checkpoints (container kinds in _CHECKPOINTS) store a network field's layer
 i as arrays ``{prefix}w{i}``/``{prefix}b{i}`` and its activations as the meta
 list ``activations``, or ``{field}_activations`` when prefixed (the encoder's
@@ -55,6 +60,7 @@ from .nn import (
     Layer,
     _check_finite,
     _bind,
+    _by_rows,
     _FlatParams,
     build_network,
     forward,
@@ -262,9 +268,13 @@ def _warn_below(value, floor, what):
         warnings.warn(f"{what} {value:.3f} below floor {floor}", TrainingQualityWarning)
 
 
-def _accuracy(network, x, onehot):
-    preds = np.argmax(forward(network, x), axis=1)
-    return float(np.mean(preds == np.argmax(onehot, axis=1)))
+def _accuracy(network, x, onehot, size):
+    """Share of rows whose argmax prediction is their one-hot class."""
+    (hits,) = _by_rows(
+        lambda xb, yb: (np.argmax(forward(network, xb), axis=1) == np.argmax(yb, axis=1),),
+        (x, onehot), size,
+    )
+    return float(np.mean(hits))
 
 
 def train_target(dataset, config):
@@ -284,9 +294,9 @@ def train_target(dataset, config):
     x_test, _, y_test = dataset.part("test")
     model = TargetModel(
         network=net,
-        train_accuracy=_accuracy(net, x_train, y_train),
-        dev_accuracy=_accuracy(net, x_dev, y_dev),
-        test_accuracy=_accuracy(net, x_test, y_test),
+        train_accuracy=_accuracy(net, x_train, y_train, config.batch_size),
+        dev_accuracy=_accuracy(net, x_dev, y_dev, config.batch_size),
+        test_accuracy=_accuracy(net, x_test, y_test, config.batch_size),
         loss_history=history,
     )
     _warn_below(model.dev_accuracy, config.accuracy_floor, "classifier dev accuracy")
@@ -312,7 +322,7 @@ def train_discriminator(dataset, config):
     _fit(config, len(x_train), rng,
          _supervised(net, x_train, a_train, mean_binary_cross_entropy), "discriminator")
     x_dev, a_dev, _ = dataset.part("dev")
-    preds = forward(net, x_dev) >= 0.5
+    (preds,) = _by_rows(lambda xb: (forward(net, xb) >= 0.5,), (x_dev,), config.batch_size)
     per_attr = [float(np.mean(preds[:, j] == (a_dev[:, j] == 1.0))) for j in range(dataset.n_attributes)]
     _warn_below(float(np.mean(per_attr)), config.accuracy_floor,
                 "mean per-attribute dev accuracy")
@@ -382,13 +392,14 @@ def train_generative(dataset, discriminator, config):
         return loss, updates
 
     history = _fit(config, len(x_train), rng, batch, "autoencoder")
-    codes = forward(encoder, x_train)
-    xhat = forward(decoder, np.concatenate([codes, a_train], axis=1))
-    recon_final = float(_row_distances(xhat, x_train)[1].mean())
-    if t > 0:
-        consistency = float(np.mean((forward(disc_net, xhat) >= 0.5) == (a_train == 1.0)))
-    else:
-        consistency = 1.0
+
+    def final(xb, ab):
+        xhat = forward(decoder, np.concatenate([forward(encoder, xb), ab], axis=1))
+        return _row_distances(xhat, xb)[1], (forward(disc_net, xhat) >= 0.5) == (ab == 1.0)
+
+    dists, reads = _by_rows(final, (x_train, a_train), config.batch_size)
+    recon_final = float(dists.mean())
+    consistency = float(np.mean(reads)) if t > 0 else 1.0
     model = GenerativeModel(
         encoder=encoder,
         decoder=decoder,

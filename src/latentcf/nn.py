@@ -42,6 +42,9 @@ ACTIVATIONS = HIDDEN_ACTIVATIONS + ("softmax",)
 # Probabilities are clamped into [PROB_FLOOR, 1 - PROB_FLOOR] before any log.
 PROB_FLOOR = 1e-12
 
+# Rows per block of a pass over many rows that has no batch size of its own.
+_BLOCK_ROWS = 256
+
 
 def _clamp_probabilities(p):
     # The same bits as np.clip, without the fixed cost of its wrapper.
@@ -274,6 +277,17 @@ def forward_trace(net, x):
 def forward(net, x):
     """Evaluate the network on a vector [d] or batch [n, d]."""
     return forward_trace(net, x)[0]
+
+
+def _by_rows(fn, arrays, size=_BLOCK_ROWS):
+    """Run fn(*blocks) on consecutive blocks of at most size rows of arrays
+    and concatenate each per-row array it returns over the blocks (zero rows
+    make one empty block). A whole-split pass then holds one block's
+    temporaries; its caller reduces the per-row values once, at the end.
+    """
+    starts = range(0, len(arrays[0]), size) or (0,)
+    blocks = [fn(*(a[s : s + size] for a in arrays)) for s in starts]
+    return [np.concatenate(parts) for parts in zip(*blocks)]
 
 
 def vjp(net, trace, out_grad, with_params=True, with_input=True):

@@ -1029,6 +1029,26 @@ class TestInputErrors:
             named = f"{path}: 'utf-8' codec can't decode"
         assert named in user_error(capsys, argv)
 
+    @pytest.mark.parametrize("read_as", ["manifest", "instance-file", "results"])
+    def test_json_nested_past_the_recursion_limit(self, workspace, record, tmp_path, capsys,
+                                                  read_as):
+        path = tmp_path / "deep.json"
+        deep = "[" * 100_000
+        manifest = str(workspace["manifest"])
+        if read_as == "manifest":
+            path.write_text(deep)
+            argv = ["explain", "--manifest", str(path), "--query-index", "0"]
+            named = f"{path}: not JSON: nested too deeply"
+        elif read_as == "instance-file":
+            path.write_text(deep)
+            argv = ["explain", "--manifest", manifest, "--instance-file", str(path)]
+            named = f"{path}: not JSON: nested too deeply"
+        else:
+            path.write_text(json.dumps(record) + '\n{"method": ' + deep + "\n")
+            argv = ["rank", "--results", str(path)]
+            named = f"{path}:2: not JSON: nested too deeply"
+        assert named in user_error(capsys, argv)
+
     def test_manifest_with_a_torn_tail_names_its_file(self, workspace, tmp_path, capsys):
         # What a rewrite cut short leaves: the new text, then the old tail.
         text = json.dumps(absolute_manifest(workspace))

@@ -3,6 +3,7 @@
 import json
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +130,65 @@ class TestRoundTrip:
         _, _, again = read_container(path)
         assert again["weights"][0, 1] == 1.0 / 7.0
         assert back["flags"].tolist() == [0, 1, 2, -1]
+
+
+def joined_container(kind, meta, arrays):
+    """The container bytes as one joined blob of tobytes() copies, the way
+    write_container built them before it streamed each array."""
+    directory, chunks, offset = [], [], 0
+    for name, arr in arrays.items():
+        code = "<f8" if arr.dtype == np.float64 else "|i1"
+        raw = np.ascontiguousarray(arr, dtype=np.dtype(code)).tobytes()
+        directory.append({"name": name, "shape": list(arr.shape), "dtype": code,
+                          "offset": offset, "nbytes": len(raw)})
+        chunks.append(raw)
+        offset += len(raw)
+    header = json.dumps({"kind": kind, "meta": meta, "arrays": directory},
+                        sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return raw_container(header, b"".join(chunks))
+
+
+class TestStreamedWrite:
+    """write_container streams each array's buffer after the header; the
+    file is the joined blob's bytes, and it returns their count."""
+
+    def arrays(self):
+        grid = np.arange(48, dtype=np.float64).reshape(6, 8) / 7.0
+        return {
+            "weights": grid,
+            "flags": np.array([0, 1, 2, -1], dtype=np.int8),
+            "empty": np.zeros((0, 3)),
+            "columns": grid[:, 1::3],
+            "transposed": grid.T,
+            "step_flags": np.arange(10, dtype=np.int8)[::-2],
+            "scalar": np.array(2.5),
+        }
+
+    def test_bytes_match_the_joined_blob(self, tmp_path):
+        path = tmp_path / "c.lcfc"
+        arrays = self.arrays()
+        assert not arrays["columns"].flags.c_contiguous
+        written = write_container(path, "test", {"n": 1}, arrays)
+        expected = joined_container("test", {"n": 1}, arrays)
+        assert path.read_bytes() == expected and written == len(expected)
+
+    def test_a_longer_file_is_truncated(self, tmp_path):
+        path = tmp_path / "c.lcfc"
+        path.write_bytes(b"x" * 10_000)
+        arrays = {"flags": np.array([3], dtype=np.int8)}
+        written = write_container(path, "test", {}, arrays)
+        assert path.read_bytes() == joined_container("test", {}, arrays)
+        assert path.stat().st_size == written
+
+    def test_contiguous_arrays_are_written_without_a_copy(self, tmp_path):
+        arrays = {"weights": np.ones((1000, 500)), "flags": np.zeros(500_000, dtype=np.int8)}
+        tracemalloc.start()
+        try:
+            written = write_container(tmp_path / "c.lcfc", "test", {}, arrays)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert written > 4_500_000 and peak < 100_000, peak
 
 
 class TestDirectoryChecks:

@@ -1,6 +1,7 @@
 """Generator and persistence checks for the synthetic datasets."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from latentcf import datasets
 from latentcf.container import write_container
 from latentcf.datasets import (
     AttributedDataset,
@@ -429,3 +431,146 @@ class TestAugmentationMetadataFields:
         assert ds.metadata["generator"] == "blobs"
         assert ds.metadata["seed"] == 12
         assert spec_from_dict(ds.metadata["spec"]) == spec
+
+
+class TestParts:
+    """part() returns read-only arrays: views of contiguous rows, copies of
+    scattered ones, each holding the rows a fancy index would pick."""
+
+    def fancy(self, ds, part):
+        idx = ds.indices(part)
+        return ds.instances[idx], ds.attributes[idx], ds.labels[idx]
+
+    @pytest.mark.parametrize("part", ["train", "dev", "test"])
+    def test_contiguous_parts_are_views_that_refuse_writes(self, part):
+        ds = generate(blob_spec(noise=0.25))
+        arrays = ds.part(part)
+        for got, want, whole in zip(arrays, self.fancy(ds, part), (ds.instances, ds.attributes,
+                                                                  ds.labels)):
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape
+            assert np.shares_memory(got, whole) and not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0] = 1.0
+        assert ds.instances.flags.writeable and ds.labels.flags.writeable
+
+    def test_a_view_sees_a_later_change_to_the_dataset(self):
+        ds = generate(blob_spec())
+        x_train = ds.part("train")[0]
+        ds.instances[0, 0] = 123.0
+        assert x_train[0, 0] == 123.0
+
+    def test_scattered_parts_are_read_only_copies(self):
+        ds = generate(blob_spec(noise=0.25))
+        ds.split = np.tile(np.array([0, 1, 2, 0], dtype=np.int8), 50)
+        for part in ("train", "dev", "test"):
+            arrays = ds.part(part)
+            for got, want, whole in zip(arrays, self.fancy(ds, part),
+                                        (ds.instances, ds.attributes, ds.labels)):
+                assert got.tobytes() == want.tobytes() and got.shape == want.shape
+                assert not np.shares_memory(got, whole) and not got.flags.writeable
+
+    def test_an_empty_part(self):
+        ds = small_dataset(split=np.array([0, 0, 2], dtype=np.int8))
+        x, a, y = ds.part("dev")
+        assert x.shape == (0, 2) and a.shape == (0, 2) and y.shape == (0, 2)
+        assert not x.flags.writeable
+
+
+def reference_blobs(spec, rng):
+    """The blob formula as written with whole-array temporaries."""
+    attrs = (rng.random((spec.n_samples, spec.n_attributes)) < spec.attribute_prob).astype(
+        np.float64
+    )
+    x = np.zeros((spec.n_samples, spec.n_features))
+    x[:, : spec.n_attributes] += attrs * spec.shift
+    n_free = spec.n_features - spec.n_attributes
+    if spec.n_styles > 0 and n_free > 0:
+        styles = rng.standard_normal((spec.n_samples, spec.n_styles))
+        mixing = rng.standard_normal((spec.n_styles, n_free)) / np.sqrt(spec.n_styles)
+        x[:, spec.n_attributes :] += styles @ mixing
+        if spec.style_leak > 0:
+            x[:, : spec.n_attributes] += spec.style_leak * styles[:, [0]]
+    if spec.noise > 0:
+        x += rng.normal(0.0, spec.noise, size=x.shape)
+    return x, attrs
+
+
+def reference_glyphs(spec, rng):
+    """The glyph formula as written with whole-array temporaries."""
+    side = int(np.sqrt(spec.n_features))
+    attrs = (rng.random((spec.n_samples, spec.n_attributes)) < spec.attribute_prob).astype(
+        np.float64
+    )
+    base = np.zeros((side, side))
+    lo, hi = side // 3, side - side // 3
+    base[lo:hi, lo:hi] = 0.35
+    x = np.tile(base.ravel(), (spec.n_samples, 1))
+    strokes = glyph_strokes(spec.n_features, spec.n_attributes)
+    for i in range(spec.n_attributes):
+        on = attrs[:, i] == 1.0
+        x[on] = np.maximum(x[on], 0.95 * strokes[i])
+    if spec.noise > 0:
+        x += rng.normal(0.0, spec.noise, size=x.shape)
+    return np.clip(x, 0.0, 1.0), attrs
+
+
+class TestGeneratorParity:
+    """The in-place, row-block generators give the bytes of the
+    whole-array formulas, on row counts either side of a noise block."""
+
+    @pytest.mark.parametrize("n", [3, 255, 256, 257, 700])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"noise": 0.4},
+            {"noise": 0.4, "n_styles": 1, "style_leak": 0.5},
+            {"noise": 0.4, "n_styles": 0},
+            {"noise": 0.3, "n_attributes": 16, "attribute_prob": 0.3},
+        ],
+    )
+    def test_blobs(self, n, overrides):
+        spec = blob_spec(n_samples=n, seed=n, **overrides)
+        x, a = datasets._generate_blobs(spec, np.random.default_rng(spec.seed))
+        want_x, want_a = reference_blobs(spec, np.random.default_rng(spec.seed))
+        assert x.tobytes() == want_x.tobytes() and a.tobytes() == want_a.tobytes()
+
+    @pytest.mark.parametrize("n", [3, 255, 256, 257, 700])
+    @pytest.mark.parametrize("overrides", [{}, {"noise": 0.3}, {"noise": 0.5, "n_attributes": 8}])
+    def test_glyphs(self, n, overrides):
+        spec = blob_spec(generator="glyphs", n_features=64, n_samples=n, seed=n, **overrides)
+        x, a = datasets._generate_glyphs(spec, np.random.default_rng(spec.seed))
+        want_x, want_a = reference_glyphs(spec, np.random.default_rng(spec.seed))
+        assert x.tobytes() == want_x.tobytes() and a.tobytes() == want_a.tobytes()
+
+
+def glyph_spec(n_samples):
+    """The 16x16 glyph recipe at any row count, split in its fixed shares."""
+    return SynthSpec(generator="glyphs", n_features=256, n_attributes=4,
+                     n_samples=n_samples, seed=1, noise=0.3, label_attributes=(0,),
+                     train_frac=1600 / 2300, dev_frac=100 / 2300)
+
+
+def kept_bytes(ds):
+    return sum(a.nbytes for a in (ds.instances, ds.attributes, ds.labels, ds.split))
+
+
+class TestGenerationMemory:
+    """generate holds little beyond the arrays it returns."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [glyph_spec(2300), glyph_spec(6900),
+         blob_spec(n_features=32, n_samples=20_000, noise=0.4, n_styles=4, style_leak=0.3,
+                   label_echo=0.9, label_attributes=(0, 1))],
+        ids=["glyphs-2300", "glyphs-6900", "blobs-20000"],
+    )
+    def test_peak_within_a_fifth_of_what_it_keeps(self, spec):
+        generate(dataclasses.replace(spec, n_samples=30))  # first-call allocations
+        tracemalloc.start()
+        try:
+            ds = generate(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * kept_bytes(ds), (peak, kept_bytes(ds))

@@ -89,6 +89,14 @@ class TestLatentThreshold:
         assert_allclose(latent_threshold(gen, instances), 1e-3 * np.array([1.0, 2.0, 3.0]), atol=0)
         assert_allclose(latent_threshold(gen, instances, scale=0.5), [0.5, 1.0, 1.5], atol=0)
 
+    def test_rows_in_blocks_give_the_one_shot_std(self):
+        # More rows than one block, and an identity encoder, whose codes are
+        # the rows themselves in any block.
+        x = np.random.default_rng(0).standard_normal((1001, 3))
+        want = (1e-3 * x.std(axis=0)).tobytes()
+        assert latent_threshold(identity_gen(3), x).tobytes() == want
+        assert latent_threshold(identity_gen(3), x.tolist()).tobytes() == want
+
 
 class TestLatentPerturbationRatio:
     def test_counts_moved_coordinates(self):

@@ -1,6 +1,8 @@
 """Training-layer checks: classifier, discriminator, autoencoder, checkpoints."""
 
+import dataclasses
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -103,6 +105,13 @@ class TestTargetTraining:
         assert target.train_accuracy == 1.0
         assert target.test_accuracy >= 0.95
 
+    def test_accuracies_match_a_one_shot_recomputation(self, dataset, target):
+        for part, got in zip(("train", "dev", "test"),
+                             (target.train_accuracy, target.dev_accuracy, target.test_accuracy)):
+            x, _, y = dataset.part(part)
+            preds = np.argmax(forward(target.network, x), axis=1)
+            assert got == float(np.mean(preds == np.argmax(y, axis=1)))
+
     def test_beats_the_class_prior(self, dataset, target):
         _, _, y_test = dataset.part("test")
         prior = max(np.mean(y_test[:, 1]), 1.0 - np.mean(y_test[:, 1]))
@@ -153,6 +162,12 @@ class TestTargetTraining:
 class TestDiscriminator:
     def test_reads_every_attribute(self, disc):
         assert all(a >= 0.85 for a in disc.attribute_accuracy)
+
+    def test_dev_accuracy_matches_a_one_shot_recomputation(self, dataset, disc):
+        x_dev, a_dev, _ = dataset.part("dev")
+        reads = forward(disc.network, x_dev) >= 0.5
+        assert disc.attribute_accuracy == [float(np.mean(reads[:, j] == (a_dev[:, j] == 1.0)))
+                                           for j in range(dataset.n_attributes)]
 
     def test_constant_attribute_warns(self):
         rng = np.random.default_rng(0)
@@ -217,6 +232,26 @@ class TestGenerative:
         xhat = forward(gen.decoder, np.hstack([codes, a_train]))
         dists = np.sqrt(((xhat - x_train) ** 2).sum(axis=1))
         assert_allclose(gen.final_recon_error, dists.mean(), rtol=1e-12)
+
+    def test_final_figures_reduce_their_per_row_values_once(self, dataset, disc, gen):
+        """The rows are evaluated in blocks of batch_size (64 here) and each
+        figure reduces the whole split's per-row values in one call. A
+        block's per-row values can differ in the last bit from a one-shot
+        pass, as BLAS picks its kernel by matrix size, so the one-shot
+        comparison above keeps its tolerance."""
+        x_train, a_train, _ = dataset.part("train")
+        dists, reads = [], []
+        for start in range(0, len(x_train), 64):
+            xb, ab = x_train[start : start + 64], a_train[start : start + 64]
+            xhat = forward(gen.decoder, np.hstack([forward(gen.encoder, xb), ab]))
+            dists.append(np.sqrt(((xhat - xb) ** 2).sum(axis=1)))
+            reads.append((forward(disc.network, xhat) >= 0.5) == (ab == 1.0))
+        assert gen.final_recon_error.hex() == np.concatenate(dists).mean().hex()
+        assert gen.attribute_consistency == float(np.mean(np.concatenate(reads)))
+        codes = forward(gen.encoder, x_train)
+        xhat = forward(gen.decoder, np.hstack([codes, a_train]))
+        one_shot = (forward(disc.network, xhat) >= 0.5) == (a_train == 1.0)
+        assert gen.attribute_consistency == float(np.mean(one_shot))
 
     def test_zero_disc_weight_still_trains(self, dataset, disc):
         model = train_generative(
@@ -596,6 +631,47 @@ def reference_generative(x, a, disc_net, config):
 
 def net_bits(*nets):
     return [(l.activation, l.weights.tobytes(), l.bias.tobytes()) for n in nets for l in n.layers]
+
+
+class TestBoundedMemory:
+    """A trainer's working memory does not grow with the number of rows:
+    one epoch on 6,900 glyph rows peaks within 0.5 MB of one on 2,300, over
+    the dataset the trainer is given."""
+
+    @staticmethod
+    def glyphs(n_samples):
+        return generate(SynthSpec(generator="glyphs", n_features=256, n_attributes=4,
+                                  n_samples=n_samples, seed=1, noise=0.3,
+                                  label_attributes=(0,), train_frac=1600 / 2300,
+                                  dev_frac=100 / 2300))
+
+    @staticmethod
+    def peak_above_current(fn):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_does_not_grow_with_rows(self):
+        cfg = TrainConfig(epochs=1, batch_size=128, learning_rate=0.1, hidden_dims=(32,),
+                          accuracy_floor=0.0)
+        gcfg = GenerativeConfig(latent_dim=8, epochs=1, batch_size=128, learning_rate=0.1,
+                                hidden_dims=(32,), output_activation="sigmoid",
+                                consistency_floor=0.0)
+        peaks = {}
+        for n in (2300, 6900):
+            ds = self.glyphs(n)
+            disc = train_discriminator(ds, dataclasses.replace(cfg, seed=1))
+            peaks[n] = [
+                self.peak_above_current(lambda: train_target(ds, cfg)),
+                self.peak_above_current(lambda: train_discriminator(ds, cfg)),
+                self.peak_above_current(lambda: train_generative(ds, disc, gcfg)),
+            ]
+        for small, large in zip(peaks[2300], peaks[6900]):
+            assert abs(large - small) <= 0.5e6, peaks
 
 
 def hexes(values):
