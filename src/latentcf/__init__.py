@@ -87,6 +87,5 @@ from .nn import (
     forward_trace,
     l2_distance,
     parameter_digest,
-    sgd_step,
     vjp,
 )

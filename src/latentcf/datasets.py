@@ -365,7 +365,8 @@ def load_dataset(path, rows=None):
     --query-index` do for the row they explain. The full leading lengths
     must still agree (DimensionError, checked on the directory shapes), the
     range must lie inside them (IndexError), and the rows read pass the same
-    value checks as a full read.
+    value checks as a full read. Instances that hold NaN or an infinity
+    raise FormatError naming the file: nothing downstream can use them.
     """
     _, meta, arrays = read_container(path, expected_kind="dataset", rows=rows)
     if not isinstance(meta, dict):
@@ -376,5 +377,10 @@ def load_dataset(path, rows=None):
     ds = AttributedDataset(**{name: arrays[name] for name in _DATASET_ARRAYS}, metadata=meta)
     # Validated before the cast, so fractional split tags are refused, not truncated.
     ds.validate()
+    # min and max propagate NaN and reach any infinity, with no temporary
+    # the size of the instances.
+    x = ds.instances
+    if x.size and not (np.isfinite(x.min()) and np.isfinite(x.max())):
+        raise FormatError(f"{path}: dataset instances hold non-finite values")
     ds.split = ds.split.astype(np.int8)
     return ds

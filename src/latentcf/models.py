@@ -1,11 +1,11 @@
 """Model training: target classifier, attribute discriminator, autoencoder.
 
 All three ride on the dense-network engine and one minibatch SGD loop,
-``_fit``; each trainer supplies only a batch closure giving its loss and
-updates. The closures run nn's bare kernels, checking every traced output
-and input gradient finite as nn's checked wrappers would, and each trained
-network's parameters live in one flat buffer (``nn._FlatParams``) that the
-loop steps, and checks finite, once per batch.
+``_fit``, which steps one flat buffer (``nn._FlatParams``) of every network
+the trainer updates, encoder and decoder together, once per batch. Each
+trainer supplies only a batch closure giving its loss and a fill of the
+buffer's gradients; it runs nn's bound kernels, whose traces check their
+outputs finite, and checks each input gradient it pulls finite.
 
 The target classifier is the black box under explanation; after training it
 is only ever queried forward, and its gradients are used solely through the
@@ -212,14 +212,13 @@ def _mlp(in_dim, out_dim, config, head, rng):
     )
 
 
-def _fit(config, n, rng, batch, what):
+def _fit(config, n, rng, flat, batch, what):
     """Minibatch SGD over n rows; returns the per-epoch mean losses.
 
     Each epoch visits the rows in batches of an rng permutation. batch(idx)
-    returns the batch's mean loss and a thunk that fills the parameter
-    gradients of the networks it trains and returns their _FlatParams, each
-    then stepped once. A non-finite loss raises TrainingError naming what
-    before the thunk runs, so no update is applied from a diverged batch.
+    returns the batch's mean loss and fill, which writes flat's gradients;
+    flat is then stepped once. A non-finite loss raises TrainingError naming
+    what before fill runs, so no update is applied from a diverged batch.
     """
     history = []
     for epoch in range(config.epochs):
@@ -227,40 +226,37 @@ def _fit(config, n, rng, batch, what):
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            loss, updates = batch(idx)
+            loss, fill = batch(idx)
             if not np.isfinite(loss):
                 raise TrainingError(f"{what} loss diverged at epoch {epoch}")
-            for flat in updates():
-                flat.step(config.learning_rate)
+            fill()
+            flat.step(config.learning_rate)
             epoch_loss += loss * len(idx)
         history.append(epoch_loss / n)
     return history
 
 
-def _traced(trace, batch):
-    """A bound forward kernel with forward_trace's finite check on its output."""
-    out, records = trace(batch)
-    _check_finite(out, "forward output")
-    return out, records
-
-
-def _supervised(net, x, y, loss_fn):
-    """The batch closure of a network fit directly to targets y."""
+def _supervised(config, rng, net, x, y, loss_fn, what):
+    """Fit net directly to targets y; returns the per-epoch mean losses."""
     flat = _FlatParams(net)
     # Bound after _FlatParams moved the parameters; steps update them in place.
     trace, pull = _bind(net.layers)
 
     def batch(idx):
-        out, records = _traced(trace, x[idx])
+        out, records = trace(x[idx])
         loss, grad = loss_fn(out, y[idx])
+        return loss, lambda: pull(records, grad, flat.grad_out, False)
 
-        def updates():
-            pull(records, grad, flat.grad_out, False)
-            return [flat]
+    return _fit(config, len(x), rng, flat, batch, what)
 
-        return loss, updates
 
-    return batch
+def _parts(dataset, *names):
+    """Each named part of dataset; ConfigurationError for one with no rows."""
+    parts = [dataset.part(name) for name in names]
+    for name, (x, _, _) in zip(names, parts):
+        if len(x) == 0:
+            raise ConfigurationError(f"dataset has no {name} rows")
+    return parts
 
 
 def _warn_below(value, floor, what):
@@ -280,18 +276,19 @@ def _accuracy(network, x, onehot, size):
 def train_target(dataset, config):
     """Fit the classifier on the train split; accuracies on all three splits.
 
-    A non-finite batch loss aborts with TrainingError. Dev accuracy below
-    the configured floor emits TrainingQualityWarning but still returns the
-    model, leaving the call site to decide whether it is usable.
+    An empty train, dev or test part raises ConfigurationError before
+    training. A non-finite batch loss aborts with TrainingError. Dev
+    accuracy below the configured floor emits TrainingQualityWarning but
+    still returns the model, leaving the call site to decide whether it is
+    usable.
     """
     config.validate()
-    x_train, _, y_train = dataset.part("train")
+    (x_train, _, y_train), (x_dev, _, y_dev), (x_test, _, y_test) = _parts(
+        dataset, "train", "dev", "test"
+    )
     rng = np.random.default_rng(config.seed)
     net = _mlp(dataset.n_features, dataset.n_classes, config, "softmax", rng)
-    history = _fit(config, len(x_train), rng,
-                   _supervised(net, x_train, y_train, mean_cross_entropy), "classifier")
-    x_dev, _, y_dev = dataset.part("dev")
-    x_test, _, y_test = dataset.part("test")
+    history = _supervised(config, rng, net, x_train, y_train, mean_cross_entropy, "classifier")
     model = TargetModel(
         network=net,
         train_accuracy=_accuracy(net, x_train, y_train, config.batch_size),
@@ -304,11 +301,12 @@ def train_target(dataset, config):
 
 
 def train_discriminator(dataset, config):
-    """Fit per-attribute probes with a shared trunk and sigmoid heads."""
+    """Fit per-attribute probes with a shared trunk and sigmoid heads; an
+    empty train or dev part raises ConfigurationError before training."""
     config.validate()
     if dataset.n_attributes == 0:
         raise ConfigurationError("dataset has no attributes to discriminate")
-    x_train, a_train, _ = dataset.part("train")
+    (x_train, a_train, _), (x_dev, a_dev, _) = _parts(dataset, "train", "dev")
     for j in range(dataset.n_attributes):
         col = a_train[:, j]
         if col.min() == col.max():
@@ -319,9 +317,7 @@ def train_discriminator(dataset, config):
             )
     rng = np.random.default_rng(config.seed)
     net = _mlp(dataset.n_features, dataset.n_attributes, config, "sigmoid", rng)
-    _fit(config, len(x_train), rng,
-         _supervised(net, x_train, a_train, mean_binary_cross_entropy), "discriminator")
-    x_dev, a_dev, _ = dataset.part("dev")
+    _supervised(config, rng, net, x_train, a_train, mean_binary_cross_entropy, "discriminator")
     (preds,) = _by_rows(lambda xb: (forward(net, xb) >= 0.5,), (x_dev,), config.batch_size)
     per_attr = [float(np.mean(preds[:, j] == (a_dev[:, j] == 1.0))) for j in range(dataset.n_attributes)]
     _warn_below(float(np.mean(per_attr)), config.accuracy_floor,
@@ -351,10 +347,11 @@ def train_generative(dataset, discriminator, config):
     Objective per batch: mean reconstruction distance plus disc_weight
     times the binary cross-entropy between discriminator outputs on the
     reconstruction and the true attributes. The discriminator contributes
-    gradients through its input but is never updated here.
+    gradients through its input but is never updated here. An empty train
+    part raises ConfigurationError before training.
     """
     config.validate()
-    x_train, a_train, _ = dataset.part("train")
+    x_train, a_train, _ = _parts(dataset, "train")[0]
     if discriminator.network.output_dim != dataset.n_attributes:
         raise DimensionError("discriminator output does not match dataset attributes")
     d = dataset.n_features
@@ -364,7 +361,10 @@ def train_generative(dataset, discriminator, config):
     encoder = _mlp(d, k, config, "identity", rng)
     decoder = _mlp(k + t, d, config, config.output_activation, rng)
     disc_net = discriminator.network
-    enc_flat, dec_flat = _FlatParams(encoder), _FlatParams(decoder)
+    # Decoder first: a failed step names a bad decoder parameter first.
+    flat = _FlatParams(decoder, encoder)
+    n_dec = len(decoder.layers)
+    dec_grads, enc_grads = flat.grad_out[:n_dec], flat.grad_out[n_dec:]
     # Bound after _FlatParams moved the parameters; steps update them in place.
     enc_trace, enc_pull = _bind(encoder.layers)
     dec_trace, dec_pull = _bind(decoder.layers)
@@ -372,26 +372,25 @@ def train_generative(dataset, discriminator, config):
 
     def batch(idx):
         xb, ab = x_train[idx], a_train[idx]
-        codes, enc_records = _traced(enc_trace, xb)
-        xhat, dec_records = _traced(dec_trace, np.concatenate([codes, ab], axis=1))
+        codes, enc_records = enc_trace(xb)
+        xhat, dec_records = dec_trace(np.concatenate([codes, ab], axis=1))
         loss, g_xhat = _recon_grad(xhat, xb)
         if config.disc_weight > 0:
-            probs, disc_records = _traced(disc_trace, xhat)
+            probs, disc_records = disc_trace(xhat)
             bce, g_probs = mean_binary_cross_entropy(probs, ab)
             loss += config.disc_weight * bce
             g_disc_in = disc_pull(disc_records, g_probs)
             _check_finite(g_disc_in, "input gradient")
             g_xhat = g_xhat + config.disc_weight * g_disc_in
 
-        def updates():
-            g_in = dec_pull(dec_records, g_xhat, dec_flat.grad_out)
+        def fill():
+            g_in = dec_pull(dec_records, g_xhat, dec_grads)
             _check_finite(g_in, "input gradient")
-            enc_pull(enc_records, g_in[:, :k], enc_flat.grad_out, False)
-            return [dec_flat, enc_flat]
+            enc_pull(enc_records, g_in[:, :k], enc_grads, False)
 
-        return loss, updates
+        return loss, fill
 
-    history = _fit(config, len(x_train), rng, batch, "autoencoder")
+    history = _fit(config, len(x_train), rng, flat, batch, "autoencoder")
 
     def final(xb, ab):
         xhat = forward(decoder, np.concatenate([forward(encoder, xb), ab], axis=1))

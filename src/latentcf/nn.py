@@ -9,17 +9,17 @@ every gradient auditable against finite differences.
 
 Each activation is implemented once, as a (forward, vjp) kernel pair in one
 table (``_KERNELS``). ``_bind`` binds a layer list to those kernels once and
-returns its two loops as closures that check nothing: the forward pass,
-keeping each layer's (input, pre-activation, output), and the reverse
-sweep, which writes parameter gradients into arrays its caller passes. A
-caller that runs one layer list many times keeps the bound pair: the
-engine's search binds the decoder and the classifier once per search, and
-the trainers in ``models`` bind each network once per training run, on
-networks whose shapes they checked or built. :func:`forward_trace` and
-:func:`vjp` bind and run once, with the shape and finite checks. A trainer
-moves each network's parameters into one flat buffer (``_FlatParams``)
-before it binds, so a training step is one update and one finite check per
-network.
+returns its two loops as closures: the forward pass, keeping each layer's
+(input, pre-activation, output) and checking its output finite, and the
+reverse sweep, which checks nothing and writes parameter gradients into
+arrays its caller passes. A caller that runs one layer list many times
+keeps the bound pair: the engine's search binds the decoder and the
+classifier once per search, and the trainers in ``models`` bind each
+network once per training run, on networks whose shapes they checked or
+built. :func:`forward_trace` and :func:`vjp` bind and run once, with the
+shape checks and the input-gradient check. A trainer moves the parameters
+of every network it updates into one flat buffer (``_FlatParams``) before
+it binds, so a training step is one update and one finite check.
 
 Shapes follow the convention weights[out, in], bias[out]. Inputs may be a
 single vector [d] or a batch [n, d]; outputs mirror that choice. Parameter
@@ -73,8 +73,8 @@ class DenseNetwork:
 
     Softmax is only permitted on the final layer; every parameter is a
     finite float64. Validation happens at construction; an in-place
-    update, by :func:`sgd_step` or a trainer's ``_FlatParams.step``, changes
-    only values, and re-checks that they stay finite.
+    update, by a trainer's ``_FlatParams.step``, changes only values, and
+    re-checks that they stay finite.
     """
 
     def __init__(self, layers):
@@ -218,18 +218,20 @@ def _check_finite(arr, what):
 
 def _bind(layers):
     """Bind a layer list to its kernels once: (trace, pull), closures over
-    per-layer (weights.T, bias, forward) and (weights, vjp) tuples that
-    check nothing. Bind again after a layer's arrays are replaced (an
-    in-place update needs no rebinding).
+    per-layer (weights.T, bias, forward) and (weights, vjp) tuples. Bind
+    again after a layer's arrays are replaced (an in-place update needs no
+    rebinding).
 
     trace(batch) is the forward loop over a float64 batch [n, d] of the
     first layer's width: (output batch, one (input, pre-activation, output)
-    per layer). pull(records, grad, param_out=None, with_input=True) is the
-    reverse loop over those records from an output-gradient batch of the
-    output's shape. param_out is None (or False) to skip the parameter
-    gradients, or one (d_weights, d_bias) pair of arrays per layer to write
-    them into, summed over the batch. It returns the input gradient, None
-    when with_input is off.
+    per layer). It raises NumericalError("non-finite values in forward
+    output") before it returns a non-finite output; an empty layer list
+    checks its input. pull(records, grad, param_out=None, with_input=True)
+    is the reverse loop over those records from an output-gradient batch of
+    the output's shape, and checks nothing. param_out is None (or False) to
+    skip the parameter gradients, or one (d_weights, d_bias) pair of arrays
+    per layer to write them into, summed over the batch. It returns the
+    input gradient, None when with_input is off.
     """
     forward = [(l.weights.T, l.bias, _KERNELS[l.activation][0]) for l in layers]
     backward = [(l.weights, _KERNELS[l.activation][1]) for l in layers]
@@ -242,6 +244,7 @@ def _bind(layers):
             post = activation(pre)
             records.append((h, pre, post))
             h = post
+        _check_finite(h, "forward output")
         return h, records
 
     def pull(records, grad, param_out=None, with_input=True):
@@ -270,7 +273,6 @@ def forward_trace(net, x):
     """
     batch, single = _as_batch(x, net.input_dim, "input")
     h, records = _bind(net.layers)[0](batch)
-    _check_finite(h, "forward output")
     return (h[0] if single else h), Trace(records, single)
 
 
@@ -299,8 +301,9 @@ def vjp(net, trace, out_grad, with_params=True, with_input=True):
     summed over the batch. Either is None, and never built, when its flag
     is off: a search needs no parameter gradients and training no input
     gradient of its data; turning both off is a ConfigurationError.
-    Parameter gradients are checked where they are applied: :func:`sgd_step`
-    rejects an update that leaves any parameter non-finite.
+    Parameter gradients are checked where they are applied: a trainer's
+    ``_FlatParams.step`` rejects an update that leaves any parameter
+    non-finite.
     """
     if not (with_params or with_input):
         raise ConfigurationError("vjp needs with_params or with_input")
@@ -323,39 +326,20 @@ def vjp(net, trace, out_grad, with_params=True, with_input=True):
     return GradientTape(param_grads, grad[0] if trace.single else grad)
 
 
-def sgd_step(net, tape, lr):
-    """Apply one plain gradient-descent update, in place.
-
-    lr == 0 is a permitted no-op; negative lr is rejected. An update that
-    leaves a parameter non-finite raises NumericalError. Returns the
-    updated network for call chaining.
-    """
-    if lr < 0:
-        raise ConfigurationError(f"learning rate must be non-negative, got {lr}")
-    if tape.param_grads is None or len(tape.param_grads) != len(net.layers):
-        raise DimensionError("gradient tape does not match network layer count")
-    for layer, (d_weights, d_bias) in zip(net.layers, tape.param_grads):
-        if d_weights.shape != layer.weights.shape or d_bias.shape != layer.bias.shape:
-            raise DimensionError("gradient tape shapes do not match network parameters")
-        layer.weights -= lr * d_weights
-        layer.bias -= lr * d_bias
-        _check_finite(layer.weights, "updated weights")
-        _check_finite(layer.bias, "updated bias")
-    return net
-
-
 class _FlatParams:
-    """A network's parameters moved into one contiguous float64 buffer.
+    """The parameters of one or more networks moved into one contiguous
+    float64 buffer.
 
     From construction on, each layer's weights and bias are views into
-    ``params``. ``grad_out`` holds the matching (d_weights, d_bias) views of
-    the twin buffer ``grads``, to pass to a bound pull (``_bind``) as its
-    parameter output, so one :meth:`step` updates and checks the whole
-    network.
+    ``params``, the networks' layers in argument order. ``grad_out`` holds
+    the matching (d_weights, d_bias) views of the twin buffer ``grads``, one
+    pair per layer in that order, to pass, a network's slice of it each, to
+    bound pulls (``_bind``) as their parameter output, so one :meth:`step`
+    updates and checks every network a trainer updates.
     """
 
-    def __init__(self, net):
-        self.layers = net.layers
+    def __init__(self, *nets):
+        self.layers = [l for net in nets for l in net.layers]
         arrays = [a for l in self.layers for a in (l.weights, l.bias)]
         self.params = np.concatenate([a.ravel() for a in arrays])
         self.grads = np.empty_like(self.params)
@@ -371,8 +355,9 @@ class _FlatParams:
 
     def step(self, lr):
         """params -= lr * grads, then one finite check over the buffer; a
-        failure raises sgd_step's NumericalError for the first non-finite
-        layer parameter in layer order."""
+        failure raises NumericalError("non-finite values in updated weights")
+        or "... updated bias" for the first non-finite layer parameter in
+        layer order."""
         self.params -= lr * self.grads
         if not np.isfinite(self.params).all():
             for layer in self.layers:

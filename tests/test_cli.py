@@ -13,7 +13,7 @@ from latentcf import cli, datasets, models
 from latentcf.applications import attribute_interaction_ranking
 from latentcf.cli import build_parser, main
 from latentcf.container import write_container
-from latentcf.datasets import generate, load_dataset
+from latentcf.datasets import generate, load_dataset, save_dataset
 from latentcf.engine import (
     PerturbConfig,
     desired_class,
@@ -23,7 +23,7 @@ from latentcf.engine import (
 )
 from latentcf.errors import ConfigurationError, TrainingQualityWarning
 from latentcf.metrics import SWEEP_WEIGHTS, benchmark_recipe
-from test_models import malformed_checkpoints, write_malformed
+from test_models import malformed_checkpoints, retagged, write_malformed
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +144,17 @@ class TestTrain:
                                   "--out-dir", str(out), flag, value])
         assert field in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("part", ["train", "dev", "test"])
+    def test_an_empty_part_is_refused_before_any_checkpoint(self, workspace, tmp_path, capsys,
+                                                            part):
+        data, out = tmp_path / "data.lcfc", tmp_path / "art"
+        save_dataset(data, retagged(load_dataset(workspace["data"]), part,
+                                    "dev" if part == "train" else "train"))
+        err = user_error(capsys, ["train", "--data", str(data), "--out-dir", str(out),
+                                  "--epochs", "1", "--gen-epochs", "1"])
+        assert err == f"error: dataset has no {part} rows\n"
+        assert not list(out.glob("*.lcfc"))
 
     @pytest.mark.parametrize(
         "extra, ini",

@@ -1,6 +1,7 @@
 """Generator and persistence checks for the synthetic datasets."""
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -422,6 +423,24 @@ class TestRowRead:
         write_dataset_arrays(path, ds, split=split)
         assert_both_reads_raise(path, ConfigurationError, (57, 58))
         assert load_dataset(path, rows=(56, 57)).split.dtype == np.int8
+
+
+    @pytest.mark.parametrize(
+        "row",
+        [np.full(16, np.nan), np.r_[0.5, np.inf, np.zeros(14)], np.r_[np.zeros(15), -np.inf]],
+        ids=["nan-row", "inf", "minus-inf"],
+    )
+    def test_non_finite_instances_in_the_row(self, tmp_path, row):
+        ds = generate(blob_spec())
+        x = ds.instances.copy()
+        x[57] = row
+        path = tmp_path / "ds.lcfc"
+        write_dataset_arrays(path, ds, instances=x)
+        message = f"^{re.escape(str(path))}: dataset instances hold non-finite values$"
+        for rows in (None, (57, 58)):
+            with pytest.raises(FormatError, match=message):
+                load_dataset(path, rows=rows)
+        load_dataset(path, rows=(56, 57))
 
 
 class TestAugmentationMetadataFields:

@@ -44,9 +44,10 @@ from latentcf.nn import (
     mean_binary_cross_entropy,
     mean_cross_entropy,
     parameter_digest,
-    sgd_step,
     vjp,
 )
+from latentcf.nn import _FlatParams
+from test_nn import sgd_step
 
 
 def small_spec(**overrides):
@@ -838,6 +839,63 @@ class TestOverflowingUpdate:
         with np.errstate(all="ignore"), pytest.raises(
             NumericalError, match=r"^non-finite values in updated weights$"
         ):
+            run()
+
+
+class TestOneStepPerBatch:
+    def test_the_autoencoder_steps_one_buffer_for_both_networks(self, parity_data, disc,
+                                                                 monkeypatch):
+        sizes, real_step = [], _FlatParams.step
+
+        def step(self, lr):
+            sizes.append(self.params.size)
+            real_step(self, lr)
+
+        monkeypatch.setattr(_FlatParams, "step", step)
+        cfg = GenerativeConfig(latent_dim=3, epochs=2, batch_size=48, consistency_floor=0.0)
+        model = train_generative(parity_data, disc, cfg)
+        both = sum(l.weights.size + l.bias.size
+                   for net in (model.encoder, model.decoder) for l in net.layers)
+        # 160 train rows in batches of 48: four batches an epoch.
+        assert sizes == [both] * 8
+
+
+def retagged(ds, part, to):
+    """ds with every row of part retagged as part to, leaving part empty."""
+    tags = {"train": 0, "dev": 1, "test": 2}
+    split = ds.split.copy()
+    split[split == tags[part]] = tags[to]
+    return AttributedDataset(ds.instances, ds.attributes, ds.labels, split)
+
+
+class TestEmptyParts:
+    """A trainer refuses a part with no rows that it reads before it trains,
+    and trains without the parts it does not read."""
+
+    READS = {"target": ("train", "dev", "test"), "discriminator": ("train", "dev"),
+             "generative": ("train",)}
+
+    @pytest.mark.parametrize("part", ["train", "dev", "test"])
+    @pytest.mark.parametrize("trainer", ["target", "discriminator", "generative"])
+    def test_part(self, parity_data, disc, monkeypatch, trainer, part):
+        ds = retagged(parity_data, part, "dev" if part == "train" else "train")
+        cfg = TrainConfig(epochs=1, batch_size=48, accuracy_floor=0.0)
+        run = {
+            "target": lambda: train_target(ds, cfg),
+            "discriminator": lambda: train_discriminator(ds, cfg),
+            "generative": lambda: train_generative(
+                ds, disc, GenerativeConfig(latent_dim=3, epochs=1, consistency_floor=0.0)
+            ),
+        }[trainer]
+        if part not in self.READS[trainer]:
+            run()
+            return
+
+        def untrained(*args):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(models, "_fit", untrained)
+        with pytest.raises(ConfigurationError, match=f"^dataset has no {part} rows$"):
             run()
 
 
