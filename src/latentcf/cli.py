@@ -5,9 +5,13 @@ stack, explain single instances, benchmark methods against each other,
 sweep the distance weight, rank attribute interactions, and augment a
 training set with counterfactuals.
 
-Options resolve in three layers: a command-line flag wins, then the named
-section of an INI file passed via --config, then the built-in default. An
-option's argparse action declares it once, as a flag and as an INI key.
+Options resolve in three layers: a command-line flag wins, then its key in
+the named section of an INI file passed via --config, then the default. An
+option's argparse action declares it once, as a flag and as an INI key. A
+flag that sets a config field has that field's name as its dest and the
+config's own default (Options.fill). The other defaults come from
+benchmark_recipe(), from the library function the command calls, or from
+the command itself (output paths, --count, --include-timing).
 
 Exit codes: 0 success, 1 usage or input error, 2 internal invariant
 violation, 3 partial result (outputs were written but incomplete).
@@ -38,8 +42,9 @@ from .applications import (
     retrain_comparison,
 )
 from .container import _rewrite_text, is_number_list, read_json
-from .datasets import SynthSpec, generate, load_dataset, save_dataset
+from .datasets import generate, load_dataset, save_dataset
 from .engine import (
+    SCHEDULE_FIELDS,
     PerturbConfig,
     desired_class,
     latent_descent,
@@ -88,12 +93,13 @@ _USER_ERRORS = (
 
 
 class Options:
-    """Flag > config-file section > builtin default resolution. The --config
-    section (its [DEFAULT] keys included, or those alone when the file has
-    no section for the command) is checked in full on construction, against
-    the command's argparse actions: each key must be a long flag (--config
-    aside), and its value must pass that flag's type (_ini_bool for a yes/no
-    flag) and choices. Anything else is a ConfigurationError naming the file."""
+    """Flag > config-file section > default resolution, by argparse dest.
+    The --config section (its [DEFAULT] keys included, or those alone when
+    the file has no section for the command) is checked in full on
+    construction, against the command's argparse actions: each key must be a
+    long flag (--config aside), and its value must pass that flag's type
+    (_ini_bool for a yes/no flag) and choices. Anything else is a
+    ConfigurationError naming the file."""
 
     def __init__(self, args):
         self.args = vars(args)
@@ -127,6 +133,16 @@ class Options:
         value = self.args.get(key)
         return self.file.get(key, builtin) if value is None else value
 
+    def given(self, *keys):
+        """{key: value} for each of the keys a flag or the file sets."""
+        return {key: value for key in keys if (value := self.get(key)) is not None}
+
+    def fill(self, cfg, skip=()):
+        """A copy of the dataclass cfg with each field, skip aside, that a
+        flag or the file sets (under the field's name) replaced."""
+        names = [f.name for f in dataclasses.fields(cfg) if f.name not in skip]
+        return dataclasses.replace(cfg, **self.given(*names))
+
 
 def _ini_actions(command):
     """A command's argparse actions by long flag (a yes/no flag's positive
@@ -155,17 +171,8 @@ def _float_list(text):
 
 def _perturb_from(opts):
     image = opts.get("profile") == "image"
-    cfg = PerturbConfig.image_defaults() if image else PerturbConfig()
-    for key, attr in (
-        ("alpha", "distance_weight"),
-        ("code_step", "code_step"),
-        ("attr_step", "attr_step"),
-        ("decay", "step_decay"),
-        ("max_iters", "max_iters"),
-    ):
-        setattr(cfg, attr, opts.get(key, getattr(cfg, attr)))
+    cfg = opts.fill(PerturbConfig.image_defaults() if image else PerturbConfig())
     cfg.optimize_attributes = not opts.get("freeze_attributes", False)
-    cfg.desired = opts.get("desired", cfg.desired)
     cfg.validate()
     return cfg
 
@@ -237,26 +244,10 @@ def cmd_gen_data(args):
     opts = Options(args)
     # Defaults reproduce the stock benchmark dataset.
     stock = benchmark_recipe().spec
-    generator = opts.get("generator", stock.generator)
-    spec = SynthSpec(
-        generator=generator,
-        n_features=opts.get("features", stock.n_features),
-        n_attributes=opts.get("attributes", stock.n_attributes),
-        n_samples=opts.get("samples", stock.n_samples),
-        seed=opts.get("seed", stock.seed),
-        n_classes=opts.get("classes", stock.n_classes),
-        noise=opts.get("noise", stock.noise),
-        shift=opts.get("shift", stock.shift),
-        margin=opts.get("margin", stock.margin),
-        n_styles=opts.get("styles", stock.n_styles),
-        style_leak=opts.get("style_leak", stock.style_leak),
-        # The echo channel only exists for blobs, so glyphs default to none.
-        label_echo=opts.get("label_echo", stock.label_echo if generator == "blobs" else 0.0),
-        label_attributes=opts.get("label_attributes", stock.label_attributes),
-        attribute_prob=opts.get("attribute_prob", stock.attribute_prob),
-        train_frac=opts.get("train_frac", stock.train_frac),
-        dev_frac=opts.get("dev_frac", stock.dev_frac),
-    )
+    # The echo channel only exists for blobs, so glyphs default to none.
+    if opts.get("generator", stock.generator) != "blobs":
+        stock = dataclasses.replace(stock, label_echo=0.0)
+    spec = opts.fill(stock)
     ds = generate(spec)
     out = opts.get("out", "dataset.lcfc")
     save_dataset(out, ds)
@@ -274,37 +265,23 @@ def cmd_train(args):
     data_path = opts.get("data")
     if data_path is None:
         raise ConfigurationError("--data is required")
-    # The builtins are the config classes' own defaults; latent_dim has none.
-    tdef, gdef = TrainConfig(), GenerativeConfig(latent_dim=8)
-    seed = opts.get("seed", tdef.seed)
-    tcfg = TrainConfig(
-        epochs=opts.get("epochs", tdef.epochs),
-        batch_size=opts.get("batch_size", tdef.batch_size),
-        learning_rate=opts.get("lr", tdef.learning_rate),
-        hidden_dims=opts.get("hidden", tdef.hidden_dims),
-        hidden_activation=opts.get("activation", tdef.hidden_activation),
-        seed=seed,
-    )
-    dcfg = dataclasses.replace(tcfg, seed=seed + 1)
-    gcfg = GenerativeConfig(
-        latent_dim=opts.get("latent", gdef.latent_dim),
-        epochs=opts.get("gen_epochs", gdef.epochs),
-        batch_size=opts.get("batch_size", gdef.batch_size),
-        learning_rate=opts.get("gen_lr", tcfg.learning_rate),
-        hidden_dims=opts.get("hidden", gdef.hidden_dims),
-        hidden_activation=opts.get("activation", gdef.hidden_activation),
-        output_activation=opts.get("output_activation", gdef.output_activation),
-        disc_weight=opts.get("disc_weight", gdef.disc_weight),
-        seed=seed + 2,
-    )
+    # The defaults are the config classes' own; latent_dim has none. The
+    # autoencoder takes its epochs and rate from --gen-epochs and --gen-lr.
+    tcfg = opts.fill(TrainConfig())
+    dcfg = dataclasses.replace(tcfg, seed=tcfg.seed + 1)
+    gcfg = opts.fill(GenerativeConfig(latent_dim=8), skip=("epochs", "learning_rate", "seed"))
+    gcfg.epochs = opts.get("gen_epochs", gcfg.epochs)
+    gcfg.learning_rate = opts.get("gen_lr", tcfg.learning_rate)
+    gcfg.seed = tcfg.seed + 2
     for cfg in (tcfg, dcfg, gcfg):
         cfg.validate()
     dataset = load_dataset(data_path)
-    out_dir = opts.get("out_dir", "artifacts")
-    os.makedirs(out_dir, exist_ok=True)
     target = train_target(dataset, tcfg)
     disc = train_discriminator(dataset, dcfg)
     gen = train_generative(dataset, disc, gcfg)
+    # Created only now, so a refused run leaves no directory behind.
+    out_dir = opts.get("out_dir", "artifacts")
+    os.makedirs(out_dir, exist_ok=True)
     paths = {
         "dataset": os.path.relpath(os.path.abspath(data_path), os.path.abspath(out_dir)),
         "target": "target.lcfc",
@@ -315,13 +292,9 @@ def cmd_train(args):
     save_discriminator(os.path.join(out_dir, paths["discriminator"]), disc)
     save_generative(os.path.join(out_dir, paths["generative"]), gen)
     manifest = dict(paths)
-    manifest["seed"] = seed
+    manifest["seed"] = tcfg.seed
     manifest["train"] = {
-        "epochs": tcfg.epochs,
-        "batch_size": tcfg.batch_size,
-        "learning_rate": tcfg.learning_rate,
-        "hidden_dims": list(tcfg.hidden_dims),
-        "hidden_activation": tcfg.hidden_activation,
+        **{key: getattr(tcfg, key) for key in _MANIFEST_TRAIN},
         "latent_dim": gcfg.latent_dim,
         "gen_epochs": gcfg.epochs,
         "gen_learning_rate": gcfg.learning_rate,
@@ -329,14 +302,8 @@ def cmd_train(args):
         "output_activation": gcfg.output_activation,
     }
     manifest["perturb_profiles"] = {
-        name: {
-            key: getattr(c, key)
-            for key in ("distance_weight", "code_step", "attr_step", "step_decay", "max_iters")
-        }
-        for name, c in (
-            ("text", PerturbConfig()),
-            ("image", PerturbConfig.image_defaults()),
-        )
+        name: {key: getattr(c, key) for key in SCHEDULE_FIELDS}
+        for name, c in (("text", PerturbConfig()), ("image", PerturbConfig.image_defaults()))
     }
     save_manifest(os.path.join(out_dir, "manifest.json"), manifest)
     print(f"classifier accuracy train/dev/test = "
@@ -349,13 +316,19 @@ def cmd_train(args):
     return 0
 
 
-def cmd_explain(args):
-    opts = Options(args)
+def _explain_one(opts):
+    """The search from the one instance --query-index or --instance-file
+    names, as (that instance, the target's prediction for it, the result)."""
     target, gen, x0, a0, qi = _query_stack(opts)
     cfg = _perturb_from(opts)
     predicted = target.predict(x0)
     cfg.desired = desired_class(target, predicted, cfg.desired)
-    result = latent_descent(target, gen, x0, a0, cfg, query_index=qi)
+    return x0, predicted, latent_descent(target, gen, x0, a0, cfg, query_index=qi)
+
+
+def cmd_explain(args):
+    opts = Options(args)
+    x0, predicted, result = _explain_one(opts)
     print(f"prediction {predicted} -> "
           f"desired {result.desired_class}: "
           f"{'flipped' if result.flipped else 'not flipped'} "
@@ -397,9 +370,9 @@ def cmd_bench(args):
         target,
         gen,
         methods,
-        n_queries=opts.get("queries", stock.n_queries),
-        seed=opts.get("seed", 0),
+        n_queries=opts.get("n_queries", stock.n_queries),
         desired_class=pinned,
+        **opts.given("seed"),
     )
     include_timing = opts.get("include_timing", True)
     csv = report.to_csv(include_timing=include_timing)
@@ -420,9 +393,8 @@ def cmd_sweep(args):
         gen,
         cfg,
         weights,
-        n_queries=opts.get("queries", 100),
-        seed=opts.get("seed", 0),
         desired_class=cfg.desired,
+        **opts.given("n_queries", "seed"),
     )
     print("distance_weight,flipping_ratio,mean_latent_perturbation")
     for p in points:
@@ -448,7 +420,7 @@ def cmd_rank(args):
     else:
         if opts.get("manifest") is None:
             raise ConfigurationError("give --results or --manifest")
-        n_queries = opts.get("queries")
+        n_queries = opts.get("n_queries")
         if n_queries is not None:
             dataset, target, gen, _ = _load_stack(opts)
             cfg = _perturb_from(opts)
@@ -458,17 +430,14 @@ def cmd_rank(args):
                 gen,
                 build_methods(cfg)[:1],
                 n_queries=n_queries,
-                seed=opts.get("seed", 0),
                 desired_class=cfg.desired,
                 keep_results=True,
+                **opts.given("seed"),
             )
             results = report.results["latent-descent"]
             ranking = mean_attribute_ranking(results, names=names, exclude=exclude)
         else:
-            target, gen, x0, a0, qi = _query_stack(opts)
-            cfg = _perturb_from(opts)
-            cfg.desired = desired_class(target, target.predict(x0), cfg.desired)
-            result = latent_descent(target, gen, x0, a0, cfg, query_index=qi)
+            _, _, result = _explain_one(opts)
             ranking = attribute_interaction_ranking(result, names=names, exclude=exclude)
     table = "attribute,score\n" + "".join(f"{e.name},{e.score!r}\n" for e in ranking)
     print(table, end="")
@@ -481,10 +450,11 @@ def cmd_augment(args):
     dataset, target, gen, manifest = _load_stack(opts)
     cfg = _perturb_from(opts)
     n_aug = opts.get("count", 100)
-    seed = opts.get("seed", 0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        augmented = augment_with_counterfactuals(dataset, target, gen, n_aug, cfg, seed=seed)
+        augmented = augment_with_counterfactuals(
+            dataset, target, gen, n_aug, cfg, **opts.given("seed")
+        )
     partial = any(issubclass(w.category, PartialResultWarning) for w in caught)
     for w in caught:
         print(f"warning: {w.message}", file=sys.stderr)
@@ -523,15 +493,15 @@ def build_parser():
     p = add("gen-data", "synthesize an attributed dataset")
     p.add_argument("--out")
     p.add_argument("--generator", choices=("blobs", "glyphs"))
-    p.add_argument("--features", type=int)
-    p.add_argument("--attributes", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--classes", type=int)
+    p.add_argument("--features", dest="n_features", type=int)
+    p.add_argument("--attributes", dest="n_attributes", type=int)
+    p.add_argument("--samples", dest="n_samples", type=int)
+    p.add_argument("--classes", dest="n_classes", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--noise", type=float)
     p.add_argument("--shift", type=float)
     p.add_argument("--margin", type=float)
-    p.add_argument("--styles", type=int)
+    p.add_argument("--styles", dest="n_styles", type=int)
     p.add_argument("--style-leak", type=float)
     p.add_argument("--label-echo", type=float)
     p.add_argument("--label-attributes", type=_int_list)
@@ -545,21 +515,21 @@ def build_parser():
     p.add_argument("--epochs", type=int)
     p.add_argument("--gen-epochs", type=int)
     p.add_argument("--batch-size", type=int)
-    p.add_argument("--lr", type=float)
+    p.add_argument("--lr", dest="learning_rate", type=float)
     p.add_argument("--gen-lr", type=float)
-    p.add_argument("--hidden", type=_int_list)
-    p.add_argument("--activation")
-    p.add_argument("--latent", type=int)
+    p.add_argument("--hidden", dest="hidden_dims", type=_int_list)
+    p.add_argument("--activation", dest="hidden_activation")
+    p.add_argument("--latent", dest="latent_dim", type=int)
     p.add_argument("--disc-weight", type=float)
     p.add_argument("--output-activation", choices=("identity", "sigmoid"))
     p.add_argument("--seed", type=int)
 
     def add_perturb(p):
         p.add_argument("--profile", choices=("text", "image"))
-        p.add_argument("--alpha", type=float)
+        p.add_argument("--alpha", dest="distance_weight", type=float)
         p.add_argument("--code-step", type=float)
         p.add_argument("--attr-step", type=float)
-        p.add_argument("--decay", type=float)
+        p.add_argument("--decay", dest="step_decay", type=float)
         p.add_argument("--max-iters", type=int)
         p.add_argument("--desired", type=int)
         p.add_argument("--freeze-attributes", action=argparse.BooleanOptionalAction, default=None)
@@ -574,7 +544,7 @@ def build_parser():
 
     p = add("bench", "compare methods on a shared query set")
     p.add_argument("--manifest")
-    p.add_argument("--queries", type=int)
+    p.add_argument("--queries", dest="n_queries", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--desired-class", type=int)
     p.add_argument("--epsilon", type=float)
@@ -586,7 +556,7 @@ def build_parser():
     p = add("sweep", "trace the distance-weight trade-off")
     p.add_argument("--manifest")
     p.add_argument("--weights", type=_float_list)
-    p.add_argument("--queries", type=int)
+    p.add_argument("--queries", dest="n_queries", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
     add_perturb(p)
@@ -596,7 +566,7 @@ def build_parser():
     p.add_argument("--manifest")
     p.add_argument("--query-index", type=int)
     p.add_argument("--instance-file")
-    p.add_argument("--queries", type=int)
+    p.add_argument("--queries", dest="n_queries", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--names")
     p.add_argument("--exclude", type=_int_list)

@@ -170,10 +170,6 @@ class AttributedDataset:
     def n_classes(self):
         return self.labels.shape[1]
 
-    @property
-    def class_indices(self):
-        return np.argmax(self.labels, axis=1)
-
     def indices(self, part):
         tag = {"train": 0, "dev": 1, "test": 2}[part]
         return np.flatnonzero(self.split == tag)
@@ -334,12 +330,6 @@ def generate(spec):
 
 def spec_to_dict(spec):
     return dict(asdict(spec), label_attributes=list(spec.label_attributes))
-
-
-def spec_from_dict(d):
-    d = dict(d)
-    d["label_attributes"] = tuple(d.get("label_attributes", (0,)))
-    return SynthSpec(**d)
 
 
 # The arrays of a dataset container, in the order they are written.

@@ -105,6 +105,11 @@ class PerturbConfig:
             raise ConfigurationError("clip bounds must satisfy lo < hi")
 
 
+# The step schedule: the PerturbConfig fields that a comparison method's
+# params and a manifest's perturb_profiles record.
+SCHEDULE_FIELDS = ("distance_weight", "code_step", "attr_step", "step_decay", "max_iters")
+
+
 def _replace(cfg, overrides):
     for key, value in overrides.items():
         if not hasattr(cfg, key):

@@ -18,6 +18,7 @@ import numpy as np
 
 from .datasets import SynthSpec
 from .engine import (
+    SCHEDULE_FIELDS,
     PerturbConfig,
     desired_class,
     gradient_sign_attack,
@@ -80,14 +81,8 @@ def build_methods(perturb, epsilon=1.0):
     def cfg(desired, **kw):
         return dataclasses.replace(perturb, desired=desired, **kw)
 
-    base_params = {
-        "distance_weight": perturb.distance_weight,
-        "code_step": perturb.code_step,
-        "attr_step": perturb.attr_step,
-        "step_decay": perturb.step_decay,
-        "max_iters": perturb.max_iters,
-        "clip": list(perturb.clip) if perturb.clip else None,
-    }
+    base_params = {key: getattr(perturb, key) for key in SCHEDULE_FIELDS}
+    base_params["clip"] = list(perturb.clip) if perturb.clip else None
     return [
         Method(
             "latent-descent",

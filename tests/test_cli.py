@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line front end, in process."""
 
 import argparse
+import dataclasses
 import json
 import os
 import stat
@@ -21,7 +22,7 @@ from latentcf.engine import (
     read_results_jsonl,
     result_to_dict,
 )
-from latentcf.errors import ConfigurationError, TrainingQualityWarning
+from latentcf.errors import ConfigurationError, TrainingError, TrainingQualityWarning
 from latentcf.metrics import SWEEP_WEIGHTS, benchmark_recipe
 from test_models import malformed_checkpoints, retagged, write_malformed
 
@@ -155,6 +156,35 @@ class TestTrain:
                                   "--epochs", "1", "--gen-epochs", "1"])
         assert err == f"error: dataset has no {part} rows\n"
         assert not list(out.glob("*.lcfc"))
+
+    @pytest.mark.parametrize("refusal", ["empty-dev-part", "autoencoder-diverged"])
+    def test_a_refused_run_leaves_no_out_dir(self, workspace, tmp_path, capsys, monkeypatch,
+                                             refusal):
+        data, out = workspace["data"], tmp_path / "art"
+        if refusal == "empty-dev-part":
+            data = tmp_path / "data.lcfc"
+            save_dataset(data, retagged(load_dataset(workspace["data"]), "dev", "train"))
+        else:
+            def diverged(*args):
+                raise TrainingError("autoencoder diverged")
+
+            monkeypatch.setattr(cli, "train_target", lambda *args: None)
+            monkeypatch.setattr(cli, "train_discriminator", lambda *args: None)
+            monkeypatch.setattr(cli, "train_generative", diverged)
+        user_error(capsys, ["train", "--data", str(data), "--out-dir", str(out),
+                            "--epochs", "1", "--gen-epochs", "1"])
+        assert not out.exists()
+
+    def test_an_out_dir_that_cannot_be_made_is_refused_after_training(self, workspace, capsys,
+                                                                      monkeypatch):
+        trained = []
+        for name in ("train_target", "train_discriminator", "train_generative"):
+            monkeypatch.setattr(cli, name, lambda *args, name=name: trained.append(name))
+        # The out dir runs through the dataset file as if it were a directory.
+        out = f"{workspace['data']}/art"
+        err = user_error(capsys, ["train", "--data", str(workspace["data"]), "--out-dir", out])
+        assert out in err
+        assert trained == ["train_target", "train_discriminator", "train_generative"]
 
     @pytest.mark.parametrize(
         "extra, ini",
@@ -805,7 +835,7 @@ class TestConfigLayers:
             return cli.Options(build_parser().parse_args(["gen-data", "--config", str(ini)]))
 
         opts = options("[DEFAULT]\nseed = 5\nfeatures = 10\n[gen-data]\nfeatures = 12\n")
-        assert (opts.get("seed"), opts.get("features")) == (5, 12)
+        assert (opts.get("seed"), opts.get("n_features")) == (5, 12)
         with pytest.raises(ConfigurationError, match=r"\[gen-data\] has no option 'max-iters'"):
             options("[DEFAULT]\nmax-iters = 5\n[gen-data]\n")
         # Without the command's section, [DEFAULT] alone is read and checked.
@@ -851,6 +881,100 @@ class TestConfigLayers:
         assert "profile" in capsys.readouterr().err
 
 
+class Reached(Exception):
+    """Stops a command at the call a test watches."""
+
+
+class TestFlagsFillConfigs:
+    """A flag that sets a config field has that field's name as its dest, and
+    Options.fill copies the flags it finds by those names. fill passes over a
+    dest that names no field, so each command's other dests are listed here."""
+
+    # --profile picks the base search config; --freeze-attributes inverts
+    # optimize_attributes.
+    SEARCH = {"profile", "freeze_attributes"}
+    FILLED = {
+        "gen-data": ((datasets.SynthSpec,), {"out"}),
+        "train": ((models.TrainConfig, models.GenerativeConfig),
+                  {"data", "out_dir", "gen_epochs", "gen_lr"}),
+        "explain": ((PerturbConfig,),
+                    {"manifest", "query_index", "instance_file", "out", "pgm", *SEARCH}),
+        "bench": ((PerturbConfig,), {"manifest", "n_queries", "seed", "desired_class", "epsilon",
+                                     "out", "csv", "include_timing", *SEARCH}),
+        "sweep": ((PerturbConfig,), {"manifest", "weights", "n_queries", "seed", "out", *SEARCH}),
+        "rank": ((PerturbConfig,), {"results", "manifest", "query_index", "instance_file",
+                                    "n_queries", "seed", "names", "exclude", "out", *SEARCH}),
+        "augment": ((PerturbConfig,), {"manifest", "count", "seed", "out", "compare", *SEARCH}),
+    }
+
+    @pytest.mark.parametrize("command", list(FILLED))
+    def test_every_dest_is_a_config_field_or_listed(self, command):
+        configs, others = self.FILLED[command]
+        fields = {f.name for config in configs for f in dataclasses.fields(config)}
+        dests = {action.dest for action in cli._ini_actions(command).values()}
+        assert dests - fields == others
+
+    CONFIGS = (datasets.SynthSpec, models.TrainConfig, models.GenerativeConfig, PerturbConfig)
+
+    def reached(self, monkeypatch, argv):
+        """Each config argv's command hands on, and the keyword arguments of
+        the library call it makes, as dicts; the command stops at that call."""
+        seen = []
+
+        def record(*args, **kwargs):
+            seen.extend(vars(a) for a in args if isinstance(a, self.CONFIGS))
+            seen.append(kwargs)
+
+        def stop(*args, **kwargs):
+            record(*args, **kwargs)
+            raise Reached
+
+        for name in ("train_target", "train_discriminator"):
+            monkeypatch.setattr(cli, name, record)
+        for name in ("generate", "train_generative", "latent_descent", "run_benchmark",
+                     "alpha_sweep"):
+            monkeypatch.setattr(cli, name, stop)
+        with pytest.raises(Reached):
+            main(argv)
+        return seen
+
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    @pytest.mark.parametrize(
+        "command, key, text, field, value",
+        [
+            ("gen-data", "features", "10", "n_features", 10),
+            ("gen-data", "attributes", "3", "n_attributes", 3),
+            ("gen-data", "samples", "150", "n_samples", 150),
+            ("gen-data", "classes", "3", "n_classes", 3),
+            ("gen-data", "styles", "1", "n_styles", 1),
+            ("train", "lr", "0.02", "learning_rate", 0.02),
+            ("train", "hidden", "8,4", "hidden_dims", (8, 4)),
+            ("train", "activation", "relu", "hidden_activation", "relu"),
+            ("train", "latent", "3", "latent_dim", 3),
+            ("explain", "alpha", "1.25", "distance_weight", 1.25),
+            ("explain", "decay", "0.5", "step_decay", 0.5),
+            ("bench", "queries", "7", "n_queries", 7),
+            ("sweep", "queries", "7", "n_queries", 7),
+            ("rank", "queries", "7", "n_queries", 7),
+        ],
+    )
+    def test_a_renamed_flag_reaches_its_field(self, workspace, tmp_path, monkeypatch, source,
+                                              command, key, text, field, value):
+        argv = {
+            "gen-data": [],
+            "train": ["--data", str(workspace["data"])],
+            "explain": ["--manifest", str(workspace["manifest"]), "--query-index", "0"],
+        }.get(command, ["--manifest", str(workspace["manifest"])])
+        if source == "flag":
+            argv = [command, f"--{key}", text, *argv]
+        else:
+            ini = tmp_path / "c.ini"
+            ini.write_text(f"[{command}]\n{key} = {text}\n")
+            argv = [command, "--config", str(ini), *argv]
+        values = [seen[field] for seen in self.reached(monkeypatch, argv) if field in seen]
+        assert values and all(v == value for v in values)
+
+
 class TestParser:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -887,9 +1011,9 @@ class TestParser:
         first, second, _, third = seen
         assert len({id(first), id(second), id(third)}) == 3
         assert (first.command, second.command, third.command) == ("gen-data", "rank", "gen-data")
-        assert (first.samples, first.features, first.seed) == (150, 10, 9)
-        assert not hasattr(second, "samples") and second.seed == 4
-        assert (third.samples, third.features, third.seed, third.label_attributes) == (
+        assert (first.n_samples, first.n_features, first.seed) == (150, 10, 9)
+        assert not hasattr(second, "n_samples") and second.seed == 4
+        assert (third.n_samples, third.n_features, third.seed, third.label_attributes) == (
             120, None, None, None)
         assert load_dataset(small).instances.shape == (150, 10)
         assert load_dataset(plain).instances.shape == (120, 32)
