@@ -164,11 +164,12 @@ def retrain_comparison(base_dataset, augmented_dataset, train_config, seeds):
     rows), so the comparison is apples to apples. Returns per-seed test
     accuracies plus their means and standard deviations.
     """
-    if not list(seeds):
+    seeds = [int(s) for s in seeds]
+    if not seeds:
         raise ConfigurationError("seeds must be a non-empty sequence")
     base_runs, aug_runs = [], []
     for s in seeds:
-        cfg = dataclasses.replace(train_config, seed=int(s))
+        cfg = dataclasses.replace(train_config, seed=s)
         base_runs.append(train_target(base_dataset, cfg).test_accuracy)
         aug_runs.append(train_target(augmented_dataset, cfg).test_accuracy)
     return RetrainReport(
@@ -178,5 +179,5 @@ def retrain_comparison(base_dataset, augmented_dataset, train_config, seeds):
         augmented_std=float(np.std(aug_runs)),
         base_runs=base_runs,
         augmented_runs=aug_runs,
-        seeds=[int(s) for s in seeds],
+        seeds=seeds,
     )

@@ -242,12 +242,15 @@ def _write_out(opts, key, text):
 
 def cmd_gen_data(args):
     opts = Options(args)
-    # Defaults reproduce the stock benchmark dataset.
-    stock = benchmark_recipe().spec
-    # The echo channel only exists for blobs, so glyphs default to none.
-    if opts.get("generator", stock.generator) != "blobs":
-        stock = dataclasses.replace(stock, label_echo=0.0)
-    spec = opts.fill(stock)
+    # Defaults reproduce the stock benchmark dataset, less what the spec cannot
+    # carry: the echo needs two-class blobs with a non-attribute coordinate.
+    spec = opts.fill(benchmark_recipe().spec)
+    if opts.get("label_echo") is None and not (
+        spec.generator == "blobs" and spec.n_classes == 2 and spec.n_features > spec.n_attributes
+    ):
+        spec.label_echo = 0.0
+    if opts.get("label_attributes") is None:
+        spec.label_attributes = tuple(j for j in spec.label_attributes if j < spec.n_attributes)
     ds = generate(spec)
     out = opts.get("out", "dataset.lcfc")
     save_dataset(out, ds)
@@ -408,6 +411,12 @@ def cmd_rank(args):
     names_opt = opts.get("names")
     names = [n.strip() for n in names_opt.split(",")] if names_opt else None
     exclude = opts.get("exclude", ())
+    flags = {"--results": "results", "--queries": "n_queries", "--query-index": "query_index",
+             "--instance-file": "instance_file"}
+    sources = [flag for flag, key in flags.items() if opts.get(key) is not None]
+    if len(sources) > 1:  # refused before any file is read
+        raise ConfigurationError("give exactly one of --results, --queries, --query-index or "
+                                 f"--instance-file, not {' and '.join(sources)}")
     results_path = opts.get("results")
     if results_path is not None:
         results = read_results_jsonl(results_path)
@@ -417,28 +426,25 @@ def cmd_rank(args):
             ranking = attribute_interaction_ranking(results[0], names=names, exclude=exclude)
         else:
             ranking = mean_attribute_ranking(results, names=names, exclude=exclude)
+    elif opts.get("manifest") is None:
+        raise ConfigurationError("give --results or --manifest")
+    elif opts.get("n_queries") is not None:
+        dataset, target, gen, _ = _load_stack(opts)
+        cfg = _perturb_from(opts)
+        report = run_benchmark(
+            dataset,
+            target,
+            gen,
+            build_methods(cfg)[:1],
+            n_queries=opts.get("n_queries"),
+            desired_class=cfg.desired,
+            keep_results=True,
+            **opts.given("seed"),
+        )
+        results = report.results["latent-descent"]
+        ranking = mean_attribute_ranking(results, names=names, exclude=exclude)
     else:
-        if opts.get("manifest") is None:
-            raise ConfigurationError("give --results or --manifest")
-        n_queries = opts.get("n_queries")
-        if n_queries is not None:
-            dataset, target, gen, _ = _load_stack(opts)
-            cfg = _perturb_from(opts)
-            report = run_benchmark(
-                dataset,
-                target,
-                gen,
-                build_methods(cfg)[:1],
-                n_queries=n_queries,
-                desired_class=cfg.desired,
-                keep_results=True,
-                **opts.given("seed"),
-            )
-            results = report.results["latent-descent"]
-            ranking = mean_attribute_ranking(results, names=names, exclude=exclude)
-        else:
-            _, _, result = _explain_one(opts)
-            ranking = attribute_interaction_ranking(result, names=names, exclude=exclude)
+        ranking = attribute_interaction_ranking(_explain_one(opts)[2], names=names, exclude=exclude)
     table = "attribute,score\n" + "".join(f"{e.name},{e.score!r}\n" for e in ranking)
     print(table, end="")
     _write_out(opts, "out", table)

@@ -27,6 +27,7 @@ place rather than truncating it; containers still truncate (see
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -71,19 +72,25 @@ def require_field(record, key, what, ok, where):
     return record[key]
 
 
+@contextlib.contextmanager
+def _json_errors(where):
+    """Raise FormatError naming where for text in the block that is not
+    UTF-8, does not parse as JSON or nests past the recursion limit."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{where}: not UTF-8: {exc.reason}") from None
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{where}: not JSON: {exc.msg}") from None
+    except RecursionError:
+        raise FormatError(f"{where}: not JSON: nested too deeply") from None
+
+
 def read_json(path):
-    """The JSON document in the UTF-8 file at path, or FormatError naming
-    path when the file is not UTF-8, does not parse or nests deeper than
-    the recursion limit."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: not UTF-8: {exc.reason}") from None
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not JSON: {exc.msg}") from None
-        except RecursionError:
-            raise FormatError(f"{path}: not JSON: nested too deeply") from None
+    """The JSON document in the UTF-8 file at path; a bad one is a
+    FormatError naming path (_json_errors)."""
+    with open(path, encoding="utf-8") as fh, _json_errors(path):
+        return json.load(fh)
 
 
 def _rewrite_text(path, text, encoding="utf-8"):

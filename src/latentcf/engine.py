@@ -44,7 +44,7 @@ from math import isqrt
 
 import numpy as np
 
-from .container import _rewrite_text, is_int, is_number_list, require_field
+from .container import _json_errors, _rewrite_text, is_int, is_number_list, require_field
 from .errors import (
     ConfigurationError, DimensionError, FormatError, InvariantViolation, NumericalError,
     require_finite,
@@ -653,18 +653,11 @@ def read_results_jsonl(path):
     with open(path, "rb") as fh:
         for number, raw in enumerate(fh, 1):
             where = f"{path}:{number}"
-            try:
+            with _json_errors(where):
                 line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"{where}: not UTF-8: {exc.reason}") from None
-            if not line.strip():
-                continue
-            try:
+                if not line.strip():
+                    continue
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{where}: not JSON: {exc.msg}") from None
-            except RecursionError:
-                raise FormatError(f"{where}: not JSON: nested too deeply") from None
             if not isinstance(record, dict):
                 raise FormatError(f"{where}: a result must be a JSON object")
             for key, (what, ok) in _RESULT_FIELDS.items():

@@ -268,7 +268,6 @@ def run_benchmark(
     n_queries=500,
     seed=0,
     desired_class=None,
-    threshold=None,
     keep_results=False,
 ):
     """Run every method on one shared query set and aggregate the metrics.
@@ -278,12 +277,10 @@ def run_benchmark(
     complement of its current prediction; otherwise the fixed class, with
     already-there instances excluded up front. Each query gets its own
     random stream spawned from the seed, the same one for every method.
+    Latent perturbation is measured against latent_threshold of the train split.
     """
     query_rows, desired = _select_queries(dataset, target, n_queries, seed, desired_class)
-    default_threshold = threshold is None
-    if default_threshold:
-        train_x, _, _ = dataset.part("train")
-        threshold = latent_threshold(gen, train_x)
+    threshold = latent_threshold(gen, dataset.part("train")[0])
     children = np.random.SeedSequence(seed).spawn(n_queries)
     per_method = {}
     all_results = {}
@@ -319,7 +316,8 @@ def run_benchmark(
         query_indices=[int(r) for r in query_rows],
         config={
             "desired_class": desired_class,
-            "default_threshold": default_threshold,
+            # Always true; kept so that reports stay byte-identical.
+            "default_threshold": True,
             "methods": {m.name: m.params for m in methods},
         },
         results=all_results,
@@ -346,37 +344,28 @@ def alpha_sweep(
     n_queries=100,
     seed=0,
     desired_class=None,
-    threshold=None,
 ):
     """Trace the distance-weight trade-off for the latent search.
 
-    Every weight reruns the same queries with the same seed, so the curve
-    isolates the weight's effect. A single weight degenerates to one
-    benchmark row of the main method.
+    The weights are checked before any search runs. One run_benchmark call
+    then runs a latent-descent method per weight, named by its position, so
+    every weight (a repeated one too) meets the same queries with the same
+    seed and the curve isolates the weight's effect. The points follow the
+    order of the weights.
     """
-    if not list(weights):
+    weights = list(weights)
+    if not weights:
         raise ConfigurationError("weights must be a non-empty sequence")
-    points = []
-    for w in weights:
-        if w < 0:
-            raise ConfigurationError("distance weights must be non-negative")
-        base = dataclasses.replace(perturb, distance_weight=float(w))
-        methods = [build_methods(base)[0]]
-        report = run_benchmark(
-            dataset,
-            target,
-            gen,
-            methods,
-            n_queries=n_queries,
-            seed=seed,
-            desired_class=desired_class,
-            threshold=threshold,
-        )
-        stats = report.per_method["latent-descent"]
-        points.append(
-            SweepPoint(float(w), stats.flipping_ratio, stats.mean_latent_perturbation)
-        )
-    return points
+    if any(w < 0 for w in weights):
+        raise ConfigurationError("distance weights must be non-negative")
+    bases = [dataclasses.replace(perturb, distance_weight=float(w)) for w in weights]
+    methods = [dataclasses.replace(build_methods(b)[0], name=str(i)) for i, b in enumerate(bases)]
+    report = run_benchmark(dataset, target, gen, methods, n_queries=n_queries, seed=seed,
+                           desired_class=desired_class)
+    return [
+        SweepPoint(float(w), stats.flipping_ratio, stats.mean_latent_perturbation)
+        for w, stats in zip(weights, report.per_method.values())
+    ]
 
 
 def sweep_to_json(points):

@@ -241,6 +241,14 @@ class TestRetrainComparison:
         assert_allclose(report.augmented_mean, np.mean(report.augmented_runs), atol=1e-15)
         assert all(0.0 <= acc <= 1.0 for acc in report.base_runs + report.augmented_runs)
 
+    def test_seeds_from_an_iterator(self, dataset):
+        cfg = TrainConfig(epochs=2, batch_size=64, learning_rate=0.05)
+        listed = retrain_comparison(dataset, dataset, cfg, seeds=(0, 1))
+        report = retrain_comparison(dataset, dataset, cfg, seeds=iter([0, 1]))
+        assert report.seeds == [0, 1]
+        assert report == listed
+        assert np.isfinite([report.base_mean, report.augmented_mean]).all()
+
     def test_empty_seeds_rejected(self, dataset):
         with pytest.raises(ConfigurationError):
             retrain_comparison(dataset, dataset, TrainConfig(), seeds=())

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import stat
@@ -106,6 +107,33 @@ class TestGenData:
         ds, stock = load_dataset(out), generate(benchmark_recipe().spec)
         for name in ("instances", "attributes", "labels", "split"):
             assert np.array_equal(getattr(ds, name), getattr(stock, name)), name
+
+    @pytest.mark.parametrize(
+        "argv, echo, label_attributes",
+        [
+            (["--classes", "3", "--label-attributes", "0,1"], 0.0, [0, 1]),
+            (["--features", "4", "--attributes", "4"], 0.0, [0, 1]),
+            (["--attributes", "1"], 0.9, [0]),
+        ],
+    )
+    def test_stock_values_the_spec_cannot_carry_drop_out(self, tmp_path, argv, echo,
+                                                         label_attributes):
+        out = tmp_path / "d.lcfc"
+        assert main(["gen-data", *argv, "--out", str(out)]) == 0
+        spec = load_dataset(out).metadata["spec"]
+        assert (spec["label_echo"], list(spec["label_attributes"])) == (echo, label_attributes)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--classes", "3", "--label-attributes", "0,1", "--label-echo", "0.5"],
+             "label_echo applies to two-class blobs only"),
+            (["--attributes", "1", "--label-attributes", "0,1"], "label attribute 1 out of range"),
+        ],
+    )
+    def test_values_the_user_sets_are_kept(self, tmp_path, capsys, argv, message):
+        err = user_error(capsys, ["gen-data", *argv, "--out", str(tmp_path / "d.lcfc")])
+        assert err == f"error: {message}\n"
 
     def test_bad_spec_is_a_user_error(self, tmp_path, capsys):
         rc = main(
@@ -704,6 +732,31 @@ class TestRank:
     def test_rank_needs_a_source(self, capsys):
         assert main(["rank"]) == 1
         assert "give --results or --manifest" in capsys.readouterr().err
+
+    SOURCES = {
+        "--results": "missing.jsonl",
+        "--queries": "3",
+        "--query-index": "0",
+        "--instance-file": "nonexistent.json",
+    }
+
+    @pytest.mark.parametrize(
+        "flags", [*itertools.combinations(SOURCES, 2), tuple(SOURCES)], ids="+".join
+    )
+    def test_two_sources_are_refused_before_any_file_is_read(self, workspace, capsys, monkeypatch,
+                                                              flags):
+        reads = []
+        for module, name in ((datasets, "read_container"), (models, "read_container"),
+                             (cli, "load_manifest"), (cli, "read_json"),
+                             (cli, "read_results_jsonl")):
+            monkeypatch.setattr(module, name, lambda *a, **k: reads.append(a))
+        argv = ["rank", "--manifest", str(workspace["manifest"])]
+        for flag in flags:
+            argv += [flag, self.SOURCES[flag]]
+        err = user_error(capsys, argv)
+        assert err == ("error: give exactly one of --results, --queries, --query-index or "
+                       f"--instance-file, not {' and '.join(flags)}\n")
+        assert reads == []
 
 
 class TestAugment:

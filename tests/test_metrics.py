@@ -1,5 +1,7 @@
 """Benchmark plumbing: ratios, method table, report runs, sweeps."""
 
+import dataclasses
+import inspect
 import json
 from types import SimpleNamespace
 
@@ -9,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from latentcf.datasets import SynthSpec, generate
 from latentcf.engine import PerturbConfig
+from latentcf import metrics
 from latentcf.errors import ConfigurationError
 from latentcf.metrics import (
     alpha_sweep,
@@ -230,6 +233,61 @@ class TestAlphaSweep:
             alpha_sweep(dataset, target, gen, cfg, ())
         with pytest.raises(ConfigurationError):
             alpha_sweep(dataset, target, gen, cfg, (-0.5,), n_queries=5, desired_class=1)
+
+    @staticmethod
+    def count_calls(monkeypatch, *names):
+        """{name: call count} for metrics functions, each wrapped to count."""
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            original = getattr(metrics, name)
+
+            def counted(*args, _name=name, _f=original, **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(metrics, name, counted)
+        return calls
+
+    def test_one_benchmark_and_one_threshold_per_sweep(self, dataset, target, gen, monkeypatch):
+        calls = self.count_calls(monkeypatch, "run_benchmark", "latent_threshold")
+        cfg = PerturbConfig(max_iters=20)
+        points = alpha_sweep(dataset, target, gen, cfg, (0.0, 0.8, 1.5), n_queries=5, seed=3,
+                             desired_class=1)
+        assert len(points) == 3
+        assert calls == {"run_benchmark": 1, "latent_threshold": 1}
+
+    def test_each_point_is_its_lone_benchmark_row(self, dataset, target, gen):
+        # Short steps, so that the weights part on flips and on sparsity.
+        cfg = PerturbConfig(max_iters=5, code_step=0.05, attr_step=0.05)
+        kwargs = dict(n_queries=10, seed=3, desired_class=1)
+        weights = (0.0, 3.0, 3.0, 30.0)
+        points = alpha_sweep(dataset, target, gen, cfg, weights, **kwargs)
+        assert [p.distance_weight for p in points] == list(weights)
+        assert len({(p.flipping_ratio, p.mean_latent_perturbation) for p in points}) == 3
+        for w, point in zip(weights, points):
+            method = build_methods(dataclasses.replace(cfg, distance_weight=w))[0]
+            stats = run_benchmark(dataset, target, gen, [method], **kwargs).per_method[method.name]
+            assert point.flipping_ratio.hex() == stats.flipping_ratio.hex()
+            assert point.mean_latent_perturbation.hex() == stats.mean_latent_perturbation.hex()
+
+    def test_weights_from_an_iterator(self, dataset, target, gen):
+        cfg = PerturbConfig(max_iters=20)
+        kwargs = dict(n_queries=5, seed=3, desired_class=1)
+        listed = alpha_sweep(dataset, target, gen, cfg, (0.0, 0.8), **kwargs)
+        assert alpha_sweep(dataset, target, gen, cfg, iter([0.0, 0.8]), **kwargs) == listed
+        assert len(listed) == 2
+
+    def test_a_negative_weight_is_refused_before_any_search(self, dataset, target, gen,
+                                                            monkeypatch):
+        calls = self.count_calls(monkeypatch, "run_benchmark", "latent_descent")
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            alpha_sweep(dataset, target, gen, PerturbConfig(), (0.8, -0.5), n_queries=5,
+                        desired_class=1)
+        assert calls == {"run_benchmark": 0, "latent_descent": 0}
+
+    @pytest.mark.parametrize("function", [run_benchmark, alpha_sweep])
+    def test_no_threshold_option(self, function):
+        assert "threshold" not in inspect.signature(function).parameters
 
 
 class TestBenchmarkRecipe:
