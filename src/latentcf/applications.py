@@ -32,6 +32,9 @@ def _rank(scores, names, exclude):
         names = [f"attr{j}" for j in range(len(scores))]
     if len(names) != len(scores):
         raise ConfigurationError("names do not match the attribute count")
+    for j in sorted(exclude):
+        if not 0 <= j < len(scores):
+            raise ConfigurationError(f"excluded attribute {j} out of range")
     order = np.argsort(-scores, kind="stable")
     return [
         RankedAttribute(int(j), names[int(j)], float(scores[int(j)]))

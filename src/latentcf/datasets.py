@@ -29,7 +29,7 @@ from math import isqrt
 import numpy as np
 
 from .container import read_container, write_container
-from .errors import ConfigurationError, DimensionError, FormatError
+from .errors import ConfigurationError, DimensionError, FormatError, require_finite
 from .nn import _BLOCK_ROWS
 
 GENERATORS = ("blobs", "glyphs")
@@ -78,14 +78,10 @@ class SynthSpec:
             raise ConfigurationError("need at least three samples for a three-way split")
         if not 0.0 < self.attribute_prob < 1.0:
             raise ConfigurationError("attribute_prob must lie strictly inside (0, 1)")
-        if self.noise < 0 or self.shift <= 0 or self.margin <= 0:
-            raise ConfigurationError("noise must be >= 0; shift and margin positive")
-        if self.n_styles < 0:
-            raise ConfigurationError("n_styles must be non-negative")
-        if self.style_leak < 0:
-            raise ConfigurationError("style_leak must be non-negative")
-        if self.label_echo < 0:
-            raise ConfigurationError("label_echo must be non-negative")
+        for name in ("noise", "n_styles", "style_leak", "label_echo"):
+            require_finite(name, getattr(self, name))
+        for name in ("shift", "margin", "train_frac", "dev_frac"):
+            require_finite(name, getattr(self, name), positive=True)
         if self.label_echo > 0 and (self.n_classes != 2 or self.generator != "blobs"):
             raise ConfigurationError("label_echo applies to two-class blobs only")
         if self.label_echo > 0 and self.n_features <= self.n_attributes:
@@ -100,8 +96,8 @@ class SynthSpec:
                 f"{len(self.label_attributes)} label attributes cannot address "
                 f"{self.n_classes} classes"
             )
-        if self.train_frac <= 0 or self.dev_frac <= 0 or self.train_frac + self.dev_frac >= 1:
-            raise ConfigurationError("split fractions must be positive and sum below 1")
+        if self.train_frac + self.dev_frac >= 1:
+            raise ConfigurationError("split fractions must sum below 1")
         n_train, n_dev, n_test = self.split_sizes()
         if min(n_train, n_dev, n_test) < 1:
             raise ConfigurationError("every split part needs at least one row")

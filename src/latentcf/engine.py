@@ -20,9 +20,9 @@ random; the input-space descent walks the instance itself, with no decoder
 in the objective, and encodes its latent fields after the clock; the
 signed-gradient attack is that walk cut to one step along the gradient's
 sign. Every result keeps its loss trace, one (total, prediction term,
-distance term) triple per evaluation, as a read-only ``LossTrace`` over one
-flat float64 buffer: 24 bytes an evaluation, where a list of float tuples
-took 144. Results serialize to JSON lines; square instances can be dumped
+distance term) row per evaluation, as a read-only (n, 3) float64 array
+(``LossTrace``): 24 bytes an evaluation, where a list of float tuples took
+144. Results serialize to JSON lines; square instances can be dumped
 as PGM images for eyeballing.
 
 Both files are rewritten in place (container._rewrite_text): opened without
@@ -38,7 +38,6 @@ import json
 import math
 import time
 from array import array
-from collections.abc import Sequence
 from dataclasses import dataclass
 from math import isqrt
 
@@ -131,68 +130,38 @@ class CounterfactualLoss:
     attr_grad: np.ndarray | None = None
 
 
-class LossTrace(Sequence):
-    """A read-only sequence of (total, prediction term, distance term)
-    triples, stored as one flat float64 ``array('d')`` of 3 floats each.
-
-    It reads as a list of 3-tuples of floats does: len, truthiness,
-    indexing (negative included), slicing (to a LossTrace), iteration and
-    equality with any list or tuple of triples, in either direction.
-    """
-
-    __slots__ = ("_flat",)
-
-    def __init__(self, flat):
-        """Wrap flat, an ``array('d')`` of 3 floats per entry, without copying."""
-        if not isinstance(flat, array) or flat.typecode != "d" or len(flat) % 3:
-            raise ValueError("a loss trace needs an array('d') of 3 floats per entry")
-        self._flat = flat
+class LossTrace(np.ndarray):
+    """A read-only (n, 3) float64 array, one (total, prediction term, distance
+    term) row per objective evaluation. Its truth value says whether it has
+    rows, and a ufunc over it (``==`` included) gives a plain array, so that
+    comparing two traces never yields a truthy trace."""
 
     @classmethod
     def of(cls, entries):
-        """A LossTrace holding a copy of entries, an iterable of triples."""
-        flat = array("d")
-        for entry in entries:
-            if len(entry) != 3:
-                raise ValueError(f"a loss trace entry holds 3 numbers, got {len(entry)}")
-            flat.extend(entry)
-        return cls(flat)
+        """A read-only copy of entries, triples or an (n, 3) array; ValueError otherwise."""
+        trace = np.asarray(entries, dtype=np.float64)
+        if trace.shape[1:] != (3,) and trace.shape != (0,):
+            raise ValueError(f"a loss trace entry holds 3 numbers, got shape {trace.shape}")
+        trace = trace.reshape(-1, 3).view(cls).copy()
+        trace.setflags(write=False)
+        return trace
 
-    def __len__(self):
-        return len(self._flat) // 3
+    def __bool__(self):
+        return len(self) > 0
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return LossTrace.of(self[i] for i in range(len(self))[index])
-        i = 3 * range(len(self))[index]
-        return tuple(self._flat[i:i + 3])
-
-    def __iter__(self):
-        values = iter(self._flat)
-        return zip(values, values, values)
-
-    def __eq__(self, other):
-        if isinstance(other, LossTrace):
-            return self._flat == other._flat
-        if isinstance(other, (list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"LossTrace({list(self)!r})"
+    def __array_wrap__(self, out, context=None, return_scalar=False):
+        return out[()] if return_scalar else out.view(np.ndarray)
 
 
 @dataclass
 class CounterfactualResult:
     """Outcome of one search, shared across all methods.
 
-    loss_trace holds one (total, prediction term, distance term) triple per
-    objective evaluation: a ``LossTrace`` from a search or from
-    ``read_results_jsonl``, though ``result_to_dict`` takes any sequence of
-    triples, a plain list included. wall_time_micros is the whole-search
-    wall time at microsecond resolution.
+    loss_trace holds one (total, prediction term, distance term) row per
+    objective evaluation: a read-only (n, 3) ``LossTrace`` from a search or
+    from ``read_results_jsonl``, though ``result_to_dict`` takes any
+    sequence of triples, a plain list included. wall_time_micros is the
+    whole-search wall time at microsecond resolution.
     """
 
     sample: np.ndarray
@@ -382,8 +351,8 @@ def _search(target, gen, x0, a0, config, method, query_index, start, step):
     once it is classified as desired or the budget is spent; otherwise
     step(code, attributes, n, grads) moves the blocks in place, grads()
     being the evaluation's lazy backward. Each evaluation's three loss
-    values go onto one flat ``array('d')`` through its bound append, which
-    becomes the result's ``LossTrace`` after the clock. The frozen-model
+    values go onto one flat ``array('d')`` through its bound append, copied
+    once into the result's ``LossTrace`` after the clock. The frozen-model
     check follows finish, the last model call.
     """
     config.validate()
@@ -417,7 +386,7 @@ def _search(target, gen, x0, a0, config, method, query_index, start, step):
         iterations=n,
         predicted_class=predicted,
         desired_class=desired,
-        loss_trace=LossTrace(flat),
+        loss_trace=LossTrace.of(np.frombuffer(flat).reshape(-1, 3)),
         wall_time_micros=elapsed,
         method=method,
         query_index=query_index,
@@ -587,7 +556,7 @@ def result_to_dict(result):
         "attributes": result.latent.attributes.tolist(),
         "origin_code": result.origin.code.tolist(),
         "origin_attributes": result.origin.attributes.tolist(),
-        "loss_trace": [list(map(float, entry)) for entry in result.loss_trace],
+        "loss_trace": np.asarray(result.loss_trace, dtype=np.float64).tolist(),
     }
 
 

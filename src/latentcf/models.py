@@ -85,12 +85,15 @@ class TrainConfig:
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigurationError("epochs and batch_size must be at least 1")
         require_finite("learning_rate", self.learning_rate, positive=True)
-        _require_hidden_activation(self.hidden_activation)
+        _require_hidden(self)
         if not 0 <= self.accuracy_floor <= 1:
             raise ConfigurationError("accuracy_floor must lie in [0, 1]")
 
 
-def _require_hidden_activation(name):
+def _require_hidden(config):
+    if any(width < 1 for width in config.hidden_dims):
+        raise ConfigurationError(f"hidden_dims must all be at least 1, got {config.hidden_dims}")
+    name = config.hidden_activation
     if name not in HIDDEN_ACTIVATIONS:
         raise ConfigurationError(
             f"hidden_activation must be one of {', '.join(HIDDEN_ACTIVATIONS)}, got {name!r}"
@@ -123,7 +126,7 @@ class GenerativeConfig:
             raise ConfigurationError("epochs and batch_size must be at least 1")
         require_finite("learning_rate", self.learning_rate, positive=True)
         require_finite("disc_weight", self.disc_weight)
-        _require_hidden_activation(self.hidden_activation)
+        _require_hidden(self)
         if self.output_activation not in ("identity", "sigmoid"):
             raise ConfigurationError("output_activation must be identity or sigmoid")
 

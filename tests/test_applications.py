@@ -104,6 +104,14 @@ class TestInteractionRanking:
         )
         assert [r.index for r in rk] == [0, 2]
 
+    @pytest.mark.parametrize("exclude", [(3,), (-1,), (0, 99)])
+    def test_exclude_out_of_range_is_refused(self, exclude):
+        moved = moved_result([0.0, 0.0, 0.0], [0.5, 0.9, 0.1])
+        for rank, source in ((attribute_interaction_ranking, moved),
+                             (mean_attribute_ranking, [moved])):
+            with pytest.raises(ConfigurationError, match="excluded attribute .* out of range"):
+                rank(source, exclude=exclude)
+
     def test_custom_names(self):
         rk = attribute_interaction_ranking(
             moved_result([0.0, 0.0], [0.0, 0.4]), names=["bold", "serif"]

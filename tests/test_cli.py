@@ -135,6 +135,23 @@ class TestGenData:
         err = user_error(capsys, ["gen-data", *argv, "--out", str(tmp_path / "d.lcfc")])
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--train-frac", "nan", "train_frac must be a finite positive number, got nan"),
+         ("--dev-frac", "nan", "dev_frac must be a finite positive number, got nan"),
+         ("--noise", "nan", "noise must be a finite non-negative number, got nan"),
+         ("--margin", "nan", "margin must be a finite positive number, got nan"),
+         ("--shift", "inf", "shift must be a finite positive number, got inf"),
+         ("--style-leak", "nan", "style_leak must be a finite non-negative number, got nan"),
+         ("--label-echo", "nan", "label_echo must be a finite non-negative number, got nan")],
+    )
+    def test_non_finite_settings_are_refused_before_writing(self, tmp_path, capsys, flag,
+                                                             value, message):
+        out = tmp_path / "d.lcfc"
+        err = user_error(capsys, ["gen-data", flag, value, "--out", str(out)])
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_bad_spec_is_a_user_error(self, tmp_path, capsys):
         rc = main(
             ["gen-data", "--generator", "glyphs", "--features", "60",
@@ -160,7 +177,10 @@ class TestTrain:
     @pytest.mark.parametrize(
         "flag, value, field",
         [("--latent", "0", "latent_dim"), ("--disc-weight", "nan", "disc_weight"),
-         ("--gen-lr", "-1", "learning_rate")],
+         ("--gen-lr", "-1", "learning_rate"),
+         ("--hidden", "0", "hidden_dims must all be at least 1, got (0,)"),
+         ("--hidden", "-3", "hidden_dims must all be at least 1, got (-3,)"),
+         ("--hidden", "8,0", "hidden_dims must all be at least 1, got (8, 0)")],
     )
     def test_settings_refused_before_any_model_trains(self, workspace, tmp_path, capsys,
                                                       monkeypatch, flag, value, field):
@@ -718,6 +738,18 @@ class TestRank:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 2
         assert lines[1].startswith("size,")
+
+    @pytest.mark.parametrize("exclude", ["99", "0,2"])
+    def test_rank_refuses_an_exclude_out_of_range(self, workspace, tmp_path, capsys, exclude):
+        results = tmp_path / "result.jsonl"
+        main(["explain", "--manifest", str(workspace["manifest"]), "--query-index", "201",
+              "--max-iters", "60", "--out", str(results)])
+        capsys.readouterr()
+        out = tmp_path / "rank.csv"
+        err = user_error(capsys, ["rank", "--results", str(results), "--exclude", exclude,
+                                  "--out", str(out)])
+        assert err == f"error: excluded attribute {exclude.split(',')[-1]} out of range\n"
+        assert not out.exists()
 
     def test_rank_over_fresh_queries(self, workspace, capsys):
         rc = main(

@@ -87,6 +87,19 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError):
             blob_spec(noise=-0.1).validate()
 
+    @pytest.mark.parametrize(
+        "field, values",
+        [("noise", (np.nan, np.inf)), ("style_leak", (np.nan, np.inf)),
+         ("label_echo", (np.nan, np.inf)), ("shift", (np.nan, np.inf, 0.0)),
+         ("margin", (np.nan, np.inf, -1.0)), ("train_frac", (np.nan, -np.inf)),
+         ("dev_frac", (np.nan, -np.inf))],
+    )
+    def test_non_finite_floats_are_refused(self, field, values):
+        sign = "non-negative" if field in ("noise", "style_leak", "label_echo") else "positive"
+        for value in values:
+            with pytest.raises(ConfigurationError, match=f"{field} must be a finite {sign}"):
+                blob_spec(**{field: value}).validate()
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.integers(10, 80),

@@ -3,7 +3,6 @@
 import dataclasses
 import os
 import tracemalloc
-from array import array
 
 import numpy as np
 import pytest
@@ -827,7 +826,7 @@ class TestRandomSearch:
         b = latent_random_search(target, gen, x0, a0, cfg, rng=np.random.default_rng(5))
         assert np.array_equal(a.latent.code, b.latent.code)
         assert a.iterations == b.iterations
-        assert a.loss_trace == b.loss_trace
+        assert bits(a.loss_trace) == bits(b.loss_trace)
 
     def test_first_move_has_exactly_step_size_norm(self):
         gen = identity_gen(3)
@@ -1079,7 +1078,8 @@ class TestResultPersistence:
             assert np.array_equal(rt.origin.code, orig.origin.code)
             assert rt.method == orig.method
             assert rt.query_index == orig.query_index
-            assert rt.loss_trace == [tuple(e) for e in orig.loss_trace]
+            assert type(rt.loss_trace) is LossTrace
+            assert bits(rt.loss_trace) == bits(orig.loss_trace)
 
     def test_malformed_jsonl_line_is_named(self, target, gen, dataset, tmp_path):
         x0, a0 = first_query(dataset, target)
@@ -1177,16 +1177,28 @@ class TestRewriteInPlace:
 
 
 class TestLossTrace:
-    """A result's loss trace reads as the list of float triples it replaces."""
+    """A result's loss trace is a read-only (n, 3) float64 array whose truth
+    value means "has rows" and whose comparisons give plain arrays."""
 
     ENTRIES = [(1.0, 0.5, 0.25), (2.0, 1.5, 0.5), (3.0, 2.5, 0.75)]
 
     def trace(self):
         return LossTrace.of(self.ENTRIES)
 
+    @pytest.mark.parametrize("entries", [ENTRIES, ENTRIES[:1], [], np.array(ENTRIES)],
+                             ids=["three", "one", "empty", "array"])
+    def test_a_read_only_float64_copy_of_n_rows(self, entries):
+        trace = LossTrace.of(entries)
+        assert isinstance(trace, LossTrace) and isinstance(trace, np.ndarray)
+        assert trace.dtype == np.float64 and trace.shape == (len(entries), 3)
+        assert trace.flags.owndata and not trace.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            trace[..., 0] = 0.0
+
     @pytest.mark.parametrize("i", range(-3, 3))
     def test_indexing(self, i):
-        assert self.trace()[i] == self.ENTRIES[i]
+        assert np.array_equal(self.trace()[i], self.ENTRIES[i])
+        assert self.trace()[i, 0] == self.ENTRIES[i][0]
 
     @pytest.mark.parametrize("i", [3, 4, -4, -7])
     def test_index_past_either_end(self, i):
@@ -1199,38 +1211,52 @@ class TestLossTrace:
     )
     def test_slices(self, part):
         sliced = self.trace()[part]
-        assert isinstance(sliced, LossTrace)
-        assert sliced == self.ENTRIES[part]
-        assert len(sliced) == len(self.ENTRIES[part])
+        assert isinstance(sliced, LossTrace) and not sliced.flags.writeable
+        assert bits(sliced) == bits(np.array(self.ENTRIES).reshape(-1, 3)[part])
+        assert bool(sliced) == bool(self.ENTRIES[part])
 
     def test_truthiness(self):
         assert not LossTrace.of([]) and len(LossTrace.of([])) == 0
+        assert not self.trace()[3:]
         assert LossTrace.of(self.ENTRIES[:1]) and self.trace()
 
-    def test_iteration_yields_triples_of_python_floats(self):
-        entries = list(self.trace())
-        assert entries == self.ENTRIES
-        for entry in entries + [self.trace()[-1]]:
-            assert type(entry) is tuple and len(entry) == 3
-            assert all(type(v) is float for v in entry)
+    def test_iteration_yields_rows(self):
+        rows = list(self.trace())
+        assert len(rows) == 3
+        for row, entry in zip(rows, self.ENTRIES):
+            assert row.shape == (3,) and tuple(row.tolist()) == entry
 
-    def test_equality_with_a_list_of_tuples_both_ways(self):
+    def test_equality_is_a_plain_bool_array(self):
         trace = self.trace()
-        assert trace == self.ENTRIES and self.ENTRIES == trace
-        assert trace == LossTrace.of(self.ENTRIES)
-        changed = self.ENTRIES[:2] + [(3.0, 2.5, 0.5)]
-        for other in (changed, self.ENTRIES[:2], [], LossTrace.of(changed)):
-            assert trace != other and other != trace
+        changed = LossTrace.of(self.ENTRIES[:2] + [(3.0, 2.5, 0.5)])
+        same = trace == LossTrace.of(self.ENTRIES)
+        differ = trace == changed
+        for result in (same, differ, trace != changed, trace == self.ENTRIES):
+            assert type(result) is np.ndarray and result.dtype == bool
+            assert result.shape == (3, 3)
+        assert same.all() and not differ.all() and differ.sum() == 8
+        assert type(trace.sum()) is np.float64 and type(trace[:, 0] * 2) is np.ndarray
+        assert np.array_equal(trace, self.ENTRIES) and not np.array_equal(trace, changed)
 
     def test_as_an_array(self):
         assert bits(self.trace()) == bits(self.ENTRIES)
 
-    def test_entries_hold_three_numbers(self):
-        with pytest.raises(ValueError, match="3 numbers"):
-            LossTrace.of([(1.0, 2.0)])
-        for flat in (array("d", [1.0]), array("f", [1.0, 2.0, 3.0]), [1.0, 2.0, 3.0]):
-            with pytest.raises(ValueError, match="3 floats per entry"):
-                LossTrace(flat)
+    @pytest.mark.parametrize(
+        "entries", [[(1.0, 2.0)], [(1.0, 2.0, 3.0), (1.0, 2.0)], [()], [1.0, 2.0, 3.0],
+                    [[(1.0, 2.0, 3.0)]], np.zeros((3, 2)), np.zeros(6)],
+        ids=["pair", "ragged", "empty-entry", "flat", "nested", "two-columns", "flat-array"],
+    )
+    def test_entries_hold_three_numbers(self, entries):
+        with pytest.raises(ValueError):
+            LossTrace.of(entries)
+
+    def test_jsonl_round_trip_is_exact(self, tmp_path):
+        values = [(0.1, 1 / 3, 5e-324), (-0.0, 1e308, 2.0**0.5)]
+        result = dataclasses.replace(latent_result_template, loss_trace=LossTrace.of(values))
+        write_results_jsonl(tmp_path / "r.jsonl", [result])
+        (back,) = read_results_jsonl(tmp_path / "r.jsonl")
+        assert isinstance(back.loss_trace, LossTrace) and not back.loss_trace.flags.writeable
+        assert bits(back.loss_trace) == bits(values)
 
     def test_a_budget_exhausted_walk_keeps_at_most_32_bytes_per_entry(self):
         target, gen = stubborn_target(4), identity_gen(4)

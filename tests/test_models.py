@@ -148,6 +148,15 @@ class TestTargetTraining:
             TrainConfig(hidden_activation=ok).validate()
             GenerativeConfig(latent_dim=2, hidden_activation=ok).validate()
 
+    @pytest.mark.parametrize("widths", [(0,), (-3,), (8, 0)])
+    def test_hidden_widths_must_be_at_least_one(self, widths):
+        for cfg in (TrainConfig(hidden_dims=widths),
+                    GenerativeConfig(latent_dim=2, hidden_dims=widths)):
+            with pytest.raises(ConfigurationError, match="hidden_dims must all be at least 1"):
+                cfg.validate()
+        TrainConfig(hidden_dims=(1, 8)).validate()
+        GenerativeConfig(latent_dim=2, hidden_dims=()).validate()
+
     @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf])
     def test_non_finite_learning_rate_is_refused(self, lr):
         with pytest.raises(ConfigurationError, match="learning_rate"):
