@@ -16,7 +16,7 @@ import numpy as np
 
 from .datasets import AttributedDataset
 from .engine import desired_class, latent_descent
-from .errors import ConfigurationError, PartialResultWarning
+from .errors import ConfigurationError, PartialResultWarning, require_indices
 from .models import train_target
 
 
@@ -27,14 +27,20 @@ class RankedAttribute:
     score: float
 
 
-def _rank(scores, names, exclude):
+def ranking_names(count, names, exclude):
+    """names (attr0, attr1, ... when None), once checked with exclude to fit count > 0."""
+    if count == 0:
+        raise ConfigurationError("no attributes to rank")
     if names is None:
-        names = [f"attr{j}" for j in range(len(scores))]
-    if len(names) != len(scores):
+        names = [f"attr{j}" for j in range(count)]
+    if len(names) != count:
         raise ConfigurationError("names do not match the attribute count")
-    for j in sorted(exclude):
-        if not 0 <= j < len(scores):
-            raise ConfigurationError(f"excluded attribute {j} out of range")
+    require_indices("excluded attribute", exclude, count)
+    return names
+
+
+def _rank(scores, names, exclude):
+    names = ranking_names(len(scores), names, exclude)
     order = np.argsort(-scores, kind="stable")
     return [
         RankedAttribute(int(j), names[int(j)], float(scores[int(j)]))
@@ -53,8 +59,6 @@ def attribute_interaction_ranking(result, names=None, exclude=()):
     """
     a0 = result.origin.attributes
     a1 = result.latent.attributes
-    if a0.size == 0:
-        raise ConfigurationError("result has no attributes to rank")
     return _rank(np.abs(a1 - a0), names, set(exclude))
 
 
@@ -68,8 +72,6 @@ def mean_attribute_ranking(results, names=None, exclude=(), flipped_only=True):
     scores = np.mean(
         [np.abs(r.latent.attributes - r.origin.attributes) for r in pool], axis=0
     )
-    if scores.size == 0:
-        raise ConfigurationError("results have no attributes to rank")
     return _rank(scores, names, set(exclude))
 
 

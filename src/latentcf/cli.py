@@ -39,6 +39,7 @@ from .applications import (
     attribute_interaction_ranking,
     augment_with_counterfactuals,
     mean_attribute_ranking,
+    ranking_names,
     retrain_comparison,
 )
 from .container import _rewrite_text, is_number_list, read_json
@@ -48,6 +49,7 @@ from .engine import (
     PerturbConfig,
     desired_class,
     latent_descent,
+    pgm_side,
     read_results_jsonl,
     write_pgm,
     write_results_jsonl,
@@ -319,10 +321,10 @@ def cmd_train(args):
     return 0
 
 
-def _explain_one(opts):
-    """The search from the one instance --query-index or --instance-file
-    names, as (that instance, the target's prediction for it, the result)."""
-    target, gen, x0, a0, qi = _query_stack(opts)
+def _explain_one(opts, stack):
+    """The search from the one instance in stack, _query_stack(opts), as
+    (that instance, the target's prediction for it, the result)."""
+    target, gen, x0, a0, qi = stack
     cfg = _perturb_from(opts)
     predicted = target.predict(x0)
     cfg.desired = desired_class(target, predicted, cfg.desired)
@@ -331,7 +333,11 @@ def _explain_one(opts):
 
 def cmd_explain(args):
     opts = Options(args)
-    x0, predicted, result = _explain_one(opts)
+    stack = _query_stack(opts)
+    pgm = opts.get("pgm")
+    if pgm:  # refused before the search and before --out is written
+        pgm_side(stack[2].size)
+    x0, predicted, result = _explain_one(opts, stack)
     print(f"prediction {predicted} -> "
           f"desired {result.desired_class}: "
           f"{'flipped' if result.flipped else 'not flipped'} "
@@ -346,7 +352,6 @@ def cmd_explain(args):
     if out:
         write_results_jsonl(out, [result])
         print(f"wrote {out}")
-    pgm = opts.get("pgm")
     if pgm:
         write_pgm(f"{pgm}-before.pgm", x0)
         write_pgm(f"{pgm}-after.pgm", result.sample)
@@ -430,6 +435,7 @@ def cmd_rank(args):
         raise ConfigurationError("give --results or --manifest")
     elif opts.get("n_queries") is not None:
         dataset, target, gen, _ = _load_stack(opts)
+        ranking_names(gen.attribute_dim, names, exclude)  # refused before any search
         cfg = _perturb_from(opts)
         report = run_benchmark(
             dataset,
@@ -444,7 +450,9 @@ def cmd_rank(args):
         results = report.results["latent-descent"]
         ranking = mean_attribute_ranking(results, names=names, exclude=exclude)
     else:
-        ranking = attribute_interaction_ranking(_explain_one(opts)[2], names=names, exclude=exclude)
+        stack = _query_stack(opts)
+        ranking_names(stack[1].attribute_dim, names, exclude)  # refused before the search
+        ranking = attribute_interaction_ranking(_explain_one(opts, stack)[2], names, exclude)
     table = "attribute,score\n" + "".join(f"{e.name},{e.score!r}\n" for e in ranking)
     print(table, end="")
     _write_out(opts, "out", table)
@@ -453,6 +461,9 @@ def cmd_rank(args):
 
 def cmd_augment(args):
     opts = Options(args)
+    n_compare = opts.get("compare")
+    if n_compare is not None and n_compare < 1:  # refused before any search or write
+        raise ConfigurationError(f"--compare must be at least 1, got {n_compare}")
     dataset, target, gen, manifest = _load_stack(opts)
     cfg = _perturb_from(opts)
     n_aug = opts.get("count", 100)
@@ -468,7 +479,6 @@ def cmd_augment(args):
     save_dataset(out, augmented)
     added = augmented.metadata.get("augmented_tail", 0)
     print(f"wrote {out}: {added} counterfactual rows appended")
-    n_compare = opts.get("compare")
     if n_compare is not None:
         train = manifest.get("train", {})
         tcfg = TrainConfig(**{key: train[key] for key in _MANIFEST_TRAIN if key in train})

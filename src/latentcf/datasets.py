@@ -29,7 +29,7 @@ from math import isqrt
 import numpy as np
 
 from .container import read_container, write_container
-from .errors import ConfigurationError, DimensionError, FormatError, require_finite
+from .errors import ConfigurationError, DimensionError, FormatError, require_finite, require_indices
 from .nn import _BLOCK_ROWS
 
 GENERATORS = ("blobs", "glyphs")
@@ -88,9 +88,7 @@ class SynthSpec:
             raise ConfigurationError("label_echo needs a non-attribute coordinate")
         if not self.label_attributes:
             raise ConfigurationError("at least one attribute must drive the label")
-        for j in self.label_attributes:
-            if not 0 <= j < self.n_attributes:
-                raise ConfigurationError(f"label attribute {j} out of range")
+        require_indices("label attribute", self.label_attributes, self.n_attributes)
         if 2 ** len(self.label_attributes) < self.n_classes:
             raise ConfigurationError(
                 f"{len(self.label_attributes)} label attributes cannot address "

@@ -22,14 +22,10 @@ signed-gradient attack is that walk cut to one step along the gradient's
 sign. Every result keeps its loss trace, one (total, prediction term,
 distance term) row per evaluation, as a read-only (n, 3) float64 array
 (``LossTrace``): 24 bytes an evaluation, where a list of float tuples took
-144. Results serialize to JSON lines; square instances can be dumped
-as PGM images for eyeballing.
-
-Both files are rewritten in place (container._rewrite_text): opened without
-O_TRUNC, overwritten, then cut to the new length. On ext4 with
-auto_da_alloc, truncating a file that still holds data to zero length makes
-its close force block allocation and writeback, and that flush cost an
-`explain --out` more than its search.
+144. Results serialize to JSON lines, one record per result, which
+``_RESULT_FIELDS`` declares once: the writer, the reader and the reader's
+checks all walk that table. Square instances can be dumped as PGM images
+for eyeballing. Both files are rewritten in place (container._rewrite_text).
 """
 
 from __future__ import annotations
@@ -40,13 +36,14 @@ import time
 from array import array
 from dataclasses import dataclass
 from math import isqrt
+from operator import attrgetter
 
 import numpy as np
 
 from .container import _json_errors, _rewrite_text, is_int, is_number_list, require_field
 from .errors import (
     ConfigurationError, DimensionError, FormatError, InvariantViolation, NumericalError,
-    require_finite,
+    require_finite, require_indices,
 )
 from .models import LatentPoint, encode
 from .nn import _bind, _check_finite, _clamp_probabilities
@@ -526,10 +523,7 @@ def attribute_preservation(disc, results, exclude=()):
         return 0.0, []
     t = disc.network.output_dim
     kept = np.ones(t, dtype=bool)
-    for j in exclude:
-        if not 0 <= j < t:
-            raise ConfigurationError(f"excluded attribute {j} out of range")
-        kept[j] = False
+    kept[require_indices("excluded attribute", exclude, t)] = False
     matches = np.zeros((len(flipped), t))
     for i, r in enumerate(flipped):
         read = disc.predict(r.sample)
@@ -542,82 +536,60 @@ def attribute_preservation(disc, results, exclude=()):
 # --- result serialization --------------------------------------------------
 
 
+def _same(value):
+    return value
+
+
+# The results-JSONL record, declared once: each key, in the order a reader
+# checks it, with the CounterfactualResult attribute that holds its value,
+# what the value must be and the check, and its conversions to JSON and back.
+_NUMBERS = ("an array of numbers", is_number_list, lambda a: a.tolist(),
+            lambda v: np.asarray(v, dtype=np.float64))
+_RESULT_FIELDS = {
+    "method": ("method", "a string", lambda v: isinstance(v, str), _same, _same),
+    "flipped": ("flipped", "a boolean", lambda v: isinstance(v, bool), _same, _same),
+    **{key: (key, "an integer", is_int, _same, _same)
+       for key in ("query_index", "desired_class", "predicted_class", "iterations",
+                   "wall_time_micros")},
+    "sample": ("sample", *_NUMBERS),
+    "code": ("latent.code", *_NUMBERS),
+    "attributes": ("latent.attributes", *_NUMBERS),
+    "origin_code": ("origin.code", *_NUMBERS),
+    "origin_attributes": ("origin.attributes", *_NUMBERS),
+    "loss_trace": ("loss_trace", "a non-empty list of 3-number arrays",
+                   lambda v: isinstance(v, list) and len(v) > 0
+                   and all(is_number_list(e) and len(e) == 3 for e in v),
+                   lambda trace: np.asarray(trace, dtype=np.float64).tolist(), LossTrace.of),
+}
+# Built once: an attrgetter made per call costs more than the rest of the call.
+_WRITERS = [(key, attrgetter(row[0]), row[3]) for key, row in _RESULT_FIELDS.items()]
+
+
 def result_to_dict(result):
-    return {
-        "method": result.method,
-        "query_index": result.query_index,
-        "desired_class": result.desired_class,
-        "predicted_class": result.predicted_class,
-        "flipped": result.flipped,
-        "iterations": result.iterations,
-        "wall_time_micros": result.wall_time_micros,
-        "sample": result.sample.tolist(),
-        "code": result.latent.code.tolist(),
-        "attributes": result.latent.attributes.tolist(),
-        "origin_code": result.origin.code.tolist(),
-        "origin_attributes": result.origin.attributes.tolist(),
-        "loss_trace": np.asarray(result.loss_trace, dtype=np.float64).tolist(),
-    }
+    return {key: write(get(result)) for key, get, write in _WRITERS}
 
 
 def result_from_dict(d):
-    return CounterfactualResult(
-        sample=np.asarray(d["sample"], dtype=np.float64),
-        latent=LatentPoint(
-            np.asarray(d["code"], dtype=np.float64),
-            np.asarray(d["attributes"], dtype=np.float64),
-        ),
-        origin=LatentPoint(
-            np.asarray(d["origin_code"], dtype=np.float64),
-            np.asarray(d["origin_attributes"], dtype=np.float64),
-        ),
-        flipped=d["flipped"],
-        iterations=d["iterations"],
-        predicted_class=d["predicted_class"],
-        desired_class=d["desired_class"],
-        loss_trace=LossTrace.of(d["loss_trace"]),
-        wall_time_micros=d["wall_time_micros"],
-        method=d["method"],
-        query_index=d["query_index"],
-    )
+    fields, points = {}, {}
+    for key, (attr, _, _, _, read) in _RESULT_FIELDS.items():
+        point, _, name = attr.rpartition(".")
+        (points.setdefault(point, {}) if point else fields)[name] = read(d[key])
+    return CounterfactualResult(**fields, **{p: LatentPoint(**v) for p, v in points.items()})
 
 
 def write_results_jsonl(path, results):
-    """One JSON object per result, keys sorted, floats at full precision.
-
-    The file is rewritten in place (container._rewrite_text), not truncated:
-    on ext4 with auto_da_alloc, truncating a file that holds data makes its
-    close flush, which cost an explain --out more than its search. A symlink
-    is written through and the file keeps its inode and mode.
-    """
+    """One JSON object per result, keys sorted, floats at full precision,
+    rewritten in place (container._rewrite_text says why): a symlink is
+    written through and the file keeps its inode and mode."""
     _rewrite_text(path, "".join(json.dumps(result_to_dict(r), sort_keys=True) + "\n"
                                 for r in results))
 
 
-# Each field of a results-JSONL record, with what it must be.
-_RESULT_FIELDS = {
-    "method": ("a string", lambda v: isinstance(v, str)),
-    "flipped": ("a boolean", lambda v: isinstance(v, bool)),
-    **dict.fromkeys(
-        ("query_index", "desired_class", "predicted_class", "iterations", "wall_time_micros"),
-        ("an integer", is_int),
-    ),
-    **dict.fromkeys(
-        ("sample", "code", "attributes", "origin_code", "origin_attributes"),
-        ("an array of numbers", is_number_list),
-    ),
-    "loss_trace": (
-        "a non-empty list of 3-number arrays",
-        lambda v: isinstance(v, list) and len(v) > 0
-        and all(is_number_list(e) and len(e) == 3 for e in v),
-    ),
-}
-
-
 def read_results_jsonl(path):
     """Read results back; a line that is not UTF-8, nests deeper than the
-    recursion limit, or is not a JSON object holding every _RESULT_FIELDS
-    field with its type, raises FormatError("path:line: ...")."""
+    recursion limit, is not a JSON object passing each _RESULT_FIELDS check in
+    order, or has an origin_* array unlike its search point's in length
+    raises FormatError("path:line: ...")."""
     out = []
     with open(path, "rb") as fh:
         for number, raw in enumerate(fh, 1):
@@ -629,13 +601,21 @@ def read_results_jsonl(path):
                 record = json.loads(line)
             if not isinstance(record, dict):
                 raise FormatError(f"{where}: a result must be a JSON object")
-            for key, (what, ok) in _RESULT_FIELDS.items():
+            for key, (_, what, ok, _, _) in _RESULT_FIELDS.items():
                 require_field(record, key, what, ok, f"{where}: result")
-            for key in ("code", "attributes"):
-                if len(record[key]) != len(record[f"origin_{key}"]):
-                    raise FormatError(f"{where}: {key!r} and 'origin_{key}' differ in length")
+                searched = key.removeprefix("origin_")
+                if searched != key and len(record[searched]) != len(record[key]):
+                    raise FormatError(f"{where}: {searched!r} and {key!r} differ in length")
             out.append(result_from_dict(record))
     return out
+
+
+def pgm_side(size):
+    """The side of a PGM image of size pixels; ConfigurationError unless square."""
+    side = isqrt(size)
+    if side * side != size:
+        raise ConfigurationError(f"instance of length {size} is not square")
+    return side
 
 
 def write_pgm(path, flat, lo=0.0, hi=1.0):
@@ -645,9 +625,7 @@ def write_pgm(path, flat, lo=0.0, hi=1.0):
     range must be finite with lo < hi, and every value finite.
     """
     flat = np.asarray(flat, dtype=np.float64)
-    side = isqrt(flat.size)
-    if side * side != flat.size:
-        raise ConfigurationError(f"instance of length {flat.size} is not square")
+    side = pgm_side(flat.size)
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
         raise ConfigurationError(f"grey range must be finite with lo < hi, got [{lo}, {hi}]")
     if not np.isfinite(flat).all():

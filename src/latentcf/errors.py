@@ -1,5 +1,5 @@
-"""Exception and warning types shared across the package, and the check
-that numeric settings are finite."""
+"""Exception and warning types shared across the package, and the checks
+that numeric settings are finite and that attribute indices exist."""
 
 import math
 
@@ -18,6 +18,16 @@ def require_finite(name, value, positive=False):
     if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
         sign = "positive" if positive else "non-negative"
         raise ConfigurationError(f"{name} must be a finite {sign} number, got {value!r}")
+
+
+def require_indices(what, indices, count):
+    """indices sorted into a list; ConfigurationError "<what> <j> out of
+    range" names the lowest j outside range(count)."""
+    indices = sorted(indices)
+    for j in indices:
+        if not 0 <= j < count:
+            raise ConfigurationError(f"{what} {j} out of range")
+    return indices
 
 
 class NumericalError(ArithmeticError):

@@ -26,7 +26,7 @@ from .engine import (
     latent_descent,
     latent_random_search,
 )
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_finite
 from .models import GenerativeConfig, TrainConfig
 from .nn import _by_rows, forward
 
@@ -76,7 +76,9 @@ class Method:
 
 
 def build_methods(perturb, epsilon=1.0):
-    """The standard five-way comparison around one base configuration."""
+    """The standard five-way comparison around one base configuration, checked first."""
+    perturb.validate()
+    require_finite("epsilon", epsilon)
 
     def cfg(desired, **kw):
         return dataclasses.replace(perturb, desired=desired, **kw)
@@ -347,17 +349,15 @@ def alpha_sweep(
 ):
     """Trace the distance-weight trade-off for the latent search.
 
-    The weights are checked before any search runs. One run_benchmark call
-    then runs a latent-descent method per weight, named by its position, so
-    every weight (a repeated one too) meets the same queries with the same
-    seed and the curve isolates the weight's effect. The points follow the
-    order of the weights.
+    Each weight's config is validated (build_methods) before any search
+    runs. One run_benchmark call then runs a latent-descent method per
+    weight, named by its position, so every weight (a repeated one too)
+    meets the same queries with the same seed and the curve isolates the
+    weight's effect. The points follow the order of the weights.
     """
     weights = list(weights)
     if not weights:
         raise ConfigurationError("weights must be a non-empty sequence")
-    if any(w < 0 for w in weights):
-        raise ConfigurationError("distance weights must be non-negative")
     bases = [dataclasses.replace(perturb, distance_weight=float(w)) for w in weights]
     methods = [dataclasses.replace(build_methods(b)[0], name=str(i)) for i, b in enumerate(bases)]
     report = run_benchmark(dataset, target, gen, methods, n_queries=n_queries, seed=seed,

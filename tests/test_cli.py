@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from latentcf import cli, datasets, models
+from latentcf import cli, datasets, engine, metrics, models
 from latentcf.applications import attribute_interaction_ranking
 from latentcf.cli import build_parser, main
 from latentcf.container import write_container
@@ -314,16 +314,15 @@ class TestExplain:
         assert rc == 1
         assert "exactly one" in capsys.readouterr().err
 
-    def test_pgm_needs_square_features(self, workspace, tmp_path, capsys):
-        rc = main(
-            [
-                "explain", "--manifest", str(workspace["manifest"]),
-                "--query-index", "0", "--max-iters", "20",
-                "--pgm", str(tmp_path / "img"),
-            ]
-        )
-        assert rc == 1
-        assert "square" in capsys.readouterr().err
+    def test_pgm_needs_square_features(self, workspace, tmp_path, capsys, monkeypatch):
+        """Refused before the search, so --out is not written either."""
+        searches = count_searches(monkeypatch)
+        out = tmp_path / "r.jsonl"
+        err = user_error(capsys, ["explain", "--manifest", str(workspace["manifest"]),
+                                  "--query-index", "0", "--max-iters", "20", "--out", str(out),
+                                  "--pgm", str(tmp_path / "img")])
+        assert err == "error: instance of length 12 is not square\n"
+        assert searches == [] and not out.exists()
 
 
 class TestExplainOutRewrite:
@@ -561,6 +560,17 @@ class TestBench:
         assert main(argv + ["--desired", "1", "--desired-class", "1", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["config"]["desired_class"] == 1
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-1"])
+    def test_a_bad_epsilon_is_refused_before_any_search(self, workspace, tmp_path, capsys,
+                                                        monkeypatch, epsilon):
+        searches = count_searches(monkeypatch)
+        out, csv = tmp_path / "r.json", tmp_path / "r.csv"
+        err = user_error(capsys, ["bench", "--manifest", str(workspace["manifest"]),
+                                  "--queries", "4", "--epsilon", epsilon, "--out", str(out),
+                                  "--csv", str(csv)])
+        assert err.startswith("error: epsilon must be a finite non-negative number, got ")
+        assert searches == [] and not out.exists() and not csv.exists()
+
     def test_missing_manifest_flag(self, capsys):
         assert main(["bench"]) == 1
         assert "manifest" in capsys.readouterr().err
@@ -601,6 +611,21 @@ def user_error(capsys, argv):
     assert rc == 1
     assert err.startswith("error:") and "Traceback" not in err
     return err
+
+
+def count_searches(monkeypatch):
+    """A list that gains the name of each search loop (engine._search) and
+    each benchmark run (run_benchmark, as cli and metrics call it) entered."""
+    calls = []
+    for module, name in ((engine, "_search"), (cli, "run_benchmark"), (metrics, "run_benchmark")):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _f=original, **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestManifestErrors:
@@ -705,6 +730,17 @@ class TestSweep:
         points = json.loads(out.read_text())
         assert [p["distance_weight"] for p in points] == list(SWEEP_WEIGHTS)
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-0.5"])
+    def test_a_bad_weight_is_refused_before_any_search(self, workspace, tmp_path, capsys,
+                                                       monkeypatch, weight):
+        searches = count_searches(monkeypatch)
+        out = tmp_path / "sweep.json"
+        err = user_error(capsys, ["sweep", "--manifest", str(workspace["manifest"]),
+                                  "--weights", f"1,2,{weight}", "--queries", "5",
+                                  "--out", str(out)])
+        assert err == f"error: distance_weight must be a finite non-negative number, got {weight}\n"
+        assert searches == [] and not out.exists()
+
 
 class TestRank:
     def test_rank_from_saved_results(self, workspace, tmp_path, capsys):
@@ -750,6 +786,23 @@ class TestRank:
                                   "--out", str(out)])
         assert err == f"error: excluded attribute {exclude.split(',')[-1]} out of range\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("source", [["--queries", "5"], ["--query-index", "201"]],
+                             ids=["queries", "query-index"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--names", "a,b,c"], "names do not match the attribute count"),
+        (["--exclude", "99"], "excluded attribute 99 out of range"),
+        (["--exclude", "1,-1"], "excluded attribute -1 out of range"),
+    ], ids=["names", "exclude", "negative-exclude"])
+    def test_names_and_exclude_are_refused_before_any_search(self, workspace, tmp_path, capsys,
+                                                             monkeypatch, source, flags,
+                                                             message):
+        searches = count_searches(monkeypatch)
+        out = tmp_path / "rank.csv"
+        err = user_error(capsys, ["rank", "--manifest", str(workspace["manifest"]), *source,
+                                  *flags, "--out", str(out)])
+        assert err == f"error: {message}\n"
+        assert searches == [] and not out.exists()
 
     def test_rank_over_fresh_queries(self, workspace, capsys):
         rc = main(
@@ -816,6 +869,16 @@ class TestAugment:
         captured = capsys.readouterr()
         assert "warning:" in captured.err
         assert out.exists()
+
+    @pytest.mark.parametrize("compare", ["0", "-2"])
+    def test_compare_below_one_is_refused_before_any_search(self, workspace, tmp_path, capsys,
+                                                            monkeypatch, compare):
+        searches = count_searches(monkeypatch)
+        out = tmp_path / "aug.lcfc"
+        err = user_error(capsys, ["augment", "--manifest", str(workspace["manifest"]),
+                                  "--count", "5", "--compare", compare, "--out", str(out)])
+        assert err == f"error: --compare must be at least 1, got {compare}\n"
+        assert searches == [] and not out.exists()
 
     def test_compare_reports_both_accuracies(self, workspace, tmp_path, capsys):
         rc = main(

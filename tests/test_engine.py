@@ -1,6 +1,7 @@
 """Search-loop checks: objective, descent, baselines, result persistence."""
 
 import dataclasses
+import json
 import os
 import tracemalloc
 
@@ -1037,13 +1038,14 @@ class TestAttributePreservation:
         assert full == 0.5
         assert_allclose(per_attr, [1.0, 0.5], atol=0)
 
-    def test_exclusion_ignores_label_attributes(self):
+    @pytest.mark.parametrize("exclude", [(1,), {1}, iter([1])], ids=["tuple", "set", "iterator"])
+    def test_exclusion_ignores_label_attributes(self, exclude):
         disc = threshold_disc(2)
         results = [
             fake_result([0.9, 0.1], [1.0, 1.0]),
             fake_result([0.9, 0.1], [1.0, 1.0]),
         ]
-        full, _ = attribute_preservation(disc, results, exclude=(1,))
+        full, _ = attribute_preservation(disc, results, exclude=exclude)
         assert full == 1.0
 
     def test_out_of_range_exclude_rejected(self):
@@ -1097,6 +1099,35 @@ class TestResultPersistence:
             path.write_text(good + bad + "\n")
             with pytest.raises(FormatError, match=f"results.jsonl:2: .*{message}"):
                 read_results_jsonl(path)
+
+    @pytest.fixture
+    def record(self, target, gen, dataset):
+        """One well-formed results-JSONL record, as a dict."""
+        x0, a0 = first_query(dataset, target)
+        return engine.result_to_dict(latent_descent(target, gen, x0, a0, PerturbConfig(desired=1)))
+
+    @pytest.mark.parametrize("key", list(engine._RESULT_FIELDS))
+    def test_every_field_is_required_and_checked(self, record, tmp_path, key):
+        # The record's values of a JSON type other than this key's.
+        others = [v for v in record.values() if type(v) is not type(record[key])]
+        path = tmp_path / "results.jsonl"
+        good = json.dumps(record) + "\n"
+        bad = [({k: v for k, v in record.items() if k != key}, f"result has no {key!r} field")]
+        bad += [({**record, key: v}, f"result field {key!r} must be ") for v in (None, others[0])]
+        for line, message in bad:
+            path.write_text(good + json.dumps(line) + "\n")
+            with pytest.raises(FormatError, match=f"results.jsonl:2: {message}"):
+                read_results_jsonl(path)
+
+    def test_the_writer_writes_exactly_the_keys_the_reader_requires(self, target, gen, dataset):
+        x0, a0 = first_query(dataset, target)
+        cfg = PerturbConfig(desired=1, clip=(0.0, 1.0))
+        for result in (latent_descent(target, gen, x0, a0, cfg),
+                       input_space_descent(target, gen, x0, a0, cfg),
+                       gradient_sign_attack(target, gen, x0, a0, 0.5, desired=1)):
+            record = engine.result_to_dict(result)
+            assert record.keys() == engine._RESULT_FIELDS.keys()
+            assert engine.result_to_dict(engine.result_from_dict(record)) == record
 
     def test_pgm_output_is_exact(self, tmp_path):
         path = tmp_path / "img.pgm"

@@ -136,6 +136,11 @@ class TestBuildMethods:
             "input-descent",
         ]
 
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf, -1.0])
+    def test_a_bad_epsilon_is_refused_on_build(self, epsilon):
+        with pytest.raises(ConfigurationError, match="epsilon must be a finite non-negative"):
+            build_methods(PerturbConfig(), epsilon=epsilon)
+
     def test_params_snapshot(self):
         cfg = PerturbConfig(max_iters=60)
         methods = {m.name: m for m in build_methods(cfg, epsilon=2.5)}
@@ -277,11 +282,12 @@ class TestAlphaSweep:
         assert alpha_sweep(dataset, target, gen, cfg, iter([0.0, 0.8]), **kwargs) == listed
         assert len(listed) == 2
 
+    @pytest.mark.parametrize("weight", [-0.5, np.nan, np.inf])
     def test_a_negative_weight_is_refused_before_any_search(self, dataset, target, gen,
-                                                            monkeypatch):
+                                                            monkeypatch, weight):
         calls = self.count_calls(monkeypatch, "run_benchmark", "latent_descent")
         with pytest.raises(ConfigurationError, match="non-negative"):
-            alpha_sweep(dataset, target, gen, PerturbConfig(), (0.8, -0.5), n_queries=5,
+            alpha_sweep(dataset, target, gen, PerturbConfig(), (0.8, 1.0, weight), n_queries=5,
                         desired_class=1)
         assert calls == {"run_benchmark": 0, "latent_descent": 0}
 
