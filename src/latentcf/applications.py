@@ -16,7 +16,7 @@ import numpy as np
 
 from .datasets import AttributedDataset
 from .engine import desired_class, latent_descent
-from .errors import ConfigurationError, PartialResultWarning, require_indices
+from .errors import ConfigurationError, PartialResultWarning, require_finite, require_indices
 from .models import train_target
 
 
@@ -89,6 +89,7 @@ def augment_with_counterfactuals(dataset, target, gen, n_aug, perturb, seed=0):
     """
     if n_aug < 0:
         raise ConfigurationError("n_aug must be non-negative")
+    require_finite("seed", seed)
     # Refuses a target beyond two classes before any search, whatever n_aug is.
     desired_class(target, 0, perturb.desired)
     train_idx = dataset.indices("train")

@@ -28,7 +28,6 @@ import argparse
 import configparser
 import dataclasses
 import functools
-import os
 import sys
 import warnings
 
@@ -45,7 +44,6 @@ from .applications import (
 from .container import _rewrite_text, is_number_list, read_json
 from .datasets import generate, load_dataset, save_dataset
 from .engine import (
-    SCHEDULE_FIELDS,
     PerturbConfig,
     desired_class,
     latent_descent,
@@ -67,18 +65,14 @@ from .metrics import (
     SWEEP_WEIGHTS, alpha_sweep, benchmark_recipe, build_methods, run_benchmark, sweep_to_json,
 )
 from .models import (
-    _MANIFEST_PATHS,
-    _MANIFEST_TRAIN,
     GenerativeConfig,
     TrainConfig,
     load_discriminator,
     load_generative,
-    load_target,
-    save_discriminator,
-    save_generative,
-    save_manifest,
-    save_target,
     load_manifest,
+    load_target,
+    retrain_config,
+    save_stack,
     train_discriminator,
     train_generative,
     train_target,
@@ -188,9 +182,6 @@ def _load_stack(opts, row=None, with_dataset=True):
     if manifest_path is None:
         raise ConfigurationError("--manifest is required")
     manifest = load_manifest(manifest_path)
-    base = os.path.dirname(os.path.abspath(manifest_path))
-    for key in _MANIFEST_PATHS:
-        manifest[key] = os.path.join(base, manifest[key])
     if not with_dataset:
         dataset = None
     elif row is None:
@@ -284,40 +275,15 @@ def cmd_train(args):
     target = train_target(dataset, tcfg)
     disc = train_discriminator(dataset, dcfg)
     gen = train_generative(dataset, disc, gcfg)
-    # Created only now, so a refused run leaves no directory behind.
-    out_dir = opts.get("out_dir", "artifacts")
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "dataset": os.path.relpath(os.path.abspath(data_path), os.path.abspath(out_dir)),
-        "target": "target.lcfc",
-        "discriminator": "discriminator.lcfc",
-        "generative": "generative.lcfc",
-    }
-    save_target(os.path.join(out_dir, paths["target"]), target)
-    save_discriminator(os.path.join(out_dir, paths["discriminator"]), disc)
-    save_generative(os.path.join(out_dir, paths["generative"]), gen)
-    manifest = dict(paths)
-    manifest["seed"] = tcfg.seed
-    manifest["train"] = {
-        **{key: getattr(tcfg, key) for key in _MANIFEST_TRAIN},
-        "latent_dim": gcfg.latent_dim,
-        "gen_epochs": gcfg.epochs,
-        "gen_learning_rate": gcfg.learning_rate,
-        "disc_weight": gcfg.disc_weight,
-        "output_activation": gcfg.output_activation,
-    }
-    manifest["perturb_profiles"] = {
-        name: {key: getattr(c, key) for key in SCHEDULE_FIELDS}
-        for name, c in (("text", PerturbConfig()), ("image", PerturbConfig.image_defaults()))
-    }
-    save_manifest(os.path.join(out_dir, "manifest.json"), manifest)
+    # The out dir is created only now, so a refused run leaves none behind.
+    path = save_stack(opts.get("out_dir", "artifacts"), data_path, target, disc, gen, tcfg, gcfg)
     print(f"classifier accuracy train/dev/test = "
           f"{target.train_accuracy:.3f}/{target.dev_accuracy:.3f}/{target.test_accuracy:.3f}")
     acc = ", ".join(f"{a:.3f}" for a in disc.attribute_accuracy)
     print(f"discriminator per-attribute dev accuracy = [{acc}]")
     print(f"autoencoder recon {gen.final_recon_error:.4f}, "
           f"attribute consistency {gen.attribute_consistency:.3f}")
-    print(f"wrote {os.path.join(out_dir, 'manifest.json')}")
+    print(f"wrote {path}")
     return 0
 
 
@@ -465,6 +431,8 @@ def cmd_augment(args):
     if n_compare is not None and n_compare < 1:  # refused before any search or write
         raise ConfigurationError(f"--compare must be at least 1, got {n_compare}")
     dataset, target, gen, manifest = _load_stack(opts)
+    if n_compare is not None:  # refused before any search or write
+        tcfg = retrain_config(manifest, opts.get("manifest"))
     cfg = _perturb_from(opts)
     n_aug = opts.get("count", 100)
     with warnings.catch_warnings(record=True) as caught:
@@ -480,8 +448,6 @@ def cmd_augment(args):
     added = augmented.metadata.get("augmented_tail", 0)
     print(f"wrote {out}: {added} counterfactual rows appended")
     if n_compare is not None:
-        train = manifest.get("train", {})
-        tcfg = TrainConfig(**{key: train[key] for key in _MANIFEST_TRAIN if key in train})
         comp = retrain_comparison(
             dataset, augmented, tcfg, seeds=list(range(n_compare))
         )

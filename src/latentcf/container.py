@@ -33,6 +33,7 @@ import math
 import os
 import stat
 import struct
+import sys
 
 import numpy as np
 
@@ -55,7 +56,9 @@ def is_int(value):
 
 
 def is_number(value):
-    return type(value) in (int, float)
+    """Whether a decoded JSON value is a number; booleans are not, nor is an
+    integer larger in magnitude than the largest float64."""
+    return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
 
 
 def is_number_list(value):

@@ -78,7 +78,7 @@ class SynthSpec:
             raise ConfigurationError("need at least three samples for a three-way split")
         if not 0.0 < self.attribute_prob < 1.0:
             raise ConfigurationError("attribute_prob must lie strictly inside (0, 1)")
-        for name in ("noise", "n_styles", "style_leak", "label_echo"):
+        for name in ("seed", "noise", "n_styles", "style_leak", "label_echo"):
             require_finite(name, getattr(self, name))
         for name in ("shift", "margin", "train_frac", "dev_frac"):
             require_finite(name, getattr(self, name), positive=True)
@@ -123,8 +123,9 @@ class AttributedDataset:
     """Instances with per-row binary attributes, one-hot labels, split tags.
 
     labels is [n, C] one-hot; split holds 0 (train), 1 (dev), or 2 (test)
-    per row as int8. metadata carries the generating spec, where one
-    exists, plus free-form notes.
+    per row as int8. metadata carries the generating spec under "spec",
+    where one exists, and "augmented_tail" after augmentation; readers
+    ignore any other key.
     """
 
     instances: np.ndarray
@@ -310,13 +311,7 @@ def generate(spec):
         attributes=attrs,
         labels=labels,
         split=split,
-        metadata={
-            "generator": spec.generator,
-            "seed": spec.seed,
-            "label_attributes": list(spec.label_attributes),
-            "split_fractions": [spec.train_frac, spec.dev_frac],
-            "spec": spec_to_dict(spec),
-        },
+        metadata={"spec": spec_to_dict(spec)},
     )
     ds.validate()
     return ds

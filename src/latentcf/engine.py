@@ -70,11 +70,6 @@ class PerturbConfig:
     clip: tuple | None = None
 
     @classmethod
-    def text_defaults(cls, **overrides):
-        """``PerturbConfig()``, with each override checked to name a field."""
-        return _replace(cls(), overrides)
-
-    @classmethod
     def image_defaults(cls, **overrides):
         """Defaults tuned for grid data, with iterates clipped to [0, 1]."""
         cfg = cls(
@@ -102,7 +97,7 @@ class PerturbConfig:
 
 
 # The step schedule: the PerturbConfig fields that a comparison method's
-# params and a manifest's perturb_profiles record.
+# params record.
 SCHEDULE_FIELDS = ("distance_weight", "code_step", "attr_step", "step_decay", "max_iters")
 
 

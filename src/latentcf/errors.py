@@ -14,8 +14,10 @@ class ConfigurationError(ValueError):
 
 def require_finite(name, value, positive=False):
     """ConfigurationError naming the setting unless value is a finite number
-    that is non-negative, or positive when asked. NaN and infinities fail."""
-    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+    that is non-negative, or positive when asked. NaN and infinities fail;
+    an int of any size is finite."""
+    finite = type(value) is int or math.isfinite(value)
+    if not (finite and (value > 0 if positive else value >= 0)):
         sign = "positive" if positive else "non-negative"
         raise ConfigurationError(f"{name} must be a finite {sign} number, got {value!r}")
 

@@ -281,6 +281,7 @@ def run_benchmark(
     random stream spawned from the seed, the same one for every method.
     Latent perturbation is measured against latent_threshold of the train split.
     """
+    require_finite("seed", seed)
     query_rows, desired = _select_queries(dataset, target, n_queries, seed, desired_class)
     threshold = latent_threshold(gen, dataset.part("train")[0])
     children = np.random.SeedSequence(seed).spawn(n_queries)

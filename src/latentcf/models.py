@@ -33,11 +33,15 @@ is not an object, an activations list, an array or a meta field is missing,
 a list array is not 1-D float64, a value has the wrong JSON type for its
 annotation, or a generative model's latent_dim and attribute_dim disagree
 with its encoder output and decoder input widths.
+
+The stack manifest is this module's alone: save_stack writes it, with the
+checkpoints; load_manifest and retrain_config read it.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -85,6 +89,7 @@ class TrainConfig:
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigurationError("epochs and batch_size must be at least 1")
         require_finite("learning_rate", self.learning_rate, positive=True)
+        require_finite("seed", self.seed)
         _require_hidden(self)
         if not 0 <= self.accuracy_floor <= 1:
             raise ConfigurationError("accuracy_floor must lie in [0, 1]")
@@ -126,6 +131,7 @@ class GenerativeConfig:
             raise ConfigurationError("epochs and batch_size must be at least 1")
         require_finite("learning_rate", self.learning_rate, positive=True)
         require_finite("disc_weight", self.disc_weight)
+        require_finite("seed", self.seed)
         _require_hidden(self)
         if self.output_activation not in ("identity", "sigmoid"):
             raise ConfigurationError("output_activation must be identity or sigmoid")
@@ -525,11 +531,6 @@ def load_generative(path):
     return _load_model(path, "generative-model")
 
 
-def save_manifest(path, entries):
-    """Write the artifact manifest tying a dataset to its trained models."""
-    _rewrite_text(path, json.dumps(entries, sort_keys=True, indent=2) + "\n")
-
-
 # The manifest keys every command resolves to a file.
 _MANIFEST_PATHS = ("dataset", "target", "discriminator", "generative")
 
@@ -544,19 +545,51 @@ _MANIFEST_TRAIN = {
 }
 
 
+def save_stack(out_dir, data_path, target, discriminator, gen, train_config, gen_config):
+    """Write the checkpoints, each as "<key>.lcfc", and manifest.json into
+    out_dir, created here; returns the manifest's path. The manifest holds
+    _MANIFEST_PATHS relative to out_dir, train_config's seed, and under
+    ``train`` its _MANIFEST_TRAIN fields and gen_config's settings."""
+    os.makedirs(out_dir, exist_ok=True)
+    manifest = {"dataset": os.path.relpath(os.path.abspath(data_path), os.path.abspath(out_dir))}
+    saves = (save_target, save_discriminator, save_generative)
+    for key, save, model in zip(_MANIFEST_PATHS[1:], saves, (target, discriminator, gen)):
+        manifest[key] = f"{key}.lcfc"
+        save(os.path.join(out_dir, manifest[key]), model)
+    manifest["seed"] = train_config.seed
+    manifest["train"] = {
+        **{key: getattr(train_config, key) for key in _MANIFEST_TRAIN},
+        "latent_dim": gen_config.latent_dim,
+        "gen_epochs": gen_config.epochs,
+        "gen_learning_rate": gen_config.learning_rate,
+        "disc_weight": gen_config.disc_weight,
+        "output_activation": gen_config.output_activation,
+    }
+    return save_manifest(os.path.join(out_dir, "manifest.json"), manifest)
+
+
+def save_manifest(path, manifest):
+    """Write a manifest object to path as JSON with sorted keys; returns path."""
+    _rewrite_text(path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    return path
+
+
 def load_manifest(path):
-    """Read a manifest, raising FormatError unless its shape is usable.
+    """Read a manifest, raising FormatError unless its shape is usable, and
+    return it with each of _MANIFEST_PATHS joined to the manifest's directory.
 
     The top level must be a JSON object, each of _MANIFEST_PATHS a string,
     and ``train``, when present, an object whose _MANIFEST_TRAIN fields, when
-    present, have the listed types.
+    present, have the listed types. Other keys are ignored.
     """
     manifest = read_json(path)
     if not isinstance(manifest, dict):
         raise FormatError(f"{path}: manifest must be a JSON object")
     where = f"{path}: manifest"
+    base = os.path.dirname(os.path.abspath(path))
     for key in _MANIFEST_PATHS:
         require_field(manifest, key, "a path string", lambda v: isinstance(v, str), where)
+        manifest[key] = os.path.join(base, manifest[key])
     train = manifest.get("train", {})
     if not isinstance(train, dict):
         raise FormatError(f"{where} 'train' must be a JSON object")
@@ -564,3 +597,15 @@ def load_manifest(path):
         if key in train:
             require_field(train, key, what, ok, f"{where} 'train'")
     return manifest
+
+
+def retrain_config(manifest, path):
+    """The TrainConfig that manifest's ``train`` fields rebuild, the rest at
+    their defaults; ConfigurationError naming path unless it validates."""
+    train = manifest.get("train", {})
+    config = TrainConfig(**{key: train[key] for key in _MANIFEST_TRAIN if key in train})
+    try:
+        config.validate()
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: manifest 'train': {exc}") from None
+    return config

@@ -168,7 +168,7 @@ class TestTrain:
             assert (art / name).exists()
         manifest = json.loads(workspace["manifest"].read_text())
         assert manifest["train"]["epochs"] == 30
-        assert "perturb_profiles" in manifest
+        assert sorted(manifest) == sorted([*PATH_KEYS, "seed", "train"])
 
     def test_missing_data_flag(self, capsys):
         assert main(["train"]) == 1
@@ -684,16 +684,37 @@ class TestManifestErrors:
         manifest["train"][key] = value
         assert repr(key) in self.explain_with(tmp_path, capsys, manifest)
 
-    def test_augment_compare_rejects_a_bad_train_field(self, workspace, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("epochs", "forty", "manifest 'train' field 'epochs' must be an integer"),
+            ("learning_rate", 10**400, "manifest 'train' field 'learning_rate' must be a number"),
+            ("learning_rate", -1,
+             "manifest 'train': learning_rate must be a finite positive number, got -1"),
+        ],
+        ids=["wrong-type", "beyond-float64", "invalid"],
+    )
+    def test_augment_compare_refuses_a_bad_train_field_before_any_search(
+        self, workspace, tmp_path, capsys, monkeypatch, key, value, message
+    ):
+        searches = count_searches(monkeypatch)
         manifest = absolute_manifest(workspace)
-        manifest["train"]["epochs"] = "forty"
+        manifest["train"][key] = value
         path = tmp_path / "m.json"
         path.write_text(json.dumps(manifest))
-        rc = main(["augment", "--manifest", str(path), "--count", "2",
-                   "--out", str(tmp_path / "aug.lcfc"), "--compare", "1"])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith("error:") and "'epochs'" in err
+        out = tmp_path / "aug.lcfc"
+        err = user_error(capsys, ["augment", "--manifest", str(path), "--count", "2",
+                                  "--compare", "1", "--out", str(out)])
+        assert err == f"error: {path}: {message}\n"
+        assert searches == [] and not out.exists()
+
+    def test_only_compare_validates_the_train_settings(self, workspace, tmp_path, capsys):
+        manifest = absolute_manifest(workspace)
+        manifest["train"]["learning_rate"] = -1
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(manifest))
+        assert main(["augment", "--manifest", str(path), "--count", "2", "--max-iters", "20",
+                     "--out", str(tmp_path / "aug.lcfc")]) == 0
 
     def test_train_section_is_optional(self, workspace, tmp_path, capsys):
         manifest = absolute_manifest(workspace)
@@ -1275,6 +1296,8 @@ class TestInputErrors:
             (lambda r: {**r, "loss_trace": [[1.0, 2.0]]}, "'loss_trace' must be"),
             (lambda r: {**r, "loss_trace": []}, "'loss_trace' must be"),
             (lambda r: {**r, "origin_attributes": [0.0]}, "differ in length"),
+            (lambda r: {**r, "sample": [10**400] + r["sample"][1:]},
+             "'sample' must be an array of numbers"),
         ],
     )
     def test_malformed_results_line(self, record, tmp_path, capsys, edit, message):
@@ -1362,6 +1385,7 @@ class TestInputErrors:
             ({"instance": [[1.0] * 12]}, "'instance' must be an array of numbers"),
             ({"instance": [1.0] * 12, "attributes": "10"}, "'attributes' must be an array"),
             ({"instance": [1.0] * 12, "attributes": [1, None]}, "'attributes' must be an array"),
+            ({"instance": [10**400] + [1.0] * 11}, "'instance' must be an array of numbers"),
         ],
     )
     @pytest.mark.parametrize("command", ["explain", "rank"])
@@ -1516,3 +1540,75 @@ class TestThreeClassesNeedADesiredClass:
         if argv[0] == "bench":
             assert json.loads(out.read_text())["config"]["desired_class"] == 2
 
+
+class TestNegativeSeed:
+    """A negative seed, by flag or config file, is refused with one error
+    line naming it, before any model trains, any search runs or any file is
+    written."""
+
+    COMMANDS = ["gen-data", "train", "bench", "sweep", "rank", "augment"]
+
+    def argv(self, command, workspace, out):
+        manifest = ["--manifest", str(workspace["manifest"])]
+        return {
+            "gen-data": ["gen-data", "--out", str(out)],
+            "train": ["train", "--data", str(workspace["data"]), "--out-dir", str(out)],
+            "bench": ["bench", *manifest, "--queries", "3", "--out", str(out)],
+            "sweep": ["sweep", *manifest, "--queries", "3", "--out", str(out)],
+            "rank": ["rank", *manifest, "--queries", "3", "--out", str(out)],
+            "augment": ["augment", *manifest, "--count", "2", "--out", str(out)],
+        }[command]
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_refused_before_any_search_or_write(self, workspace, tmp_path, capsys, monkeypatch,
+                                                command, via):
+        searches = count_searches(monkeypatch)
+        monkeypatch.setattr(cli, "train_target", lambda *a: searches.append("train_target"))
+        out = tmp_path / "out"
+        argv = self.argv(command, workspace, out)
+        if via == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            ini = tmp_path / "seed.ini"
+            ini.write_text(f"[{command}]\nseed = -1\n")
+            argv += ["--config", str(ini)]
+        err = user_error(capsys, argv)
+        assert err == "error: seed must be a finite non-negative number, got -1\n"
+        assert "_search" not in searches and "train_target" not in searches
+        assert not out.exists()
+
+
+class TestOlderFiles:
+    """A manifest that holds perturb_profiles and a dataset whose meta holds
+    the generator, seed, label_attributes and split_fractions copies of its
+    spec, as older releases wrote them, give the same outputs as the files
+    written today."""
+
+    def test_explain_and_bench(self, workspace, tmp_path, capsys):
+        ds = load_dataset(workspace["data"])
+        spec = ds.metadata["spec"]
+        ds.metadata.update(generator=spec["generator"], seed=spec["seed"],
+                           label_attributes=spec["label_attributes"],
+                           split_fractions=[spec["train_frac"], spec["dev_frac"]])
+        save_dataset(tmp_path / "old.lcfc", ds)
+        old = absolute_manifest(workspace)
+        old["dataset"] = str(tmp_path / "old.lcfc")
+        old["perturb_profiles"] = {
+            "text": {"distance_weight": 0.8, "code_step": 1.0, "attr_step": 2.0,
+                     "step_decay": 0.95, "max_iters": 300},
+            "image": {"distance_weight": 1.5, "code_step": 2.0, "attr_step": 3.0,
+                      "step_decay": 0.9, "max_iters": 500},
+        }
+        (tmp_path / "old.json").write_text(json.dumps(old))
+        outputs = {}
+        for name, manifest in (("new", workspace["manifest"]), ("old", tmp_path / "old.json")):
+            explained, report = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.report.json"
+            assert main(["explain", "--manifest", str(manifest), "--query-index", "3",
+                         "--max-iters", "20", "--out", str(explained)]) == 0
+            assert main(["bench", "--manifest", str(manifest), "--queries", "3",
+                         "--max-iters", "20", "--no-include-timing", "--out", str(report)]) == 0
+            record = json.loads(explained.read_text())
+            del record["wall_time_micros"]
+            outputs[name] = record, report.read_bytes()
+        assert outputs["old"] == outputs["new"]

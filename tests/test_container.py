@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentcf.container import FORMAT_VERSION, MAGIC, read_container, write_container
+from latentcf.container import (
+    FORMAT_VERSION, MAGIC, is_number, is_number_list, read_container, write_container,
+)
 from latentcf.errors import DimensionError, FormatError
 
 
@@ -401,3 +403,14 @@ def test_damaged_container_row_read_refuses_what_a_full_read_refuses(blob, start
             assert rows[name].shape == arr[start:stop].shape
             assert rows[name].tobytes() == arr[start:stop].tobytes()
         assert_detached(rows)
+
+
+@pytest.mark.parametrize(
+    "value, ok",
+    [(0, True), (-3, True), (0.5, True), (10**308, True), (-(10**308), True),
+     (10**400, False), (-(10**400), False), (2**1024, False), (True, False), (None, False),
+     ("1", False)],
+)
+def test_a_number_is_one_that_converts_to_float64(value, ok):
+    assert is_number(value) is ok
+    assert is_number_list([0.0, value]) is ok

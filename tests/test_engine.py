@@ -134,7 +134,7 @@ def first_query(dataset, target, predicted=0):
 
 class TestPerturbConfig:
     def test_text_profile_values(self):
-        cfg = PerturbConfig.text_defaults()
+        cfg = PerturbConfig()
         assert (cfg.distance_weight, cfg.code_step, cfg.attr_step) == (0.8, 1.0, 2.0)
         assert (cfg.step_decay, cfg.max_iters) == (0.95, 300)
 
@@ -146,7 +146,7 @@ class TestPerturbConfig:
 
     def test_override_hook_rejects_unknown_fields(self):
         with pytest.raises(ConfigurationError):
-            PerturbConfig.text_defaults(stepsize=1.0)
+            PerturbConfig.image_defaults(stepsize=1.0)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

@@ -952,3 +952,32 @@ class TestQualityWarnings:
         gcfg = GenerativeConfig(latent_dim=2, epochs=1, batch_size=48, consistency_floor=1.0)
         (text,) = self.messages(train_generative, parity_data, disc, gcfg)
         assert re.fullmatch(r"attribute consistency \d\.\d{3} below floor 1\.0", text)
+
+
+class TestDivergedTrainerFloors:
+    """A learning rate far too large leaves every loss finite but trains
+    nothing: the quality floors, not TrainingError, flag it."""
+
+    def test_both_supervised_trainers_warn(self):
+        data = generate(small_spec(n_samples=400))
+        cfg = TrainConfig(epochs=5, learning_rate=1e8)
+        with np.errstate(all="ignore"), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            target = train_target(data, cfg)
+            disc = train_discriminator(data, cfg)
+        texts = [str(w.message) for w in caught if w.category is TrainingQualityWarning]
+        assert [t.split()[0] for t in texts] == ["classifier", "mean"]
+        assert target.dev_accuracy < cfg.accuracy_floor
+        assert np.mean(disc.attribute_accuracy) < cfg.accuracy_floor
+        assert target.loss_history[-1] > target.loss_history[0]
+
+
+class TestSeedValidation:
+    @pytest.mark.parametrize("config", [TrainConfig(seed=-1),
+                                        GenerativeConfig(latent_dim=2, seed=-1)])
+    def test_a_negative_seed_is_refused(self, config):
+        with pytest.raises(ConfigurationError, match=r"^seed must be a finite non-negative"):
+            config.validate()
+
+    def test_any_non_negative_int_is_a_seed(self):
+        TrainConfig(seed=10**400).validate()
